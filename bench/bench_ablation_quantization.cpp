@@ -9,6 +9,7 @@
 
 #include "bench_common.h"
 #include "common/rng.h"
+#include "compress/encoding.h"
 #include "compress/quantizer.h"
 #include "strategies/gluefl.h"
 

@@ -33,6 +33,7 @@
 #include "agg/aggregator.h"
 #include "agg/sparse_delta.h"
 #include "bench_common.h"
+#include "compress/encoding.h"
 #include "common/rng.h"
 
 using namespace gluefl;

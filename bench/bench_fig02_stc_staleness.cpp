@@ -7,6 +7,7 @@
 #include <iostream>
 
 #include "bench_common.h"
+#include "compress/encoding.h"
 #include "strategies/stc.h"
 
 using namespace gluefl;

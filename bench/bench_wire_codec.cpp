@@ -1,8 +1,8 @@
 // Wire-codec throughput and encoded-vs-analytic byte deltas at OpenImage
 // scale (PR 4 tentpole; PR 7 adds the per-kernel blocks). The codec sits
 // on the simulator's per-client hot path — every included client's upload
-// is serialized each round under --wire=encoded — and this machine has
-// ONE core, so codec cost is pure round-latency overhead; this bench
+// is serialized each round — and on a single core codec cost is pure
+// round-latency overhead; this bench
 // records it for the perf trajectory.
 //
 // The payload is GlueFL-shaped at the ShuffleNet/OpenImage real-model

@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <iostream>
 #include <memory>
+#include <utility>
 
 #include "analysis/report.h"
 #include "compress/encoding.h"
@@ -18,11 +19,13 @@
 #include "compress/topk.h"
 #include "data/presets.h"
 #include "fl/engine.h"
+#include "fl/uplink.h"
 #include "net/environment.h"
 #include "nn/proxies.h"
 #include "sampling/uniform_sampler.h"
 #include "strategies/factory.h"
 #include "tensor/ops.h"
+#include "wire/codec.h"
 
 using namespace gluefl;
 
@@ -48,9 +51,12 @@ class TopKOnlyStrategy final : public Strategy {
                          engine.run_config().overcommit, rng,
                          engine.availability_fn(round));
     const size_t dim = engine.dim();
-    const size_t sb = engine.stat_bytes();
-    auto down = [&](int c) { return engine.sync().sync_bytes(c, round) + sb; };
-    const size_t up_b = sparse_update_bytes(k_, dim) + sb;
+    // Downloads: the engine's measured sync frame plus the BN stats frame.
+    auto down = engine.down_bytes_fn(
+        round, wire::encoded_stats_bytes(engine.stat_dim()));
+    // Uploads: the analytic top-k size only orders the straggler cutoff;
+    // the intake below prices the frames actually sent.
+    const size_t up_b = sparse_update_bytes(k_, dim) + engine.stat_bytes();
     auto up = [up_b](int) { return up_b; };
     const Participation part =
         engine.simulate_participation(round, cand, down, up, rec);
@@ -63,19 +69,31 @@ class TopKOnlyStrategy final : public Strategy {
       std::vector<float> stat_agg(engine.stat_dim(), 0.0f);
       const double n = engine.num_clients();
       const double khat = static_cast<double>(included.size());
+      // Every client frame goes through the engine's uplink intake: it
+      // measures the frame, applies scenario faults, rejects what fails to
+      // decode, and hands the decoder to the fold below.
+      uplink::Intake intake(engine, round);
+      std::vector<SparseDelta> batch;
       for (size_t i = 0; i < included.size(); ++i) {
         auto& delta = results[i].delta;
         ec_->apply(included[i], 1.0, delta.data());
         const SparseVec kept = top_k_abs(delta.data(), dim, k_);
-        scatter_add(kept,
-                    static_cast<float>(n / khat *
-                                       engine.client_weight(included[i])),
-                    agg.data());
         for (uint32_t idx : kept.idx) delta[idx] = 0.0f;
         ec_->store(included[i], 1.0, delta.data());
-        axpy(static_cast<float>(1.0 / khat), results[i].stat_delta.data(),
-             stat_agg.data(), engine.stat_dim());
+        const float nu = static_cast<float>(
+            n / khat * engine.client_weight(included[i]));
+        wire::WireEncoder we(dim);
+        we.add_unique(kept);
+        we.add_stats(results[i].stat_delta.data(), engine.stat_dim());
+        intake.submit(included[i], std::move(we), [&](wire::WireDecoder& wd) {
+          batch.push_back(wd.take_unique(nu));
+          const std::vector<float> st = wd.take_stats();
+          axpy(static_cast<float>(1.0 / khat), st.data(), stat_agg.data(),
+               engine.stat_dim());
+        });
       }
+      intake.price(part, rec);
+      engine.aggregator().reduce(batch, agg.data(), dim);
       // KEY DIFFERENCE vs STC: the server applies the aggregate densely —
       // no second top-k. The union of K clients' top-k sets touches most
       // of the model, so the changed set is large every round.

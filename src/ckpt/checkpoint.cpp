@@ -367,8 +367,7 @@ AsyncRunState restore_async_run(const Snapshot& snap, SimEngine& engine,
   restore_engine_state(snap, engine);
   AsyncRunState state;
   Reader ar(snap.async_state.data(), snap.async_state.size());
-  state.restore_state(ar, engine.num_clients(), engine.dim(),
-                      engine.stat_dim());
+  state.restore_state(ar, engine.num_clients());
   ar.expect_end("async-state");
   if (state.version != snap.next_round) {
     fail("checkpoint async version does not match its round boundary");

@@ -193,7 +193,10 @@ std::vector<float> Reader::f32s() {
       static_cast<size_t>(varint_max(left_ / 4, "float-array length"));
   std::vector<float> out(n);
   if constexpr (std::endian::native == std::endian::little) {
-    std::memcpy(out.data(), bytes(n * 4), n * 4);
+    // An empty array (every async in-flight record: the payload rides the
+    // wire frame) has no buffer; memcpy must not see its null data().
+    const uint8_t* src = bytes(n * 4);
+    if (n != 0) std::memcpy(out.data(), src, n * 4);
   } else {
     for (size_t i = 0; i < n; ++i) out[i] = f32();
   }

@@ -92,9 +92,9 @@ run flags:
                      omit for an automatic count)
   --topology SPEC    flat, or hier:<E> for E edge aggregators
                      between clients and cloud                   [flat]
-  --wire MODE        byte accounting: encoded (serialize real
-                     payloads, price measured bytes) | analytic
-                     (pre-wire size formulas, for A/B)           [encoded]
+  --wire MODE        byte accounting: encoded is the only mode
+                     (serialize real payloads, price measured
+                     bytes)                                      [encoded]
   --scenario S       fleet-shaping scenario: a bundled name (see
                      `gluefl list --scenarios`) or a JSON spec
                      file — device-class mixes, diurnal/trace
@@ -338,7 +338,7 @@ RunOptions resolve_common(Flags& flags) {
   require_name("exec mode", opt.exec, {"sync", "async"});
   require_name("aggregator", opt.agg, {"dense", "sharded"});
   require_name("population mode", opt.population_mode, {"dense", "virtual"});
-  require_name("wire mode", opt.wire, {"encoded", "analytic"});
+  require_name("wire mode", opt.wire, {"encoded"});
   if (flags.provided("agg-shards") && opt.agg != "sharded") {
     throw UsageError("--agg-shards requires --agg=sharded");
   }
@@ -486,8 +486,6 @@ SimEngine make_cli_engine(const RunOptions& opt, const SyntheticSpec& spec,
   run.agg.kind = opt.agg == "sharded" ? AggKind::kSharded : AggKind::kDense;
   run.agg.shards = opt.agg_shards;
   run.topology.num_edges = opt.num_edges;
-  run.wire.mode =
-      opt.wire == "analytic" ? WireMode::kAnalytic : WireMode::kEncoded;
   run.scenario = opt.scenario_spec;
   return SimEngine(make_synthetic_dataset(spec),
                    make_proxy(opt.model, spec.feature_dim, spec.num_classes),
@@ -661,44 +659,10 @@ void require_meta_name(const ckpt::Snapshot& snap, const std::string& key,
                         "', which this binary does not know");
 }
 
-// ---- JSON emission (hand-rolled; no external deps available) ----
+// ---- JSON emission (common/json.h formatters) ----
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::string jnum(double v) {
-  if (!std::isfinite(v)) return "null";
-  std::ostringstream os;
-  os.precision(10);
-  os << v;
-  return os.str();
-}
-
-std::string jstr(const std::string& s) {
-  std::string out = "\"";
-  out += json_escape(s);
-  out += '"';
-  return out;
-}
+using json::jnum;
+using json::jstr;
 
 /// Build provenance block: identifies the binary that produced a summary
 /// (resumed runs embed the CURRENT binary's provenance, so same-binary
@@ -719,8 +683,7 @@ std::string totals_json(const RunTotals& t) {
 }
 
 // Per-eval trajectory entries. Round byte figures are the priced payload
-// sizes — measured encodes under --wire=encoded, analytic formulas under
-// --wire=analytic.
+// sizes: measured frame encodes.
 std::string trajectory_json(const RunResult& res) {
   std::ostringstream os;
   os << "[";
@@ -1292,7 +1255,7 @@ int cmd_resume(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
     meta_range_fail(snap, "topology", "'flat' or 'hier:<E>'");
   }
   opt.wire = meta_get(snap, "wire");
-  require_meta_name(snap, "wire", {"encoded", "analytic"});
+  require_meta_name(snap, "wire", {"encoded"});
   // The scenario rides the checkpoint as its canonical JSON (never a file
   // path): re-parsing it through the same validator rejects a tampered
   // spec and reproduces the exact fleet shape mid-scenario.

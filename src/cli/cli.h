@@ -71,7 +71,7 @@ struct RunOptions {
   int agg_shards = 0;             // sharded backend shard count; 0 = auto
   std::string topology = "flat";  // "flat" or "hier:<E>"
   int num_edges = 0;              // parsed from topology; 0 = flat
-  std::string wire = "encoded";   // byte accounting: encoded | analytic
+  std::string wire = "encoded";   // byte accounting: encoded (only mode)
   // Fleet-shaping scenario (src/scenario/, DESIGN.md §11): "" = off;
   // otherwise a bundled scenario name or a JSON spec file path, loaded and
   // validated eagerly (also under --dry-run) into `scenario_spec`.

@@ -1,7 +1,10 @@
 #include "common/json.h"
 
 #include <cctype>
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <sstream>
 
 namespace gluefl {
 namespace json {
@@ -243,6 +246,37 @@ class Parser {
 }  // namespace
 
 Value parse(const std::string& text) { return Parser(text).parse_document(); }
+
+std::string jnum(double v) {
+  if (!std::isfinite(v)) return "null";
+  std::ostringstream os;
+  os.precision(10);
+  os << v;
+  return os.str();
+}
+
+std::string jstr(const std::string& s) {
+  std::string out = "\"";
+  out.reserve(s.size() + 2);
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  out += '"';
+  return out;
+}
 
 }  // namespace json
 }  // namespace gluefl

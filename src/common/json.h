@@ -3,9 +3,10 @@
 // grammar, no external dependencies; object key order is preserved so
 // round-trip diagnostics stay readable.
 //
-// This is a *reader* only — the CLI and telemetry emitters compose their
-// JSON by hand so the byte-identity contracts (resume, tracing on/off)
-// stay under their control.
+// Emission is hand-composed by the CLI and the event-log report so the
+// byte-identity contracts (resume, tracing on/off) stay under their
+// control; this header supplies the shared scalar formatters they compose
+// with.
 #pragma once
 
 #include <cstddef>
@@ -52,6 +53,12 @@ struct Value {
 
 /// Parses one JSON document; trailing non-whitespace is an error.
 Value parse(const std::string& text);
+
+/// A JSON number with 10 significant digits; `null` for NaN/inf.
+std::string jnum(double v);
+
+/// A quoted, escaped JSON string.
+std::string jstr(const std::string& s);
 
 }  // namespace json
 }  // namespace gluefl

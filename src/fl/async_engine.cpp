@@ -7,7 +7,7 @@
 #include "ckpt/checkpoint.h"
 #include "ckpt/io.h"
 #include "common/check.h"
-#include "compress/encoding.h"
+#include "fl/uplink.h"
 #include "net/bandwidth.h"
 #include "sampling/sampler.h"
 #include "scenario/scenario.h"
@@ -36,17 +36,17 @@ void save_local(ckpt::Writer& w, const LocalResult& lr) {
   w.varint(static_cast<uint64_t>(lr.n_samples));
 }
 
-LocalResult load_local(ckpt::Reader& r, size_t dim, size_t stat_dim) {
+LocalResult load_local(ckpt::Reader& r) {
   LocalResult lr;
   lr.delta = r.f32s();
   lr.stat_delta = r.f32s();
   lr.loss = r.f32();
   lr.n_samples = static_cast<int>(r.varint_max(ckpt::kIntCap, "sample count"));
-  // Encoded-mode dispatches move the payload into the wire frame and leave
-  // the vectors empty; otherwise they are full-size.
-  if ((lr.delta.size() != dim && !lr.delta.empty()) ||
-      (lr.stat_delta.size() != stat_dim && !lr.stat_delta.empty())) {
-    throw ckpt::CkptError("checkpoint in-flight update has the wrong dim");
+  // Dispatch moves the payload into the wire frame and leaves the vectors
+  // empty; a payload outside the frame was never written by this engine.
+  if (!lr.delta.empty() || !lr.stat_delta.empty()) {
+    throw ckpt::CkptError("checkpoint in-flight update carries a payload "
+                          "outside its wire frame");
   }
   return lr;
 }
@@ -89,8 +89,7 @@ void AsyncRunState::save_state(ckpt::Writer& w) const {
   w.u8(rs.has_cached_normal ? 1 : 0);
 }
 
-void AsyncRunState::restore_state(ckpt::Reader& r, int num_clients,
-                                  size_t dim, size_t stat_dim) {
+void AsyncRunState::restore_state(ckpt::Reader& r, int num_clients) {
   const uint64_t round_cap = ckpt::kIntCap;
   version = static_cast<int>(r.varint_max(round_cap, "version"));
   now = r.f64();
@@ -114,7 +113,7 @@ void AsyncRunState::restore_state(ckpt::Reader& r, int num_clients,
     f.ut = r.f64();
     f.up_b = static_cast<size_t>(r.varint());
     f.down_b = static_cast<size_t>(r.varint());
-    f.local = load_local(r, dim, stat_dim);
+    f.local = load_local(r);
     f.wire = r.blob();
     if (!in_flight.insert(f.client).second) {
       throw ckpt::CkptError("checkpoint async events repeat a client");
@@ -131,7 +130,7 @@ void AsyncRunState::restore_state(ckpt::Reader& r, int num_clients,
         static_cast<uint64_t>(num_clients) - 1, "client id"));
     u.version = static_cast<int>(r.varint_max(round_cap, "version"));
     u.staleness = static_cast<int>(r.varint_max(round_cap, "staleness"));
-    u.result = load_local(r, dim, stat_dim);
+    u.result = load_local(r);
     u.wire = r.blob();
     buffer.push_back(std::move(u));
   }
@@ -208,10 +207,7 @@ RunResult AsyncSimEngine::run_loop(AsyncStrategy& strategy, AsyncRunState st,
 
   const int n = eng.num_clients();
   const double flops = eng.flops_per_client_round();
-  const bool enc = eng.wire_encoded();
-  const size_t up_payload = dense_bytes(eng.dim()) + eng.stat_bytes();
-  const size_t down_extra =
-      enc ? wire::encoded_stats_bytes(eng.stat_dim()) : eng.stat_bytes();
+  const size_t down_extra = wire::encoded_stats_bytes(eng.stat_dim());
   // Hierarchical topology: every dispatch traverses cloud -> edge ->
   // client and back. Dispatches are unsynchronized (each ships a diff for
   // a different model version), so unlike the synchronous path there is no
@@ -269,39 +265,29 @@ RunResult AsyncSimEngine::run_loop(AsyncStrategy& strategy, AsyncRunState st,
       f.local = std::move(locals[i]);
       // Training runs eagerly at dispatch, so unlike the synchronous path
       // the async engine can serialize the real payload up front and use
-      // measured bytes for BOTH pricing and event timing.
-      if (enc) {
-        wire::WireEncoder we(eng.dim());
-        we.add_dense(f.local.delta.data(), f.local.delta.size());
-        we.add_stats(f.local.stat_delta.data(), f.local.stat_delta.size());
-        f.wire = we.finish();
-        f.up_b = f.wire.size();
-        // The frame now owns the payload; the fold decodes it back.
-        f.local.delta = std::vector<float>();
-        f.local.stat_delta = std::vector<float>();
-      } else {
-        f.up_b = up_payload;
-      }
+      // measured bytes for BOTH pricing and event timing. The frame owns
+      // the payload now; the strategy opens it at aggregation.
+      //
       // Scenario faults (DESIGN.md §11), pure functions of the dispatch
       // seq so a resumed run recomputes identical fates. A dropout crashes
       // between download and upload: the payload never exists, the upload
       // leg costs nothing, and the slot frees at the end of compute. A
-      // Byzantine client ships a corrupted frame — under analytic
-      // accounting a 1-byte invalid sentinel — that the server-side decode
-      // rejects at fold time; its upload is priced like any other.
+      // Byzantine client ships a corrupted frame that the server-side
+      // decode rejects at aggregation; its upload is priced like any other.
       const bool crashed = eng.scenario_dropout_seq(f.seq);
+      wire::WireEncoder we(eng.dim());
+      we.add_dense(f.local.delta.data(), f.local.delta.size());
+      we.add_stats(f.local.stat_delta.data(), f.local.stat_delta.size());
+      f.wire = uplink::seal(std::move(we),
+                            !crashed && eng.scenario_byzantine_seq(f.seq));
+      f.up_b = f.wire.size();
+      f.local.delta = std::vector<float>();
+      f.local.stat_delta = std::vector<float>();
       if (crashed) {
         telemetry::count(telemetry::kScenarioDropouts);
         f.local = LocalResult{};
         f.wire.clear();
         f.up_b = 0;
-      } else if (eng.scenario_byzantine_seq(f.seq)) {
-        if (enc) {
-          scenario::corrupt_frame(f.wire);
-        } else {
-          f.local = LocalResult{};
-          f.wire.assign(1, 0xFF);
-        }
       }
       f.dt = transfer_seconds(static_cast<double>(down_b) * eng.wire_scale(),
                               p.down_mbps);
@@ -413,7 +399,7 @@ RunResult AsyncSimEngine::run_loop(AsyncStrategy& strategy, AsyncRunState st,
     // Fate precedence crashed > late > byzantine mirrors the server: a
     // crashed upload never arrives and a late one is discarded undecoded,
     // so only survivors reach the wire validation that rejects Byzantine
-    // frames (async_fedbuff does that at aggregation).
+    // frames (uplink::open, when the strategy aggregates).
     telemetry::digest_add(telemetry::kDigestDownBytes, f.down_b);
     if (!crashed) {
       telemetry::digest_add(telemetry::kDigestUpBytes, f.up_b);

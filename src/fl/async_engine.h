@@ -24,8 +24,8 @@
 // checkpoint subsystem can snapshot it at an aggregation boundary and
 // resume() can continue bit-identically: the binary-heap vector, the
 // in-flight updates (training runs eagerly at dispatch, so pending events
-// carry real deltas/wire frames), the sampling RNG and the simulated
-// clock are all part of the snapshot.
+// carry real wire frames), the sampling RNG and the simulated clock are
+// all part of the snapshot.
 #pragma once
 
 #include <cstdint>
@@ -50,11 +50,11 @@ struct AsyncUpdate {
   int client = 0;
   int version = 0;    // aggregation version the client trained against
   int staleness = 0;  // aggregation version at fold time - version
+  /// Loss and sample count only: `delta`/`stat_delta` are empty, because
+  /// the payload travels in `wire`.
   LocalResult result;
-  /// Under --wire=encoded: the actual serialized payload (delta + stats),
-  /// encoded at dispatch; `result.delta`/`result.stat_delta` are then
-  /// emptied so the strategy MUST aggregate the decoded frame. Empty under
-  /// analytic accounting.
+  /// The serialized payload (delta + stats), sealed at dispatch through
+  /// the uplink intake; the strategy opens it at aggregation.
   std::vector<uint8_t> wire;
 };
 
@@ -70,8 +70,8 @@ struct AsyncInFlight {
   double dt = 0.0, ct = 0.0, ut = 0.0;
   size_t up_b = 0;
   size_t down_b = 0;  // dispatch-time download frame bytes (unscaled)
-  LocalResult local;
-  std::vector<uint8_t> wire;  // encoded payload (--wire=encoded only)
+  LocalResult local;          // loss and sample count; payload in `wire`
+  std::vector<uint8_t> wire;  // sealed frame; empty for a crashed client
 };
 
 /// Complete event-loop state at any instant; snapshot-able at aggregation
@@ -94,11 +94,10 @@ struct AsyncRunState {
   RoundRecord rec;  // the partially-accumulated next record
   Rng pick_rng{0};  // dispatch sampling stream (advances per draw)
 
-  /// Checkpoint section (ckpt subsystem). restore_state validates shapes
-  /// against `num_clients`/`dim` and throws CkptError on mismatch.
+  /// Checkpoint section (ckpt subsystem). restore_state validates client
+  /// ids against `num_clients` and throws CkptError on mismatch.
   void save_state(ckpt::Writer& w) const;
-  void restore_state(ckpt::Reader& r, int num_clients, size_t dim,
-                     size_t stat_dim);
+  void restore_state(ckpt::Reader& r, int num_clients);
 };
 
 class AsyncSimEngine {

@@ -235,8 +235,7 @@ double SimEngine::flops_per_client_round() const {
 Participation SimEngine::simulate_participation(
     int round, const CandidateSet& cand,
     const std::function<size_t(int)>& down_bytes_fn,
-    const std::function<size_t(int)>& up_bytes_fn, RoundRecord& rec,
-    bool defer_uplink) {
+    const std::function<size_t(int)>& up_bytes_fn, RoundRecord& rec) {
   telemetry::Span span("transfer_price");
   struct Timed {
     int id = 0;
@@ -327,8 +326,8 @@ Participation SimEngine::simulate_participation(
   // recorded participation, flushed in canonical order at the round
   // boundary. Faulted invitees record their drop here; included invitees
   // record a completed participation in include() below (the upload leg
-  // is back-filled by price_uplinks, and the strategies upgrade the fate
-  // of rejected Byzantine frames). Over-committed invitees that survive
+  // is back-filled by price_uplinks, and the uplink intake upgrades the
+  // fate of rejected Byzantine frames). Over-committed invitees that survive
   // but lose the cutoff race pay their download without a record.
   auto record_client = [&](const Timed& t, bool sticky, events::Fate fate) {
     telemetry::digest_add(telemetry::kDigestDownBytes, t.down_b);
@@ -428,11 +427,6 @@ Participation SimEngine::simulate_participation(
   // All invitees received w^{round} during their download.
   for (const auto& t : sticky_t) sync_->mark_synced(t.id, round);
   for (const auto& t : other_t) sync_->mark_synced(t.id, round);
-
-  // Immediate pricing reproduces the classic single-call behaviour: the
-  // cutoff estimate IS the priced size, so up-bytes/up-time/wall-time come
-  // out exactly as before the deferred path existed.
-  if (!defer_uplink) price_uplinks(part, up_bytes_fn, rec);
   return part;
 }
 
@@ -462,9 +456,9 @@ void SimEngine::price_uplinks(const Participation& part,
     const double ut = transfer_seconds(
         static_cast<double>(up_b) * wire_scale_, p.up_mbps);
     const double finish = part.ready_s[i] + ut;
-    // Upload pricing is the one place the final frame size exists in both
-    // wire modes: back-fill the recorder and feed the per-client digests
-    // (finish == down + compute + up, the client's round-trip).
+    // Upload pricing is the one place the final frame size exists:
+    // back-fill the recorder and feed the per-client digests (finish ==
+    // down + compute + up, the client's round-trip).
     telemetry::digest_add(telemetry::kDigestUpBytes, up_b);
     telemetry::digest_add(telemetry::kDigestRttMs,
                           static_cast<uint64_t>(finish * 1e3));
@@ -487,8 +481,8 @@ void SimEngine::price_uplinks(const Participation& part,
     const size_t dense_cap = dense_bytes(dim_) + stat_bytes();
     for (size_t e = 0; e < edge_up_sum.size(); ++e) {
       // Members' download + compute + (possibly zero-cost) upload always
-      // bound the round, even when the edge has nothing to uplink — the
-      // encoded APF path legitimately prices zero-byte uploads.
+      // bound the round, even when the edge has nothing to uplink — APF
+      // with every coordinate frozen legitimately prices zero-byte uploads.
       rec.wall_time_s = std::max(rec.wall_time_s, edge_finish[e]);
       if (edge_up_sum[e] == 0) continue;
       const size_t up_b = HierarchicalTopology::partial_aggregate_bytes(
@@ -502,38 +496,18 @@ void SimEngine::price_uplinks(const Participation& part,
   }
 }
 
-void SimEngine::price_uplinks(const Participation& part,
-                              const std::map<int, size_t>& measured_bytes,
-                              RoundRecord& rec) {
-  price_uplinks(
-      part,
-      [&measured_bytes](int c) {
-        const auto it = measured_bytes.find(c);
-        return it != measured_bytes.end() ? it->second : size_t{0};
-      },
-      rec);
-}
-
-size_t SimEngine::encoded_sync_bytes(int client, int round) const {
-  return wire::encoded_sync_bytes(sync_->stale_mask(client, round));
-}
-
 std::function<size_t(int)> SimEngine::down_bytes_fn(int round,
                                                     size_t extra_bytes) {
-  if (!wire_encoded()) {
-    return [this, round, extra_bytes](int c) {
-      return sync_->sync_bytes(c, round) + extra_bytes;
-    };
-  }
-  // Measured mode: one real mask-codec run per distinct staleness — every
-  // client that last synced at the same round downloads the same frame.
+  // One real mask-codec run per distinct staleness: every client that last
+  // synced at the same round downloads the same frame.
   auto cache = std::make_shared<std::map<int, size_t>>();
   return [this, round, extra_bytes, cache](int c) {
     const int ls = sync_->last_synced_round(c);
     const auto it = cache->find(ls);
     const size_t sync_b = it != cache->end()
                               ? it->second
-                              : (*cache)[ls] = encoded_sync_bytes(c, round);
+                              : (*cache)[ls] = wire::encoded_sync_bytes(
+                                    sync_->stale_mask(c, round));
     return sync_b + extra_bytes;
   };
 }

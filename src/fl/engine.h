@@ -17,7 +17,6 @@
 #pragma once
 
 #include <functional>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -52,8 +51,8 @@ struct Participation {
   std::vector<int> nonsticky;  // included, from the non-sticky list
   std::vector<int> all() const;
   /// Download + compute seconds per included client, aligned with all()
-  /// (sticky first). price_uplinks() adds the upload leg on top — under
-  /// --wire=encoded that happens only after the real payloads exist.
+  /// (sticky first). price_uplinks() adds the upload leg on top once the
+  /// real frames exist.
   std::vector<double> ready_s;
 };
 
@@ -149,9 +148,8 @@ class SimEngine {
   /// `round` (sync engine). Pure function of (seed, round, client).
   bool scenario_dropout(int round, int client) const;
   /// True when client `client` sends a Byzantine/corrupted update in
-  /// `round` (sync engine). The strategies corrupt the encoded frame (or
-  /// model the rejection under --wire=analytic) and the server-side decode
-  /// rejects it, counting telemetry::kScenarioFramesRejected.
+  /// `round` (sync engine). The uplink intake (fl/uplink.h) corrupts the
+  /// client's frame and its server-side decode rejects it.
   bool scenario_byzantine(int round, int client) const;
   /// Async variants keyed by the dispatch sequence number, so the fate of
   /// an in-flight update can be recomputed after resume without widening
@@ -171,54 +169,34 @@ class SimEngine {
   /// bytes as if the full-size architecture were being shipped.
   double wire_scale() const { return wire_scale_; }
 
-  /// Straggler / over-commitment simulation. `down_bytes_fn` /
-  /// `up_bytes_fn` give per-client payload sizes; fills the byte and time
-  /// fields of `rec` and marks every invitee synced at `round`.
-  ///
-  /// With `defer_uplink` the upload leg is NOT priced: `up_bytes_fn` then
-  /// only orders the straggler cutoff (the server's scheduling estimate),
-  /// and the caller must invoke price_uplinks() once the actual payload
-  /// sizes are known — how --wire=encoded prices measured encodes that
-  /// cannot exist before the included clients have trained.
+  /// Straggler / over-commitment simulation. `down_bytes_fn` gives the
+  /// per-client download size; `up_bytes_fn` is the server's estimate of
+  /// the upload size (the §5 formulas), which only orders the straggler
+  /// cutoff. Fills the download, compute and participation fields of
+  /// `rec` and marks every invitee synced at `round`. The upload leg is
+  /// NOT priced here: the real frames cannot exist before the included
+  /// clients have trained, so the caller prices them with price_uplinks()
+  /// (strategies do so through uplink::Intake).
   Participation simulate_participation(
       int round, const CandidateSet& cand,
       const std::function<size_t(int)>& down_bytes_fn,
-      const std::function<size_t(int)>& up_bytes_fn, RoundRecord& rec,
-      bool defer_uplink = false);
+      const std::function<size_t(int)>& up_bytes_fn, RoundRecord& rec);
 
-  /// Prices the upload leg of an earlier deferred simulate_participation:
-  /// accumulates up_bytes / up_time_s / wall_time_s (and, under a
-  /// hierarchical topology, the per-edge partial-aggregate uplinks) from
-  /// `up_bytes_fn` over the included clients.
+  /// Prices the upload leg of simulate_participation: accumulates
+  /// up_bytes / up_time_s / wall_time_s (and, under a hierarchical
+  /// topology, the per-edge partial-aggregate uplinks) from `up_bytes_fn`
+  /// over the included clients.
   void price_uplinks(const Participation& part,
                      const std::function<size_t(int)>& up_bytes_fn,
                      RoundRecord& rec);
 
-  /// Convenience for the encoded strategies: prices the measured
-  /// per-client encode sizes collected during aggregation. A client
-  /// absent from the map uploaded nothing (e.g. APF with every
-  /// coordinate frozen) and prices zero bytes.
-  void price_uplinks(const Participation& part,
-                     const std::map<int, size_t>& measured_bytes,
-                     RoundRecord& rec);
-
-  /// Byte-accounting mode (RunConfig::wire).
-  WireMode wire_mode() const { return run_cfg_.wire.mode; }
-  bool wire_encoded() const {
-    return run_cfg_.wire.mode == WireMode::kEncoded;
-  }
-
-  /// Measured downlink sync bytes for `client` at `round`: the real mask
-  /// codec run over the SyncTracker's stale-position union, plus the fp32
-  /// values it selects. 0 when the client is current.
-  size_t encoded_sync_bytes(int client, int round) const;
-
-  /// Per-client downlink size function for `round`, honoring wire_mode():
-  /// analytic — SyncTracker::sync_bytes + extra_bytes; encoded — the
-  /// measured sync frame + extra_bytes, cached per last-synced round (every
-  /// client at the same staleness shares one server-side encode). The
-  /// caller supplies `extra_bytes` for whatever rides along (BN stats,
-  /// strategy masks), already sized for the active mode.
+  /// Per-client downlink size function for `round`: the measured sync
+  /// frame (the real mask codec run over the SyncTracker's stale-position
+  /// union, plus the fp32 values it selects; 0 when the client is current)
+  /// + `extra_bytes`, cached per last-synced round (every client at the
+  /// same staleness shares one server-side encode). The caller
+  /// supplies `extra_bytes` for whatever rides along (BN stats frame,
+  /// strategy mask frames).
   std::function<size_t(int)> down_bytes_fn(int round, size_t extra_bytes);
 
   /// Trains `clients` locally (in parallel) from the current global model.

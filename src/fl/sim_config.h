@@ -52,18 +52,15 @@ struct TopologyConfig {
   bool hierarchical() const { return num_edges > 0; }
 };
 
-/// Byte-accounting mode (src/wire/codec.h, DESIGN.md §7).
-///   kAnalytic: payload sizes come from the compress/encoding.h formulas
-///              (the pre-wire behaviour, kept for A/B regression).
-///   kEncoded:  client updates are actually serialized through the wire
-///              codec; transfers are priced off the measured buffer sizes
-///              and aggregation consumes the decoded payloads.
-enum class WireMode { kAnalytic, kEncoded };
+/// Byte accounting (src/wire/codec.h, DESIGN.md §7). Client updates are
+/// always serialized through the wire codec: transfers are priced off the
+/// measured frame sizes and aggregation consumes the decoded payloads. The
+/// single enumerator is kept only so existing configuration code that
+/// names it keeps compiling; nothing reads it.
+enum class WireMode { kEncoded };
 
 struct WireConfig {
-  /// Library default stays analytic so direct-engine users keep their
-  /// bit-exact pre-wire accounting; the CLI defaults to encoded.
-  WireMode mode = WireMode::kAnalytic;
+  WireMode mode = WireMode::kEncoded;
 };
 
 /// Client-population representation (src/net/client_directory.h).
@@ -98,7 +95,7 @@ struct RunConfig {
   AggConfig agg;
   /// Flat or hierarchical (edge -> cloud) aggregation topology.
   TopologyConfig topology;
-  /// Analytic (modelled) versus encoded (measured) byte accounting.
+  /// Byte accounting; always the encoded (measured) wire.
   WireConfig wire;
   /// Fleet-shaping scenario (DESIGN.md §11): device-class mixes, diurnal/
   /// trace availability, deadlines, dropouts and Byzantine clients. The

@@ -59,14 +59,6 @@ BitMask SyncTracker::stale_mask(int client, int round) const {
   return u;
 }
 
-size_t SyncTracker::sync_bytes(int client, int round,
-                               PositionEncoding enc) const {
-  const size_t nnz = stale_positions(client, round);
-  if (nnz == 0) return 0;
-  if (nnz == dim_) return dense_bytes(dim_);  // full model, positions implicit
-  return sparse_update_bytes(nnz, dim_, enc);
-}
-
 size_t SyncTracker::changed_union(int from, int to) const {
   GLUEFL_CHECK(from >= first_round_ && to <= next_round_ && from <= to);
   BitMask u(dim_);

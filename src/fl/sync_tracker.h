@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "compress/bitmask.h"
-#include "compress/encoding.h"
 
 namespace gluefl {
 
@@ -52,14 +51,9 @@ class SyncTracker {
   /// The union bitmap itself: every position the client must download.
   /// All-ones when the client never synced (or fell off the window),
   /// all-zeros when it is current. This is what the server would actually
-  /// serialize in the sync payload; --wire=encoded runs the real mask
-  /// codec over it to measure downlink bytes.
+  /// serialize in the sync payload; the engine runs the real mask codec
+  /// over it to measure downlink bytes (wire::encoded_sync_bytes).
   BitMask stale_mask(int client, int round) const;
-
-  /// Wire bytes for that download: values + position encoding. Zero when
-  /// the client is already current.
-  size_t sync_bytes(int client, int round,
-                    PositionEncoding enc = PositionEncoding::kAuto) const;
 
   /// Rounds since the client last synced; -1 if never.
   int staleness(int client, int round) const;

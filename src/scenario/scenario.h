@@ -99,8 +99,9 @@ const std::vector<std::pair<std::string, std::string>>& builtin_scenarios();
 
 /// Deterministically corrupts an encoded wire frame so the decoder is
 /// guaranteed to reject it (flips the version byte — WireDecoder fails
-/// closed on version mismatches). Used by the Byzantine fault injection in
-/// both engines; tiny/empty buffers become a 1-byte invalid frame.
+/// closed on version mismatches). Used by the uplink intake's Byzantine
+/// fault injection (fl/uplink.h); tiny/empty buffers become a 1-byte
+/// invalid frame.
 void corrupt_frame(std::vector<uint8_t>& frame);
 
 }  // namespace gluefl::scenario

@@ -7,7 +7,7 @@
 #include "agg/sparse_delta.h"
 #include "common/check.h"
 #include "compress/bitmask.h"
-#include "telemetry/telemetry.h"
+#include "fl/uplink.h"
 #include "tensor/ops.h"
 #include "wire/codec.h"
 
@@ -32,61 +32,40 @@ void AsyncFedBuffStrategy::aggregate(SimEngine& engine, int version,
                                      std::vector<AsyncUpdate>& buffer,
                                      RoundRecord& rec) {
   BitMask changed(engine.dim());
-  // Server-side frame validation (DESIGN.md §11): WireDecoder's constructor
-  // validates the whole frame, so a corrupted/Byzantine update is rejected
-  // BEFORE it can enter the staleness normalization or the aggregate. Under
-  // analytic accounting a Byzantine dispatch carries a 1-byte sentinel frame
-  // that fails the same validation path.
-  std::vector<char> ok(buffer.size(), 1);
-  for (size_t i = 0; i < buffer.size(); ++i) {
-    if (buffer[i].wire.empty()) continue;
-    try {
-      wire::WireDecoder probe(buffer[i].wire.data(), buffer[i].wire.size(),
-                              engine.dim());
-    } catch (const CheckError&) {
-      ok[i] = 0;
-      // No events::mark_byzantine here: the async engine derives the fate
-      // from the dispatch seq at fold time (the same predicate that made
-      // this frame corrupt), so the flight-recorder record already says
-      // kByzantine before this rejection runs.
-      telemetry::count(telemetry::kScenarioFramesRejected);
-    }
-  }
+  // Open every buffered frame once. A rejected (Byzantine) frame never
+  // enters the staleness normalization or the aggregate. No
+  // events::mark_byzantine here: the async engine derives the fate from
+  // the dispatch seq when it folds the update, so the flight-recorder
+  // record already says kByzantine. The weights depend on wsum, which is
+  // known only once every frame has been opened; take_dense only stores
+  // the weight, so assigning it afterwards is bit-identical.
+  std::vector<SparseDelta> batch;
+  std::vector<std::vector<float>> stats;
+  std::vector<double> discount;
+  batch.reserve(buffer.size());
   double wsum = 0.0;
-  size_t valid = 0;
-  for (size_t i = 0; i < buffer.size(); ++i) {
-    if (ok[i] != 0) {
-      wsum += staleness_weight(buffer[i].staleness);
-      ++valid;
-    }
+  double loss_sum = 0.0;
+  for (const AsyncUpdate& u : buffer) {
+    const bool ok =
+        uplink::open(u.wire, engine.dim(), [&](wire::WireDecoder& wd) {
+          batch.push_back(wd.take_dense(0.0f));
+          stats.push_back(wd.take_stats());
+        });
+    if (!ok) continue;
+    discount.push_back(staleness_weight(u.staleness));
+    wsum += discount.back();
+    loss_sum += u.result.loss;
   }
+  const size_t valid = batch.size();
 
   if (valid > 0 && wsum > 0.0) {
     std::vector<float> agg(engine.dim(), 0.0f);
     std::vector<float> stat_agg(engine.stat_dim(), 0.0f);
-    double loss_sum = 0.0;
-    std::vector<SparseDelta> batch;
-    batch.reserve(valid);
-    for (size_t i = 0; i < buffer.size(); ++i) {
-      if (ok[i] == 0) continue;
-      AsyncUpdate& u = buffer[i];
-      const double nu =
-          cfg_.server_lr * staleness_weight(u.staleness) / wsum;
-      if (!u.wire.empty()) {
-        // --wire=encoded: the update arrived as a serialized frame (the
-        // engine emptied result.delta at dispatch); aggregate the decode.
-        wire::WireDecoder wd(u.wire.data(), u.wire.size(), engine.dim());
-        batch.push_back(wd.take_dense(static_cast<float>(nu)));
-        const std::vector<float> dec_stats = wd.take_stats();
-        axpy(static_cast<float>(nu), dec_stats.data(), stat_agg.data(),
-             engine.stat_dim());
-      } else {
-        batch.push_back(SparseDelta::dense(std::move(u.result.delta),
-                                           static_cast<float>(nu)));
-        axpy(static_cast<float>(nu), u.result.stat_delta.data(),
-             stat_agg.data(), engine.stat_dim());
-      }
-      loss_sum += u.result.loss;
+    for (size_t i = 0; i < valid; ++i) {
+      const double nu = cfg_.server_lr * discount[i] / wsum;
+      batch[i].weight = static_cast<float>(nu);
+      axpy(static_cast<float>(nu), stats[i].data(), stat_agg.data(),
+           engine.stat_dim());
     }
     engine.aggregator().reduce(batch, agg.data(), engine.dim());
     axpy(1.0f, agg.data(), engine.params().data(), engine.dim());

@@ -1,14 +1,10 @@
 #include "strategies/fedavg.h"
 
-#include <map>
 #include <utility>
 
 #include "agg/sparse_delta.h"
-#include "common/check.h"
 #include "compress/encoding.h"
-#include "scenario/scenario.h"
-#include "telemetry/events.h"
-#include "telemetry/telemetry.h"
+#include "fl/uplink.h"
 #include "tensor/ops.h"
 #include "wire/codec.h"
 
@@ -26,14 +22,13 @@ void FedAvgStrategy::run_round(SimEngine& engine, int round,
                        engine.run_config().overcommit, rng,
                        engine.availability_fn(round));
 
-  const bool enc = engine.wire_encoded();
   const size_t sb = engine.stat_bytes();
   auto down = engine.down_bytes_fn(
-      round, enc ? wire::encoded_stats_bytes(engine.stat_dim()) : sb);
-  // Analytic dense size; cutoff estimate when uploads are measured.
+      round, wire::encoded_stats_bytes(engine.stat_dim()));
+  // Analytic dense size: the straggler-cutoff estimate.
   auto up = [&engine, sb](int) { return dense_bytes(engine.dim()) + sb; };
-  const Participation part = engine.simulate_participation(
-      round, cand, down, up, rec, /*defer_uplink=*/enc);
+  const Participation part =
+      engine.simulate_participation(round, cand, down, up, rec);
   const std::vector<int> included = part.all();
 
   BitMask changed(engine.dim());
@@ -46,53 +41,26 @@ void FedAvgStrategy::run_round(SimEngine& engine, int round,
     double loss_sum = 0.0;
     std::vector<SparseDelta> batch;
     batch.reserve(included.size());
-    std::map<int, size_t> measured;  // client -> encoded upload bytes
+    uplink::Intake intake(engine, round);
     for (size_t i = 0; i < included.size(); ++i) {
       const double nu = n / khat * engine.client_weight(included[i]);
-      const bool bad = engine.scenario_byzantine(round, included[i]);
-      if (enc) {
-        // FedAvg ships the whole dense delta; encode it, price the frame,
-        // aggregate the decoded copy. The original is released right after
-        // serialization — the frame owns the payload now — so encoded mode
-        // keeps the analytic mode's one-dense-copy-per-client footprint.
-        wire::WireEncoder we(engine.dim());
-        we.add_dense(results[i].delta.data(), results[i].delta.size());
-        we.add_stats(results[i].stat_delta.data(), engine.stat_dim());
-        std::vector<uint8_t> buf = we.finish();
-        results[i].delta = std::vector<float>();
-        results[i].stat_delta = std::vector<float>();
-        measured[included[i]] = buf.size();
-        if (bad) scenario::corrupt_frame(buf);
-        try {
-          wire::WireDecoder wd(buf.data(), buf.size(), engine.dim());
-          batch.push_back(wd.take_dense(static_cast<float>(nu)));
-          const std::vector<float> dec_stats = wd.take_stats();
-          axpy(static_cast<float>(1.0 / khat), dec_stats.data(),
-               stat_agg.data(), engine.stat_dim());
-        } catch (const CheckError&) {
-          // Server-side validation (DESIGN.md §11): a frame that fails to
-          // decode is rejected whole — its upload was priced, nothing of
-          // it touches the aggregate.
-          telemetry::count(telemetry::kScenarioFramesRejected);
-          events::mark_byzantine(included[i]);
-          continue;
-        }
-      } else {
-        if (bad) {
-          // Analytic accounting has no frame to corrupt: model the
-          // server-side rejection of the Byzantine payload directly.
-          telemetry::count(telemetry::kScenarioFramesRejected);
-          events::mark_byzantine(included[i]);
-          continue;
-        }
-        batch.push_back(SparseDelta::dense(std::move(results[i].delta),
-                                           static_cast<float>(nu)));
-        axpy(static_cast<float>(1.0 / khat), results[i].stat_delta.data(),
+      // FedAvg ships the whole dense delta. The frame owns the payload once
+      // encoded, so the client's copy is released before the decode: one
+      // dense copy per client, as in the aggregation batch itself.
+      wire::WireEncoder we(engine.dim());
+      we.add_dense(results[i].delta.data(), results[i].delta.size());
+      we.add_stats(results[i].stat_delta.data(), engine.stat_dim());
+      results[i].delta = std::vector<float>();
+      results[i].stat_delta = std::vector<float>();
+      intake.submit(included[i], std::move(we), [&](wire::WireDecoder& wd) {
+        batch.push_back(wd.take_dense(static_cast<float>(nu)));
+        const std::vector<float> dec_stats = wd.take_stats();
+        axpy(static_cast<float>(1.0 / khat), dec_stats.data(),
              stat_agg.data(), engine.stat_dim());
-      }
-      loss_sum += results[i].loss;
+        loss_sum += results[i].loss;
+      });
     }
-    if (enc) engine.price_uplinks(part, measured, rec);
+    intake.price(part, rec);
     engine.aggregator().reduce(batch, agg.data(), engine.dim());
     axpy(1.0f, agg.data(), engine.params().data(), engine.dim());
     axpy(1.0f, stat_agg.data(), engine.stats().data(), engine.stat_dim());

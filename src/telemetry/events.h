@@ -47,8 +47,8 @@ enum class Fate : uint8_t {
 
 /// One (round, client) participation. `device_class` indexes the
 /// scenario's device_classes, -1 when the scenario defines none. Byte
-/// counts are unscaled wire-frame sizes (what the codec measured or the
-/// analytic formula priced); phase seconds are the simulated transfer /
+/// counts are unscaled wire-frame sizes, as the codec measured them;
+/// phase seconds are the simulated transfer /
 /// compute legs. `staleness` is the sync tracker's rounds-since-last-sync
 /// for sync participations and the model-version gap at aggregation for
 /// async ones.
@@ -105,15 +105,15 @@ inline void client(const ClientEvent& e) {
 }
 
 /// Upgrades the pending record for `client` to Fate::kByzantine — called
-/// by the sync strategies at their frame-rejection sites, where the
-/// server-side decode actually fails.
+/// by the sync uplink intake (fl/uplink.h) where the server-side decode
+/// actually fails.
 inline void mark_byzantine(int64_t client) {
   if (detail::g_sink != nullptr) detail::mark_byzantine_slow(client);
 }
 
 /// Patches the pending record for `client` with the priced upload leg —
-/// under --wire=encoded the real frame size only exists after the
-/// strategy encodes, so price_uplinks back-fills it.
+/// the real frame size only exists after the strategy encodes, so
+/// price_uplinks back-fills it.
 inline void set_uplink(int64_t client, uint64_t up_bytes, double up_s) {
   if (detail::g_sink != nullptr) detail::set_uplink_slow(client, up_bytes, up_s);
 }

@@ -7,20 +7,15 @@
 #include <set>
 #include <sstream>
 
+#include "common/json.h"
 #include "common/table.h"
 
 namespace gluefl {
 namespace events {
 
-namespace {
+using json::jnum;
 
-std::string jnum(double v) {
-  if (!std::isfinite(v)) return "null";
-  std::ostringstream os;
-  os.precision(10);
-  os << v;
-  return os.str();
-}
+namespace {
 
 std::string class_label(int device_class) {
   if (device_class < 0) return "unclassed";

@@ -6,8 +6,9 @@
 // position encodings (raw u32 / delta-varint / bitmap for top-k supports;
 // bitmap / run-length for masks), and fp32 or per-chunk-scaled bit-packed
 // quantized values — and a WireDecoder parses it back, handing aggregation
-// ready-made SparseDeltas. Under RunConfig::wire = kEncoded the engines
-// price `buffer.size()` of real encodes instead of analytic formulas.
+// ready-made SparseDeltas. The engines price `buffer.size()` of real
+// encodes; the analytic formulas remain only as the server's
+// straggler-cutoff estimate and as the test oracle for the size envelope.
 //
 // Update frame layout (all integers little-endian, varints are LEB128):
 //

@@ -121,7 +121,7 @@ TEST(CkptState, SyncTrackerRoundTrip) {
   r.expect_end("sync");
   for (int c = 0; c < 5; ++c) {
     EXPECT_EQ(u.last_synced_round(c), t.last_synced_round(c));
-    EXPECT_EQ(u.sync_bytes(c, 2), t.sync_bytes(c, 2));
+    EXPECT_EQ(u.stale_positions(c, 2), t.stale_positions(c, 2));
     EXPECT_TRUE(u.stale_mask(c, 2) == t.stale_mask(c, 2));
   }
   // The restored tracker keeps recording consecutively.
@@ -260,7 +260,6 @@ struct MatrixConfig {
   int threads = 1;
   bool sharded = false;
   int edges = 0;  // 0 = flat
-  bool encoded = false;
 };
 
 constexpr int kRounds = 6;
@@ -272,7 +271,6 @@ SimEngine make_matrix_engine(const MatrixConfig& c) {
   rc.num_threads = c.threads;
   rc.agg.kind = c.sharded ? AggKind::kSharded : AggKind::kDense;
   rc.topology.num_edges = c.edges;
-  rc.wire.mode = c.encoded ? WireMode::kEncoded : WireMode::kAnalytic;
   return SimEngine(make_synthetic_dataset(tiny_spec()), tiny_proxy(),
                    make_datacenter_env(), tiny_train_config(), rc);
 }
@@ -362,18 +360,15 @@ void expect_identical_runs(const RunResult& ref, const RunResult& res,
 
 void run_sync_matrix(const std::string& strategy_name) {
   const MatrixConfig combos[] = {
-      {42, 1, false, 0, false}, {7, 4, false, 0, true},
-      {42, 1, true, 0, false},  {7, 4, true, 0, true},
-      {42, 1, false, 3, false}, {7, 4, false, 3, true},
-      {42, 1, true, 3, false},  {7, 4, true, 3, true},
+      {42, 1, false, 0}, {7, 4, false, 0}, {42, 1, true, 0}, {7, 4, true, 0},
+      {42, 1, false, 3}, {7, 4, false, 3}, {42, 1, true, 3}, {7, 4, true, 3},
   };
   for (const MatrixConfig& c : combos) {
     const std::string label =
         strategy_name + " seed=" + std::to_string(c.seed) +
         " threads=" + std::to_string(c.threads) +
         (c.sharded ? " sharded" : " dense") +
-        (c.edges > 0 ? " hier" : " flat") +
-        (c.encoded ? " encoded" : " analytic");
+        (c.edges > 0 ? " hier" : " flat");
 
     SimEngine ref_engine = make_matrix_engine(c);
     auto ref_strategy = make_matrix_strategy(strategy_name);
@@ -407,18 +402,15 @@ TEST(CkptResume, GlueFlMatrix) { run_sync_matrix("gluefl"); }
 
 TEST(CkptResume, AsyncFedBuffMatrix) {
   const MatrixConfig combos[] = {
-      {42, 1, false, 0, false}, {7, 4, false, 0, true},
-      {42, 1, true, 0, false},  {7, 4, true, 0, true},
-      {42, 1, false, 3, false}, {7, 4, false, 3, true},
-      {42, 1, true, 3, false},  {7, 4, true, 3, true},
+      {42, 1, false, 0}, {7, 4, false, 0}, {42, 1, true, 0}, {7, 4, true, 0},
+      {42, 1, false, 3}, {7, 4, false, 3}, {42, 1, true, 3}, {7, 4, true, 3},
   };
   for (const MatrixConfig& c : combos) {
     const std::string label =
         "async-fedbuff seed=" + std::to_string(c.seed) +
         " threads=" + std::to_string(c.threads) +
         (c.sharded ? " sharded" : " dense") +
-        (c.edges > 0 ? " hier" : " flat") +
-        (c.encoded ? " encoded" : " analytic");
+        (c.edges > 0 ? " hier" : " flat");
     AsyncConfig acfg;
     acfg.buffer_size = 4;
     acfg.concurrency = 8;

@@ -281,11 +281,21 @@ TEST(CliWire, DefaultsToEncodedAndEchoesInJson) {
   EXPECT_NE(r.out.find("\"cum_up_gb\""), std::string::npos);
 }
 
-TEST(CliWire, AnalyticModeAcceptedForAbRegression) {
-  const CliResult r = invoke({"run", "--rounds", "1", "--eval-every", "1",
-                              "--scale", "0.02", "--wire", "analytic"});
-  EXPECT_EQ(r.code, 0) << r.err;
-  EXPECT_NE(r.out.find("\"wire\": \"analytic\""), std::string::npos);
+TEST(CliWire, AnalyticModeIsRetired) {
+  // The analytic accounting mode is gone: run and sweep reject it as a
+  // usage error with one line, before any work starts.
+  const CliResult run = invoke(
+      {"run", "--rounds", "1", "--scale", "0.02", "--wire", "analytic"});
+  const CliResult sweep =
+      invoke({"sweep", "--rounds", "1", "--scale", "0.02", "--q", "0.2",
+              "--wire", "analytic"});
+  for (const CliResult& r : {run, sweep}) {
+    EXPECT_EQ(r.code, 2) << r.err;
+    EXPECT_NE(r.err.find("unknown wire mode 'analytic'"), std::string::npos)
+        << r.err;
+    EXPECT_EQ(r.err.find('\n'), r.err.size() - 1) << r.err;
+    EXPECT_EQ(r.out.find("JSON summary:"), std::string::npos) << r.out;
+  }
 }
 
 TEST(CliWire, UnknownModeRejected) {
@@ -297,9 +307,9 @@ TEST(CliWire, UnknownModeRejected) {
 TEST(CliWire, SweepEchoesWireMode) {
   const CliResult r =
       invoke({"sweep", "--dataset", "femnist", "--rounds", "1", "--scale",
-              "0.02", "--q", "0.2", "--wire", "analytic"});
+              "0.02", "--q", "0.2", "--wire", "encoded"});
   EXPECT_EQ(r.code, 0) << r.err;
-  EXPECT_NE(r.out.find("\"wire\": \"analytic\""), std::string::npos);
+  EXPECT_NE(r.out.find("\"wire\": \"encoded\""), std::string::npos);
 }
 
 // ---------------------------------------------------------------- async
@@ -729,6 +739,28 @@ TEST(CliCkpt, TamperedRegistryNameIsACleanError) {
   const CliResult r = invoke({"resume", bad.c_str()});
   EXPECT_EQ(r.code, 1);
   EXPECT_NE(r.err.find("bogus"), std::string::npos) << r.err;
+}
+
+TEST(CliCkpt, AnalyticWireSnapshotIsACleanError) {
+  // A snapshot whose meta says wire=analytic describes a run mode this
+  // binary no longer has: resume must refuse it with one CkptError line.
+  ScratchDir dir("cli_ckpt_analytic");
+  const CliResult w =
+      invoke({"run", "--strategy", "fedavg", "--rounds", "4", "--scale",
+              "0.02", "--checkpoint-every", "2", "--checkpoint-dir",
+              dir.str().c_str()});
+  ASSERT_EQ(w.code, 0) << w.err;
+  ckpt::Snapshot snap =
+      ckpt::load_checkpoint((dir.path / "ckpt-00000002.gfc").string());
+  ASSERT_EQ(snap.meta["wire"], "encoded");
+  snap.meta["wire"] = "analytic";
+  const std::string bad = (dir.path / "analytic.gfc").string();
+  ckpt::save_checkpoint(bad, snap);
+  const CliResult r = invoke({"resume", bad.c_str()});
+  EXPECT_EQ(r.code, 1);
+  EXPECT_NE(r.err.find("'wire'"), std::string::npos) << r.err;
+  EXPECT_NE(r.err.find("analytic"), std::string::npos) << r.err;
+  EXPECT_EQ(r.err.find('\n'), r.err.size() - 1) << r.err;
 }
 
 TEST(CliCkpt, ResumeRejectsCrashRoundAtOrBeforeTheBoundary) {

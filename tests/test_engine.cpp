@@ -144,8 +144,10 @@ TEST(Engine, DroppedInviteesStillPayDownloadBytes) {
   RoundRecord rec;
   auto down = [](int) -> size_t { return 100; };
   auto up = [](int) -> size_t { return 10; };
-  eng.simulate_participation(0, cand, down, up, rec);
+  const auto part = eng.simulate_participation(0, cand, down, up, rec);
   EXPECT_DOUBLE_EQ(rec.down_bytes, 400.0);  // all 4 invitees download
+  EXPECT_DOUBLE_EQ(rec.up_bytes, 0.0);      // uploads are priced separately
+  eng.price_uplinks(part, up, rec);
   EXPECT_DOUBLE_EQ(rec.up_bytes, 20.0);     // only 2 upload
 }
 
@@ -172,7 +174,8 @@ TEST(Engine, WallTimeIsMaxIncludedFinish) {
   const size_t payload = 2000000;
   auto down = [payload](int) { return payload; };
   auto up = [](int) -> size_t { return 0; };
-  eng.simulate_participation(0, cand, down, up, rec);
+  const auto part = eng.simulate_participation(0, cand, down, up, rec);
+  eng.price_uplinks(part, up, rec);
   EXPECT_GT(rec.wall_time_s, 0.0);
   EXPECT_GE(rec.wall_time_s, rec.down_time_s);
   EXPECT_GE(rec.wall_time_s, rec.compute_time_s);

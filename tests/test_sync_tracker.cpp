@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "common/check.h"
-#include "compress/encoding.h"
 
 namespace gluefl {
 namespace {
@@ -15,7 +14,7 @@ BitMask mask_of(size_t dim, std::initializer_list<uint32_t> idx) {
 TEST(SyncTracker, NeverSyncedClientNeedsFullModel) {
   SyncTracker t(4, 100);
   EXPECT_EQ(t.stale_positions(0, 0), 100u);
-  EXPECT_EQ(t.sync_bytes(0, 0), dense_bytes(100));
+  EXPECT_EQ(t.stale_mask(0, 0).count(), 100u);
   EXPECT_EQ(t.staleness(0, 0), -1);
 }
 
@@ -23,7 +22,7 @@ TEST(SyncTracker, CurrentClientNeedsNothing) {
   SyncTracker t(4, 100);
   t.mark_synced(1, 0);
   EXPECT_EQ(t.stale_positions(1, 0), 0u);
-  EXPECT_EQ(t.sync_bytes(1, 0), 0u);
+  EXPECT_FALSE(t.stale_mask(1, 0).any());
   EXPECT_EQ(t.staleness(1, 0), 0);
 }
 
@@ -32,7 +31,7 @@ TEST(SyncTracker, SingleRoundDiff) {
   t.mark_synced(0, 0);
   t.record_round_changes(0, mask_of(100, {1, 2, 3}));
   EXPECT_EQ(t.stale_positions(0, 1), 3u);
-  EXPECT_EQ(t.sync_bytes(0, 1), sparse_update_bytes(3, 100));
+  EXPECT_TRUE(t.stale_mask(0, 1) == mask_of(100, {1, 2, 3}));
   EXPECT_EQ(t.staleness(0, 1), 1);
 }
 
@@ -72,8 +71,7 @@ TEST(SyncTracker, FullModelCapsTheDiff) {
   all.set_all();
   t.record_round_changes(0, all);
   EXPECT_EQ(t.stale_positions(0, 1), 10u);
-  // Full-model downloads don't pay position encoding.
-  EXPECT_EQ(t.sync_bytes(0, 1), dense_bytes(10));
+  EXPECT_TRUE(t.stale_mask(0, 1) == all);
 }
 
 TEST(SyncTracker, WindowEvictionForcesFullSync) {

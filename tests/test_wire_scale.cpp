@@ -49,8 +49,11 @@ TEST(WireScale, ScalesRecordedBytes) {
   cand.need_nonsticky = 3;
   auto bytes = [](int) -> size_t { return 1000; };
   RoundRecord r_base, r_scaled;
-  base.simulate_participation(0, cand, bytes, bytes, r_base);
-  scaled.simulate_participation(0, cand, bytes, bytes, r_scaled);
+  base.price_uplinks(base.simulate_participation(0, cand, bytes, bytes, r_base),
+                     bytes, r_base);
+  scaled.price_uplinks(
+      scaled.simulate_participation(0, cand, bytes, bytes, r_scaled), bytes,
+      r_scaled);
   EXPECT_NEAR(r_scaled.down_bytes, 100.0 * r_base.down_bytes, 1e-6);
   EXPECT_NEAR(r_scaled.up_bytes, 100.0 * r_base.up_bytes, 1e-6);
 }
@@ -63,8 +66,11 @@ TEST(WireScale, ScalesTransferTimesButNotCompute) {
   cand.need_nonsticky = 1;
   auto bytes = [](int) -> size_t { return 1000000; };
   RoundRecord r_base, r_scaled;
-  base.simulate_participation(0, cand, bytes, bytes, r_base);
-  scaled.simulate_participation(0, cand, bytes, bytes, r_scaled);
+  base.price_uplinks(base.simulate_participation(0, cand, bytes, bytes, r_base),
+                     bytes, r_base);
+  scaled.price_uplinks(
+      scaled.simulate_participation(0, cand, bytes, bytes, r_scaled), bytes,
+      r_scaled);
   EXPECT_NEAR(r_scaled.down_time_s, 100.0 * r_base.down_time_s, 1e-9);
   EXPECT_NEAR(r_scaled.up_time_s, 100.0 * r_base.up_time_s, 1e-9);
   // Compute time depends on FLOPs, not bytes.
