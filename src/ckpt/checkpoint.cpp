@@ -146,8 +146,24 @@ std::vector<uint8_t> encode_snapshot(const Snapshot& snap) {
   // Header and payload share ONE buffer: the crc/payload_len fields are
   // written as placeholders and patched once the payload bytes exist, so
   // a 32 MB OpenImage snapshot is never copied wholesale just to prepend
-  // 18 bytes (this runs on the round-boundary hot path).
+  // 18 bytes (this runs on the round-boundary hot path). The buffer is
+  // reserved up front from the fields' sizes, with every varint counted
+  // at its 10-byte maximum, so appending never regrows it.
+  constexpr size_t kVarintMax = 10;
+  constexpr size_t kRecordMax = 11 * 8 + 3 * kVarintMax;
+  size_t bound = kHeaderBytes + kVarintMax;
+  for (const auto& [key, value] : snap.meta) {
+    bound += 2 * kVarintMax + key.size() + value.size();
+  }
+  bound += 8 + 7 * kVarintMax + 4 * (snap.params.size() + snap.stats.size());
+  bound += kVarintMax + snap.sync_state.size();
+  bound += kVarintMax + kRecordMax * snap.history.size();
+  bound += 2 * kVarintMax + snap.strategy_id.size() +
+           snap.strategy_state.size();
+  bound += 1 + kVarintMax + snap.async_state.size();
+  bound += kVarintMax + 8 * static_cast<size_t>(telemetry::kNumSimValues);
   Writer w;
+  w.reserve(bound);
   w.u32(kMagic);
   w.u8(kFormatVersion);
   w.u8(0);   // reserved

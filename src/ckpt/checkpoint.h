@@ -19,7 +19,7 @@
 //
 // File layout (little-endian; Writer/Reader conventions from ckpt/io.h):
 //
-//   File    := magic u32 ("GFCK") | format u8 (=4) | reserved u8 (=0)
+//   File    := magic u32 ("GFCK") | format u8 (=5) | reserved u8 (=0)
 //              | crc32 u32 (of payload) | payload_len u64 | payload
 //   payload := meta | core | sync blob | history | strategy | async
 //              | telemetry

@@ -8,16 +8,31 @@ namespace gluefl::ckpt {
 
 namespace {
 
-std::array<uint32_t, 256> make_crc_table() {
-  std::array<uint32_t, 256> t{};
+// Slicing-by-8 tables for the reflected IEEE polynomial: t[0] is the
+// classic bytewise table, and t[j][b] is the CRC register after byte b is
+// followed by j zero bytes, so eight bytes fold in with eight lookups.
+using CrcTables = std::array<std::array<uint32_t, 256>, 8>;
+
+CrcTables make_crc_tables() {
+  CrcTables t{};
   for (uint32_t i = 0; i < 256; ++i) {
     uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    t[i] = c;
+    t[0][i] = c;
+  }
+  for (size_t j = 1; j < 8; ++j) {
+    for (size_t i = 0; i < 256; ++i) {
+      t[j][i] = (t[j - 1][i] >> 8) ^ t[0][t[j - 1][i] & 0xFFu];
+    }
   }
   return t;
+}
+
+uint32_t load_le32(const uint8_t* p) {
+  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
+         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
 }
 
 [[noreturn]] void fail(const std::string& msg) { throw CkptError(msg); }
@@ -25,11 +40,17 @@ std::array<uint32_t, 256> make_crc_table() {
 }  // namespace
 
 uint32_t crc32(const uint8_t* data, size_t size) {
-  static const std::array<uint32_t, 256> table = make_crc_table();
+  static const CrcTables t = make_crc_tables();
   uint32_t c = 0xFFFFFFFFu;
-  for (size_t i = 0; i < size; ++i) {
-    c = table[(c ^ data[i]) & 0xFFu] ^ (c >> 8);
+  size_t i = 0;
+  for (; i + 8 <= size; i += 8) {
+    const uint32_t lo = c ^ load_le32(data + i);
+    const uint32_t hi = load_le32(data + i + 4);
+    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^ t[5][(lo >> 16) & 0xFFu] ^
+        t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^ t[2][(hi >> 8) & 0xFFu] ^
+        t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
   }
+  for (; i < size; ++i) c = t[0][(c ^ data[i]) & 0xFFu] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
 }
 

@@ -29,8 +29,16 @@ class CkptError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over `size` bytes.
+/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over `size` bytes,
+/// computed slicing-by-8; the value is the bytewise definition's.
 uint32_t crc32(const uint8_t* data, size_t size);
+
+/// Bytes Writer::varint(v) appends (1..10).
+inline size_t varint_size(uint64_t v) {
+  size_t n = 1;
+  for (; v >= 0x80; v >>= 7) ++n;
+  return n;
+}
 
 /// Ceiling for varint_max on values destined for an `int`: INT_MAX, so a
 /// hostile 2^31 can never pass the guard and wrap to INT_MIN in the cast.
@@ -53,6 +61,10 @@ class Writer {
   void blob(const std::vector<uint8_t>& b);
   /// varint count + raw f32 bit patterns.
   void f32s(const float* v, size_t n);
+  /// Makes room for `more` bytes past the current size (a no-op when the
+  /// buffer already has it), so a large section whose size is known up
+  /// front is appended without regrowing, and recopying, the buffer.
+  void reserve(size_t more) { buf_.reserve(buf_.size() + more); }
 
   size_t size() const { return buf_.size(); }
   const std::vector<uint8_t>& buffer() const { return buf_; }

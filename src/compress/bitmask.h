@@ -62,6 +62,10 @@ class BitMask {
   /// Wire size of the bitmap encoding in bytes.
   size_t wire_bytes() const { return (n_ + 7) / 8; }
 
+  /// Read-only word view: bit i is bit i % 64 of word i / 64, and the
+  /// padding bits past size() are always clear.
+  const std::vector<uint64_t>& words() const { return words_; }
+
  private:
   size_t n_ = 0;
   std::vector<uint64_t> words_;

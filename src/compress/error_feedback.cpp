@@ -31,7 +31,18 @@ void ErrorFeedback::store(int client, double nu_now, const float* residual) {
   e.nu = nu_now;
 }
 
+size_t ErrorFeedback::state_bytes() const {
+  const size_t entry_bytes = 8 + ckpt::varint_size(dim_) + 4 * dim_;
+  size_t bytes = ckpt::varint_size(dim_) + ckpt::varint_size(store_.size());
+  for (const auto& [client, entry] : store_) {
+    (void)entry;
+    bytes += ckpt::varint_size(static_cast<uint64_t>(client)) + entry_bytes;
+  }
+  return bytes;
+}
+
 void ErrorFeedback::save_state(ckpt::Writer& w) const {
+  w.reserve(state_bytes());
   w.varint(dim_);
   std::vector<int> clients;
   clients.reserve(store_.size());
@@ -58,16 +69,24 @@ void ErrorFeedback::restore_state(ckpt::Reader& r) {
   }
   const uint64_t n = r.varint_max(ckpt::kIntCap, "residual count");
   store_.clear();
+  int64_t prev = -1;
   for (uint64_t i = 0; i < n; ++i) {
     const int c =
         static_cast<int>(r.varint_max(ckpt::kIntCap, "client id"));
+    // save_state writes ids strictly ascending; anything else (a repeat
+    // would overwrite an earlier residual) is not a state it could write.
+    if (c <= prev) {
+      throw ckpt::CkptError(
+          "checkpoint residual client ids are not strictly ascending");
+    }
+    prev = c;
     Entry e;
     e.nu = r.f64();
     e.h = r.f32s();
     if (e.h.size() != dim_) {
       throw ckpt::CkptError("checkpoint residual has the wrong dim");
     }
-    store_[c] = std::move(e);
+    store_.emplace(c, std::move(e));
   }
 }
 

@@ -49,9 +49,12 @@ class ErrorFeedback {
 
   /// Checkpoint section: every tracked residual with its stored weight,
   /// serialized in ascending client order so identical state writes
-  /// identical bytes regardless of hash-map iteration order.
+  /// identical bytes regardless of hash-map iteration order. restore_state
+  /// rejects ids that are not strictly ascending (CkptError).
   void save_state(ckpt::Writer& w) const;
   void restore_state(ckpt::Reader& r);
+  /// Exact byte size of the save_state section (save_state reserves it).
+  size_t state_bytes() const;
 
  private:
   struct Entry {

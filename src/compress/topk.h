@@ -18,9 +18,14 @@ struct SparseVec {
   size_t nnz() const { return idx.size(); }
 };
 
-/// Selects the k entries of x[0..n) with the largest |value|.
-/// Ties are broken toward the lower index, making the result fully
-/// deterministic. Indices are returned in ascending order.
+/// Selects the k entries of x[0..n) with the largest |value| (all of them
+/// when k >= n). The contract (DESIGN.md §4):
+///   * entries rank by their IEEE bits with the sign cleared, which is
+///     |value| order for every non-NaN float: -0 and +0 tie, denormals and
+///     infinities sit where |value| puts them;
+///   * ties break toward the lower index, so the result is deterministic;
+///   * a NaN ranks above +inf;
+///   * indices come out in ascending order, with val[i] = x[idx[i]].
 SparseVec top_k_abs(const float* x, size_t n, size_t k);
 
 /// Same, but only positions where `allowed.test(i)` may be selected
@@ -28,13 +33,7 @@ SparseVec top_k_abs(const float* x, size_t n, size_t k);
 SparseVec top_k_abs_masked(const float* x, size_t n, size_t k,
                            const BitMask& allowed);
 
-/// Gathers x at the set positions of `mask` into a SparseVec.
-SparseVec gather(const float* x, const BitMask& mask);
-
 /// out[idx[i]] += scale * val[i].
 void scatter_add(const SparseVec& s, float scale, float* out);
-
-/// Zeroes every coordinate of x not selected in s (i.e. x <- mask(x)).
-void keep_only(const SparseVec& s, float* x, size_t n);
 
 }  // namespace gluefl

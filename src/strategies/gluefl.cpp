@@ -45,9 +45,15 @@ void GlueFlStrategy::save_state(ckpt::Writer& w) const {
   GLUEFL_CHECK_MSG(sampler_ != nullptr, "save_state needs an init()-ed "
                                         "strategy");
   sampler_->save_state(w);
+  // Room for everything after the sampler at once: the residuals are most
+  // of a GlueFL snapshot, and growing the buffer past them would recopy it.
+  const std::vector<uint8_t> mask = wire::encode_mask(mask_);
+  const uint64_t regen = static_cast<uint64_t>(regen_count_);
+  w.reserve(ec_->state_bytes() + ckpt::varint_size(mask.size()) +
+            mask.size() + ckpt::varint_size(regen));
   ec_->save_state(w);
-  w.blob(wire::encode_mask(mask_));
-  w.varint(static_cast<uint64_t>(regen_count_));
+  w.blob(mask);
+  w.varint(regen);
 }
 
 void GlueFlStrategy::restore_state(ckpt::Reader& r) {

@@ -83,10 +83,46 @@ TEST(CkptIo, HostileLengthFailsBeforeAllocation) {
   EXPECT_THROW(r.f32s(), ckpt::CkptError);
 }
 
+ckpt::Snapshot tiny_snapshot();
+
 TEST(CkptIo, Crc32KnownVector) {
   // CRC-32 of "123456789" is the classic check value 0xCBF43926.
   const char* s = "123456789";
   EXPECT_EQ(ckpt::crc32(reinterpret_cast<const uint8_t*>(s), 9), 0xCBF43926u);
+
+  // crc32 folds eight bytes per step; a bytewise loop over the same
+  // reflected polynomial must agree for every tail length and every
+  // misaligned start.
+  const auto bytewise = [](const uint8_t* p, size_t n) {
+    uint32_t c = 0xFFFFFFFFu;
+    for (size_t i = 0; i < n; ++i) {
+      c ^= p[i];
+      for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+    return c ^ 0xFFFFFFFFu;
+  };
+  std::vector<uint8_t> buf(8 + 64);
+  Rng rng(86);
+  for (uint8_t& b : buf) b = static_cast<uint8_t>(rng.next_u64());
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 64; ++len) {
+      EXPECT_EQ(ckpt::crc32(buf.data() + offset, len),
+                bytewise(buf.data() + offset, len))
+          << "offset " << offset << " length " << len;
+    }
+  }
+
+  // A whole encoded snapshot, pinned to the bytes format 5 has always
+  // written: its size, the payload CRC in the header and the file's CRC.
+  const std::vector<uint8_t> bytes = ckpt::encode_snapshot(tiny_snapshot());
+  ASSERT_EQ(bytes.size(), 1052u);
+  uint32_t header_crc = 0;
+  for (int i = 0; i < 4; ++i) {
+    header_crc |= static_cast<uint32_t>(bytes[6 + static_cast<size_t>(i)])
+                  << (8 * i);
+  }
+  EXPECT_EQ(header_crc, 0x1E8CC6C4u);
+  EXPECT_EQ(ckpt::crc32(bytes.data(), bytes.size()), 0xC7B05626u);
 }
 
 // ------------------------------------------------------ component state
@@ -146,6 +182,7 @@ TEST(CkptState, ErrorFeedbackRoundTrip) {
 
   ckpt::Writer w;
   ef.save_state(w);
+  EXPECT_EQ(w.size(), ef.state_bytes());  // the size save_state reserves
   ErrorFeedback ef2(ErrorFeedback::Mode::kRescaled, 4);
   ckpt::Reader r(w.buffer().data(), w.buffer().size());
   ef2.restore_state(r);
@@ -156,6 +193,43 @@ TEST(CkptState, ErrorFeedbackRoundTrip) {
   ef.apply(9, 0.7, d1.data());
   ef2.apply(9, 0.7, d2.data());
   EXPECT_EQ(d1, d2);
+}
+
+TEST(CkptState, ErrorFeedbackRejectsNonAscendingIds) {
+  // save_state writes client ids strictly ascending. A CRC-resealed
+  // section with a swapped pair or a repeated id would otherwise restore
+  // a different residual store, so both must fail as one CkptError line.
+  const float h[2] = {1.0f, -1.0f};
+  const auto section = [&h](std::vector<int> ids) {
+    ckpt::Writer w;
+    w.varint(2);  // dim
+    w.varint(ids.size());
+    for (const int c : ids) {
+      w.varint(static_cast<uint64_t>(c));
+      w.f64(1.0);
+      w.f32s(h, 2);
+    }
+    return w.take();
+  };
+  for (const std::vector<int>& ids :
+       {std::vector<int>{5, 3}, std::vector<int>{3, 3}}) {
+    const std::vector<uint8_t> bytes = section(ids);
+    ErrorFeedback ef(ErrorFeedback::Mode::kRescaled, 2);
+    ckpt::Reader r(bytes.data(), bytes.size());
+    try {
+      ef.restore_state(r);
+      ADD_FAILURE() << "ids " << ids[0] << "," << ids[1] << " were accepted";
+    } catch (const ckpt::CkptError& e) {
+      EXPECT_EQ(std::string(e.what()).find('\n'), std::string::npos);
+    }
+  }
+  // The canonical order still restores.
+  const std::vector<uint8_t> ok = section({3, 5});
+  ErrorFeedback ef(ErrorFeedback::Mode::kRescaled, 2);
+  ckpt::Reader r(ok.data(), ok.size());
+  ef.restore_state(r);
+  r.expect_end("ef");
+  EXPECT_EQ(ef.num_tracked_clients(), 2u);
 }
 
 // --------------------------------------------------------- file framing

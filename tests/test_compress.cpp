@@ -1,6 +1,8 @@
 // BitMask / top-k / encoding / error-feedback / quantizer tests.
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -125,24 +127,119 @@ TEST(TopK, TieBreaksTowardLowerIndex) {
   EXPECT_EQ(s.idx[1], 1u);
 }
 
-TEST(TopK, MatchesSortReference) {
-  Rng rng(21);
-  std::vector<float> x(500);
-  for (auto& v : x) v = static_cast<float>(rng.normal());
-  const size_t k = 50;
-  const SparseVec s = top_k_abs(x.data(), x.size(), k);
-  // Reference: magnitude of the kept set >= magnitude of everything else.
-  float min_kept = 1e30f;
-  std::vector<bool> kept(x.size(), false);
-  for (size_t i = 0; i < k; ++i) {
-    min_kept = std::min(min_kept, std::fabs(s.val[i]));
-    kept[s.idx[i]] = true;
-  }
-  for (size_t i = 0; i < x.size(); ++i) {
-    if (!kept[i]) {
-      EXPECT_LE(std::fabs(x[i]), min_kept + 1e-6f);
+// The selection top_k_abs used before its radix select: nth_element under
+// (|x| desc, index asc), then an index sort. It is the reference the radix
+// select must match bit for bit on every NaN-free input.
+SparseVec reference_top_k(const float* x, std::vector<uint32_t> cand,
+                          size_t k) {
+  SparseVec out;
+  if (k == 0 || cand.empty()) return out;
+  k = std::min(k, cand.size());
+  const auto greater = [x](uint32_t a, uint32_t b) {
+    const float ma = std::fabs(x[a]);
+    const float mb = std::fabs(x[b]);
+    if (ma != mb) return ma > mb;
+    return a < b;
+  };
+  std::nth_element(cand.begin(), cand.begin() + static_cast<long>(k) - 1,
+                   cand.end(), greater);
+  cand.resize(k);
+  std::sort(cand.begin(), cand.end());
+  out.idx = std::move(cand);
+  out.val.resize(k);
+  for (size_t i = 0; i < k; ++i) out.val[i] = x[out.idx[i]];
+  return out;
+}
+
+bool same_bits(const SparseVec& a, const SparseVec& b) {
+  return a.idx.size() == b.idx.size() && a.val.size() == b.val.size() &&
+         (a.idx.empty() ||
+          (std::memcmp(a.idx.data(), b.idx.data(), 4 * a.idx.size()) == 0 &&
+           std::memcmp(a.val.data(), b.val.data(), 4 * a.val.size()) == 0));
+}
+
+// NaN-free inputs that stress the key order: Gaussian, heavy ties, signed
+// zeros only, denormals mixed with infinities, and one repeated value.
+std::vector<float> topk_input(int kind, size_t n, Rng& rng) {
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  const float inf = std::numeric_limits<float>::infinity();
+  std::vector<float> x(n);
+  for (float& v : x) {
+    const float sign = rng.bernoulli(0.5) ? -1.0f : 1.0f;
+    switch (kind) {
+      case 0: v = static_cast<float>(rng.normal()); break;
+      case 1: v = sign * 0.5f * static_cast<float>(rng.uniform_int(0, 3)); break;
+      case 2: v = sign * 0.0f; break;
+      case 3:
+        v = rng.bernoulli(0.1)
+                ? sign * inf
+                : sign * denorm * static_cast<float>(rng.uniform_int(0, 40));
+        break;
+      default: v = 1.5f; break;
     }
   }
+  return x;
+}
+
+const std::vector<size_t> kTopKSizes{1, 2, 63, 64, 65, 1000, 33600};
+
+TEST(TopK, MatchesSortReference) {
+  Rng rng(21);
+  for (const size_t n : kTopKSizes) {
+    std::vector<uint32_t> all(n);
+    for (size_t i = 0; i < n; ++i) all[i] = static_cast<uint32_t>(i);
+    for (int kind = 0; kind < 5; ++kind) {
+      const std::vector<float> x = topk_input(kind, n, rng);
+      for (const size_t k : {size_t{0}, size_t{1}, n / 2, n - 1, n, n + 3}) {
+        EXPECT_TRUE(same_bits(top_k_abs(x.data(), n, k),
+                              reference_top_k(x.data(), all, k)))
+            << "n=" << n << " k=" << k << " input=" << kind;
+      }
+    }
+  }
+}
+
+TEST(TopK, MaskedMatchesSortReference) {
+  Rng rng(22);
+  for (const size_t n : kTopKSizes) {
+    // No bit, one bit, 16%, 92% and every bit allowed.
+    std::vector<BitMask> masks(5, BitMask(n));
+    masks[1].set(n / 3);
+    for (size_t i = 0; i < n; ++i) {
+      if (rng.bernoulli(0.16)) masks[2].set(i);
+      if (rng.bernoulli(0.92)) masks[3].set(i);
+    }
+    masks[4].set_all();
+    for (int kind = 0; kind < 5; ++kind) {
+      const std::vector<float> x = topk_input(kind, n, rng);
+      for (size_t m = 0; m < masks.size(); ++m) {
+        const std::vector<uint32_t> allowed = masks[m].to_indices();
+        for (const size_t k : {size_t{0}, size_t{1}, n / 2, n - 1, n, n + 3}) {
+          EXPECT_TRUE(same_bits(top_k_abs_masked(x.data(), n, k, masks[m]),
+                                reference_top_k(x.data(), allowed, k)))
+              << "n=" << n << " k=" << k << " input=" << kind
+              << " mask=" << m;
+        }
+      }
+    }
+  }
+}
+
+TEST(TopK, NanRanksAboveInfinity) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const std::vector<float> x{-inf, 3.0f, nan, inf, -nan};
+  // Both NaNs outrank both infinities; each pair ties toward its lower index.
+  const SparseVec one = top_k_abs(x.data(), x.size(), 1);
+  EXPECT_EQ(one.idx, (std::vector<uint32_t>{2}));
+  EXPECT_TRUE(std::isnan(one.val[0]));
+  const SparseVec three = top_k_abs(x.data(), x.size(), 3);
+  EXPECT_EQ(three.idx, (std::vector<uint32_t>{0, 2, 4}));
+  BitMask allowed(x.size());
+  allowed.set(1);
+  allowed.set(2);
+  EXPECT_EQ(top_k_abs_masked(x.data(), x.size(), 1, allowed).idx,
+            (std::vector<uint32_t>{2}));
 }
 
 TEST(TopK, MaskedSelectionHonorsMask) {
@@ -162,32 +259,16 @@ TEST(TopK, MaskedWithFewerAllowedThanK) {
   EXPECT_EQ(top_k_abs_masked(x.data(), 3, 5, allowed).nnz(), 1u);
 }
 
-TEST(TopK, GatherScatterRoundTrip) {
-  const std::vector<float> x{1.0f, 2.0f, 3.0f, 4.0f};
-  BitMask m(4);
-  m.set(1);
-  m.set(3);
-  const SparseVec s = gather(x.data(), m);
-  ASSERT_EQ(s.nnz(), 2u);
-  EXPECT_FLOAT_EQ(s.val[0], 2.0f);
-  EXPECT_FLOAT_EQ(s.val[1], 4.0f);
-  std::vector<float> out(4, 0.0f);
-  scatter_add(s, 2.0f, out.data());
-  EXPECT_FLOAT_EQ(out[1], 4.0f);
-  EXPECT_FLOAT_EQ(out[3], 8.0f);
-  EXPECT_FLOAT_EQ(out[0], 0.0f);
-}
-
-TEST(TopK, KeepOnlyZeroesComplement) {
-  std::vector<float> x{1.0f, 2.0f, 3.0f, 4.0f};
+TEST(TopK, ScatterAddAccumulatesScaled) {
   SparseVec s;
-  s.idx = {1, 2};
-  s.val = {2.0f, 3.0f};
-  keep_only(s, x.data(), 4);
-  EXPECT_FLOAT_EQ(x[0], 0.0f);
-  EXPECT_FLOAT_EQ(x[1], 2.0f);
-  EXPECT_FLOAT_EQ(x[2], 3.0f);
-  EXPECT_FLOAT_EQ(x[3], 0.0f);
+  s.idx = {1, 3};
+  s.val = {2.0f, 4.0f};
+  std::vector<float> out{0.0f, 1.0f, 0.0f, -1.0f};
+  scatter_add(s, 2.0f, out.data());
+  EXPECT_FLOAT_EQ(out[0], 0.0f);
+  EXPECT_FLOAT_EQ(out[1], 5.0f);
+  EXPECT_FLOAT_EQ(out[2], 0.0f);
+  EXPECT_FLOAT_EQ(out[3], 7.0f);
 }
 
 TEST(Encoding, PositionBytesVariants) {
