@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <utility>
 
@@ -59,6 +60,116 @@ void restore_engine_state(const Snapshot& snap, SimEngine& eng) {
   sr.expect_end("sync-tracker");
 }
 
+/// The part restore_sync_run and restore_async_run share: validate, init()
+/// the strategy as a fresh run would, then replay its state, its residual
+/// rows and the engine's.
+template <typename S>
+void restore_strategy_and_engine(const Snapshot& snap, SimEngine& engine,
+                                 S& strategy) {
+  check_engine_match(snap, engine);
+  if (strategy.name() != snap.strategy_id) {
+    fail("checkpoint was written by strategy '" + snap.strategy_id +
+         "', not '" + strategy.name() + "'");
+  }
+  // init() allocates the strategy's structures (sampler, residual store,
+  // masks) exactly as a fresh run would; restore_state then replays the
+  // checkpointed contents over them.
+  engine.reset_state();
+  strategy.init(engine);
+  Reader r(snap.strategy_state.data(), snap.strategy_state.size());
+  strategy.restore_state(r);
+  r.expect_end("strategy");
+  if (strategy.residuals() != nullptr) {
+    if (!snap.residuals) {
+      fail("checkpoint has no residual rows for strategy '" +
+           snap.strategy_id + "'");
+    }
+    strategy.restore_residuals(*snap.residuals);
+  } else if (snap.residuals) {
+    fail("checkpoint has residual rows, which strategy '" +
+         snap.strategy_id + "' does not keep");
+  }
+  restore_engine_state(snap, engine);
+}
+
+/// The head part of a snapshot: everything but the residual rows.
+Snapshot head_of(const SimEngine& engine, int next_round,
+                 const RunResult& partial, const std::string& strategy_id,
+                 const Checkpointable& strategy,
+                 const AsyncRunState* async_state,
+                 std::map<std::string, std::string> meta) {
+  GLUEFL_CHECK_MSG(static_cast<int>(partial.rounds.size()) == next_round,
+                   "snapshot boundary must match the record history");
+  Snapshot snap;
+  snap.meta = std::move(meta);
+  snap.seed = engine.run_config().seed;
+  snap.dim = engine.dim();
+  snap.stat_dim = engine.stat_dim();
+  snap.num_clients = engine.num_clients();
+  snap.rounds = engine.run_config().rounds;
+  snap.next_round = next_round;
+  snap.params = engine.params();
+  snap.stats = engine.stats();
+  {
+    Writer sw;
+    engine.sync().save_state(sw);
+    snap.sync_state = sw.take();
+  }
+  snap.history = partial.rounds;
+  snap.strategy_id = strategy_id;
+  {
+    Writer sw;
+    strategy.save_state(sw);
+    snap.strategy_state = sw.take();
+  }
+  if (async_state != nullptr) {
+    snap.has_async = true;
+    Writer aw;
+    async_state->save_state(aw);
+    snap.async_state = aw.take();
+  }
+  // Sim-class counters at the boundary: restoring them on resume is what
+  // keeps the resumed run's "telemetry" JSON block byte-identical to the
+  // uninterrupted run's (zeros when telemetry is disabled, e.g. library
+  // users snapshotting outside the CLI).
+  snap.telemetry = telemetry::sim_values();
+  return snap;
+}
+
+/// Writes a head atomically: "<path>.tmp", then rename onto `path`.
+void write_head(const std::string& path, const Snapshot& snap) {
+  const std::vector<uint8_t> bytes = encode_snapshot(snap);
+  const std::string tmp = path + ".tmp";
+  {
+    std::ofstream f(tmp, std::ios::binary | std::ios::trunc);
+    if (!f) fail("cannot open checkpoint file '" + tmp + "' for writing");
+    f.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+    f.flush();
+    if (!f.good()) {
+      f.close();
+      std::remove(tmp.c_str());
+      fail("failed writing checkpoint file '" + tmp + "'");
+    }
+  }
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::remove(tmp.c_str());
+    fail("cannot rename checkpoint '" + tmp + "' onto '" + path + "'");
+  }
+  telemetry::count(telemetry::kCkptWrittenBytes, bytes.size());
+}
+
+uint64_t ms_since(std::chrono::steady_clock::time_point t0) {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::milliseconds>(
+          std::chrono::steady_clock::now() - t0)
+          .count());
+}
+
+std::string dir_of(const std::string& path) {
+  return std::filesystem::path(path).parent_path().string();
+}
+
 }  // namespace
 
 void write_record(Writer& w, const RoundRecord& rec) {
@@ -104,41 +215,9 @@ Snapshot snapshot_of(const SimEngine& engine, int next_round,
                      const Checkpointable& strategy,
                      const AsyncRunState* async_state,
                      std::map<std::string, std::string> meta) {
-  GLUEFL_CHECK_MSG(static_cast<int>(partial.rounds.size()) == next_round,
-                   "snapshot boundary must match the record history");
-  Snapshot snap;
-  snap.meta = std::move(meta);
-  snap.seed = engine.run_config().seed;
-  snap.dim = engine.dim();
-  snap.stat_dim = engine.stat_dim();
-  snap.num_clients = engine.num_clients();
-  snap.rounds = engine.run_config().rounds;
-  snap.next_round = next_round;
-  snap.params = engine.params();
-  snap.stats = engine.stats();
-  {
-    Writer sw;
-    engine.sync().save_state(sw);
-    snap.sync_state = sw.take();
-  }
-  snap.history = partial.rounds;
-  snap.strategy_id = strategy_id;
-  {
-    Writer sw;
-    strategy.save_state(sw);
-    snap.strategy_state = sw.take();
-  }
-  if (async_state != nullptr) {
-    snap.has_async = true;
-    Writer aw;
-    async_state->save_state(aw);
-    snap.async_state = aw.take();
-  }
-  // Sim-class counters at the boundary: restoring them on resume is what
-  // keeps the resumed run's "telemetry" JSON block byte-identical to the
-  // uninterrupted run's (zeros when telemetry is disabled, e.g. library
-  // users snapshotting outside the CLI).
-  snap.telemetry = telemetry::sim_values();
+  Snapshot snap = head_of(engine, next_round, partial, strategy_id, strategy,
+                          async_state, std::move(meta));
+  if (const ErrorFeedback* ef = strategy.residuals()) snap.residuals = ef->rows();
   return snap;
 }
 
@@ -162,6 +241,7 @@ std::vector<uint8_t> encode_snapshot(const Snapshot& snap) {
            snap.strategy_state.size();
   bound += 1 + kVarintMax + snap.async_state.size();
   bound += kVarintMax + 8 * static_cast<size_t>(telemetry::kNumSimValues);
+  bound += 8 + 4;
   Writer w;
   w.reserve(bound);
   w.u32(kMagic);
@@ -196,6 +276,8 @@ std::vector<uint8_t> encode_snapshot(const Snapshot& snap) {
     const size_t idx = static_cast<size_t>(i);
     w.u64(idx < snap.telemetry.size() ? snap.telemetry[idx] : 0);
   }
+  w.u64(snap.journal_at);
+  w.u32(snap.journal_crc);
 
   std::vector<uint8_t> out = w.take();
   const uint64_t payload_len = out.size() - kHeaderBytes;
@@ -270,6 +352,11 @@ Snapshot decode_snapshot(const uint8_t* data, size_t size) {
   for (uint64_t i = 0; i < ntel; ++i) {
     snap.telemetry[static_cast<size_t>(i)] = r.u64();
   }
+  snap.journal_at = r.u64();
+  snap.journal_crc = r.u32();
+  if (snap.journal_at == kNoJournal && snap.journal_crc != 0) {
+    fail("checkpoint journal section is inconsistent");
+  }
   r.expect_end("checkpoint");
   return snap;
 }
@@ -277,53 +364,39 @@ Snapshot decode_snapshot(const uint8_t* data, size_t size) {
 void save_checkpoint(const std::string& path, const Snapshot& snap) {
   telemetry::Span span("ckpt.save");
   const auto t0 = std::chrono::steady_clock::now();
-  const std::vector<uint8_t> bytes = encode_snapshot(snap);
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream f(tmp, std::ios::binary | std::ios::trunc);
-    if (!f) fail("cannot open checkpoint file '" + tmp + "' for writing");
-    f.write(reinterpret_cast<const char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
-    f.flush();
-    if (!f.good()) {
-      f.close();
-      std::remove(tmp.c_str());
-      fail("failed writing checkpoint file '" + tmp + "'");
-    }
+  Snapshot head = snap;  // shares the residual buffers
+  head.journal_at = kNoJournal;
+  head.journal_crc = 0;
+  if (snap.residuals) {
+    const JournalRecord rec =
+        append_residuals(dir_of(path), /*base=*/true, snap.next_round,
+                         kNoJournal, *snap.residuals, 0);
+    head.journal_at = rec.at;
+    head.journal_crc = rec.crc;
   }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    fail("cannot rename checkpoint '" + tmp + "' onto '" + path + "'");
-  }
+  write_head(path, head);
   telemetry::count(telemetry::kCkptSaves);
-  telemetry::count(
-      telemetry::kCkptSaveMs,
-      static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::milliseconds>(
-                                std::chrono::steady_clock::now() - t0)
-                                .count()));
+  telemetry::count(telemetry::kCkptSaveMs, ms_since(t0));
 }
 
 Snapshot load_checkpoint(const std::string& path) {
   telemetry::Span span("ckpt.load");
   const auto t0 = std::chrono::steady_clock::now();
   telemetry::count(telemetry::kCkptLoads);
-  std::ifstream f(path, std::ios::binary | std::ios::ate);
-  if (!f) fail("cannot open checkpoint '" + path + "'");
-  const std::streamoff size = f.tellg();
-  if (size < 0) fail("cannot read checkpoint '" + path + "'");
+  const uint64_t size = regular_file_size(path, "checkpoint");
+  std::ifstream f(path, std::ios::binary);
   std::vector<uint8_t> bytes(static_cast<size_t>(size));
-  f.seekg(0);
   f.read(reinterpret_cast<char*>(bytes.data()),
          static_cast<std::streamsize>(bytes.size()));
-  if (!f.good() || f.gcount() != static_cast<std::streamsize>(bytes.size())) {
-    fail("cannot read checkpoint '" + path + "'");
+  if (!f || f.gcount() != static_cast<std::streamsize>(bytes.size())) {
+    fail("checkpoint '" + path + "' cannot be read");
   }
   Snapshot snap = decode_snapshot(bytes.data(), bytes.size());
-  telemetry::count(
-      telemetry::kCkptLoadMs,
-      static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::milliseconds>(
-                                std::chrono::steady_clock::now() - t0)
-                                .count()));
+  if (snap.journal_at != kNoJournal) {
+    snap.residuals = load_residuals(dir_of(path), snap.journal_at,
+                                    snap.journal_crc, snap.next_round);
+  }
+  telemetry::count(telemetry::kCkptLoadMs, ms_since(t0));
   return snap;
 }
 
@@ -333,6 +406,104 @@ std::string checkpoint_path(const std::string& dir, int boundary) {
   if (dir.empty()) return name;
   const char sep = dir.back() == '/' ? '\0' : '/';
   return sep == '\0' ? dir + name : dir + sep + name;
+}
+
+std::string journal_path(const std::string& dir) {
+  constexpr const char* kName = "residuals.gfj";
+  if (dir.empty()) return kName;
+  return dir.back() == '/' ? dir + kName : dir + '/' + kName;
+}
+
+uint64_t residual_record_bytes(const ResidualRows& rows, bool base,
+                               uint64_t since) {
+  // magic, kind, boundary, [parent], payload_len ... crc
+  const uint64_t framing = 4 + 1 + 4 + (base ? 0 : 8) + 8 + 4;
+  return framing + residual_payload_bytes(rows, base, since);
+}
+
+JournalRecord append_residuals(const std::string& dir, bool base,
+                               int boundary, uint64_t parent,
+                               const ResidualRows& rows, uint64_t since) {
+  const std::string path = journal_path(dir);
+  std::error_code ec;
+  const uint64_t at = std::filesystem::exists(path, ec)
+                          ? regular_file_size(path, "checkpoint journal")
+                          : 0;
+  std::ofstream f(path, std::ios::binary | std::ios::app);
+  if (!f) fail("cannot open checkpoint journal '" + path + "' for appending");
+  CrcOut out(f);
+  Writer w;
+  w.u32(kJournalMagic);
+  w.u8(base ? kJournalBase : kJournalDelta);
+  w.u32(static_cast<uint32_t>(boundary));
+  if (!base) w.u64(parent);
+  w.u64(residual_payload_bytes(rows, base, since));
+  out.put(w);
+  write_residual_payload(rows, base, since, out);
+  JournalRecord rec;
+  rec.at = at;
+  rec.crc = out.crc();
+  w.u32(rec.crc);
+  out.put(w);
+  rec.bytes = out.count();
+  f.flush();
+  if (!f.good()) fail("failed appending to checkpoint journal '" + path + "'");
+  telemetry::count(telemetry::kCkptWrittenBytes, rec.bytes);
+  return rec;
+}
+
+ResidualRows load_residuals(const std::string& dir, uint64_t at,
+                            uint32_t crc, int boundary) {
+  const std::string path = journal_path(dir);
+  const uint64_t size = regular_file_size(path, "checkpoint journal");
+  std::ifstream f(path, std::ios::binary);
+  if (!f) fail("checkpoint journal '" + path + "' cannot be read");
+  ResidualRows rows;
+  uint64_t next = at;
+  int64_t newer = -1;  // boundary of the record read before this one
+  for (;;) {
+    const std::string where = "checkpoint journal '" + path +
+                              "' record at offset " + std::to_string(next);
+    try {
+      if (next >= size) fail("is past the end of the journal");
+      f.seekg(static_cast<std::streamoff>(next));
+      CrcIn in(f, size - next);
+      if (in.u32() != kJournalMagic) fail("has a bad magic");
+      const uint8_t kind = in.u8();
+      if (kind != kJournalBase && kind != kJournalDelta) {
+        fail("has unknown kind " + std::to_string(kind));
+      }
+      const int64_t b = in.u32();
+      if (newer < 0 && b != boundary) {
+        fail("is for boundary " + std::to_string(b) + ", not the head's " +
+             std::to_string(boundary));
+      }
+      if (newer >= 0 && b >= newer) {
+        fail("does not precede boundary " + std::to_string(newer));
+      }
+      const uint64_t parent = kind == kJournalDelta ? in.u64() : 0;
+      if (kind == kJournalDelta && parent >= next) {
+        fail("has a parent link that does not point backward");
+      }
+      const uint64_t len = in.u64();
+      if (len > in.remaining() || in.remaining() - len < 4) {
+        fail("is truncated");
+      }
+      in.limit(len);
+      read_residual_payload(in, rows);
+      if (in.remaining() != 0) fail("has trailing payload bytes");
+      const uint32_t sum = in.crc();
+      CrcIn tail(f, 4);
+      const uint32_t stored = tail.u32();
+      if (stored != sum) fail("is corrupt (CRC mismatch)");
+      if (newer < 0 && stored != crc) fail("does not match the head's CRC");
+      if (kind == kJournalBase) return rows;
+      newer = b;
+      next = parent;
+    } catch (const CkptError& e) {
+      throw CkptError(where + ": " + e.what());
+    }
+  }
 }
 
 RunResult history_result(const Snapshot& snap) {
@@ -348,20 +519,7 @@ void restore_sync_run(const Snapshot& snap, SimEngine& engine,
     fail("checkpoint was taken from an async run; resume it with "
          "restore_async_run");
   }
-  check_engine_match(snap, engine);
-  if (strategy.name() != snap.strategy_id) {
-    fail("checkpoint was written by strategy '" + snap.strategy_id +
-         "', not '" + strategy.name() + "'");
-  }
-  // init() allocates the strategy's structures (sampler, residual store,
-  // masks) exactly as a fresh run would; restore_state then replays the
-  // checkpointed contents over them.
-  engine.reset_state();
-  strategy.init(engine);
-  Reader r(snap.strategy_state.data(), snap.strategy_state.size());
-  strategy.restore_state(r);
-  r.expect_end("strategy");
-  restore_engine_state(snap, engine);
+  restore_strategy_and_engine(snap, engine, strategy);
 }
 
 AsyncRunState restore_async_run(const Snapshot& snap, SimEngine& engine,
@@ -370,17 +528,7 @@ AsyncRunState restore_async_run(const Snapshot& snap, SimEngine& engine,
     fail("checkpoint was taken from a synchronous run; resume it with "
          "restore_sync_run");
   }
-  check_engine_match(snap, engine);
-  if (strategy.name() != snap.strategy_id) {
-    fail("checkpoint was written by strategy '" + snap.strategy_id +
-         "', not '" + strategy.name() + "'");
-  }
-  engine.reset_state();
-  strategy.init(engine);
-  Reader r(snap.strategy_state.data(), snap.strategy_state.size());
-  strategy.restore_state(r);
-  r.expect_end("strategy");
-  restore_engine_state(snap, engine);
+  restore_strategy_and_engine(snap, engine, strategy);
   AsyncRunState state;
   Reader ar(snap.async_state.data(), snap.async_state.size());
   state.restore_state(ar, engine.num_clients());
@@ -417,10 +565,21 @@ void CheckpointHook::on_round_end(SimEngine& engine, int round,
   const int boundary = round + 1;  // rounds [0, boundary) are complete
   const int horizon = engine.run_config().rounds;
   if (opts_.every > 0 && boundary % opts_.every == 0 && boundary < horizon) {
-    const Snapshot snap = snapshot_of(engine, boundary, partial, strategy_id_,
-                                      *strategy_, async_state, meta_);
+    Snapshot head = head_of(engine, boundary, partial, strategy_id_,
+                            *strategy_, async_state, meta_);
     const std::string path = checkpoint_path(opts_.dir, boundary);
-    save_checkpoint(path, snap);
+    {
+      telemetry::Span span("ckpt.save");
+      const auto t0 = std::chrono::steady_clock::now();
+      if (const ErrorFeedback* ef = strategy_->residuals()) {
+        const JournalRecord rec = commit_residuals(boundary, *ef);
+        head.journal_at = rec.at;
+        head.journal_crc = rec.crc;
+      }
+      write_head(path, head);
+      telemetry::count(telemetry::kCkptSaves);
+      telemetry::count(telemetry::kCkptSaveMs, ms_since(t0));
+    }
     // The flight-recorder log must never run ahead of the newest
     // checkpoint: commit its buffered rounds only once the snapshot they
     // belong with is safely on disk (events.h, "checkpoint-consistent").
@@ -431,6 +590,21 @@ void CheckpointHook::on_round_end(SimEngine& engine, int round,
   if (opts_.crash_at > 0 && boundary == opts_.crash_at) {
     throw SimulatedCrash(boundary, last_path_);
   }
+}
+
+JournalRecord CheckpointHook::commit_residuals(int boundary,
+                                               const ErrorFeedback& ef) {
+  const ResidualRows& rows = ef.rows();
+  const uint64_t delta = residual_record_bytes(rows, false, journal_stamp_);
+  const bool base = journal_tip_ == kNoJournal ||
+                    delta_bytes_ + delta > residual_record_bytes(rows, true, 0);
+  const JournalRecord rec = append_residuals(opts_.dir, base, boundary,
+                                             journal_tip_, rows,
+                                             journal_stamp_);
+  delta_bytes_ = base ? 0 : delta_bytes_ + rec.bytes;
+  journal_tip_ = rec.at;
+  journal_stamp_ = ef.stamp();
+  return rec;
 }
 
 }  // namespace gluefl::ckpt

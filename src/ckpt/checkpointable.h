@@ -13,7 +13,17 @@
 // stateless strategy (FedAvg, async-fedbuff) participates for free and a
 // user-defined strategy outside this tree keeps compiling; the in-tree
 // strategies override both methods explicitly.
+//
+// Error-feedback residuals are the one exception to save_state: a
+// component that keeps them exposes them through residuals(), and the
+// checkpoint directory's journal stores their rows (DESIGN.md §8), so a
+// commit writes only the rows stored since the previous one.
 #pragma once
+
+namespace gluefl {
+class ErrorFeedback;
+struct ResidualRows;
+}  // namespace gluefl
 
 namespace gluefl::ckpt {
 
@@ -32,6 +42,13 @@ class Checkpointable {
   /// instance built from the same configuration; must consume the section
   /// exactly and throw CkptError (or CheckError) on malformed input.
   virtual void restore_state(Reader& r) { (void)r; }
+
+  /// The error-feedback residuals the component keeps, or null if none.
+  virtual const ErrorFeedback* residuals() const { return nullptr; }
+
+  /// Replaces the residual rows with a checkpoint's, after restore_state.
+  /// Only called when residuals() is non-null.
+  virtual void restore_residuals(const ResidualRows& rows) { (void)rows; }
 };
 
 }  // namespace gluefl::ckpt

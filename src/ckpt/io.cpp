@@ -3,6 +3,9 @@
 #include <array>
 #include <bit>
 #include <cstring>
+#include <filesystem>
+#include <istream>
+#include <ostream>
 
 namespace gluefl::ckpt {
 
@@ -37,11 +40,34 @@ uint32_t load_le32(const uint8_t* p) {
 
 [[noreturn]] void fail(const std::string& msg) { throw CkptError(msg); }
 
+/// LEB128 decode over any byte source; shared by Reader and CrcIn.
+template <typename NextByte>
+uint64_t read_varint(NextByte next) {
+  uint64_t v = 0;
+  for (int shift = 0; shift < 64; shift += 7) {
+    const uint8_t b = next();
+    // Same guard as the wire codec: the 10th byte only has one payload bit
+    // left in a u64 — out-of-range varints must not alias to small values.
+    if (shift >= 63 && (b & 0x7e) != 0) fail("varint overflows 64 bits");
+    v |= static_cast<uint64_t>(b & 0x7f) << shift;
+    if ((b & 0x80) == 0) return v;
+  }
+  fail("varint overflows 64 bits");
+}
+
+uint64_t checked_max(uint64_t v, uint64_t max, const char* what) {
+  if (v > max) {
+    fail(std::string("implausible ") + what + " in checkpoint (" +
+         std::to_string(v) + " > " + std::to_string(max) + ")");
+  }
+  return v;
+}
+
 }  // namespace
 
-uint32_t crc32(const uint8_t* data, size_t size) {
+uint32_t crc32(const uint8_t* data, size_t size, uint32_t crc) {
   static const CrcTables t = make_crc_tables();
-  uint32_t c = 0xFFFFFFFFu;
+  uint32_t c = crc ^ 0xFFFFFFFFu;
   size_t i = 0;
   for (; i + 8 <= size; i += 8) {
     const uint32_t lo = c ^ load_le32(data + i);
@@ -52,6 +78,19 @@ uint32_t crc32(const uint8_t* data, size_t size) {
   }
   for (; i < size; ++i) c = t[0][(c ^ data[i]) & 0xFFu] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
+}
+
+uint64_t regular_file_size(const std::string& path, const std::string& what) {
+  namespace fs = std::filesystem;
+  std::error_code ec;
+  const fs::file_status st = fs::status(path, ec);
+  if (ec || !fs::exists(st)) fail(what + " '" + path + "' cannot be read");
+  if (!fs::is_regular_file(st)) {
+    fail(what + " '" + path + "' is not a regular file");
+  }
+  const uintmax_t size = fs::file_size(path, ec);
+  if (ec) fail(what + " '" + path + "' cannot be read");
+  return static_cast<uint64_t>(size);
 }
 
 void Writer::u16(uint16_t v) {
@@ -152,25 +191,11 @@ uint64_t Reader::u64() {
 }
 
 uint64_t Reader::varint() {
-  uint64_t v = 0;
-  for (int shift = 0; shift < 64; shift += 7) {
-    const uint8_t b = u8();
-    // Same guard as the wire codec: the 10th byte only has one payload bit
-    // left in a u64 — out-of-range varints must not alias to small values.
-    if (shift >= 63 && (b & 0x7e) != 0) fail("varint overflows 64 bits");
-    v |= static_cast<uint64_t>(b & 0x7f) << shift;
-    if ((b & 0x80) == 0) return v;
-  }
-  fail("varint overflows 64 bits");
+  return read_varint([this] { return u8(); });
 }
 
 uint64_t Reader::varint_max(uint64_t max, const char* what) {
-  const uint64_t v = varint();
-  if (v > max) {
-    fail(std::string("implausible ") + what + " in checkpoint (" +
-         std::to_string(v) + " > " + std::to_string(max) + ")");
-  }
-  return v;
+  return checked_max(varint(), max, what);
 }
 
 float Reader::f32() {
@@ -228,6 +253,95 @@ void Reader::expect_end(const char* what) const {
   if (left_ != 0) {
     fail(std::string("trailing bytes after ") + what + " section");
   }
+}
+
+void CrcOut::put(const uint8_t* data, size_t n) {
+  os_.write(reinterpret_cast<const char*>(data),
+            static_cast<std::streamsize>(n));
+  crc_ = crc32(data, n, crc_);
+  count_ += n;
+}
+
+void CrcOut::put(Writer& w) {
+  put(w.buffer().data(), w.size());
+  w.clear();
+}
+
+void CrcOut::put_f32(const float* v, size_t n) {
+  if constexpr (std::endian::native == std::endian::little) {
+    put(reinterpret_cast<const uint8_t*>(v), n * 4);
+  } else {
+    Writer w;
+    for (size_t i = 0; i < n; ++i) w.f32(v[i]);
+    put(w);
+  }
+}
+
+void CrcIn::get(uint8_t* dst, size_t n) {
+  if (n > left_) fail("truncated checkpoint data");
+  is_.read(reinterpret_cast<char*>(dst), static_cast<std::streamsize>(n));
+  if (is_.gcount() != static_cast<std::streamsize>(n)) {
+    fail("truncated checkpoint data");
+  }
+  crc_ = crc32(dst, n, crc_);
+  left_ -= n;
+}
+
+uint8_t CrcIn::u8() {
+  uint8_t b = 0;
+  get(&b, 1);
+  return b;
+}
+
+uint32_t CrcIn::u32() {
+  uint8_t b[4];
+  get(b, 4);
+  return load_le32(b);
+}
+
+uint64_t CrcIn::u64() {
+  uint8_t b[8];
+  get(b, 8);
+  return static_cast<uint64_t>(load_le32(b)) |
+         static_cast<uint64_t>(load_le32(b + 4)) << 32;
+}
+
+uint64_t CrcIn::varint() {
+  return read_varint([this] { return u8(); });
+}
+
+uint64_t CrcIn::varint_max(uint64_t max, const char* what) {
+  return checked_max(varint(), max, what);
+}
+
+double CrcIn::f64() {
+  const uint64_t bits = u64();
+  double v;
+  std::memcpy(&v, &bits, 8);
+  return v;
+}
+
+void CrcIn::get_f32(float* dst, size_t n) {
+  if (n > left_ / 4) fail("truncated checkpoint data");
+  uint8_t* raw = reinterpret_cast<uint8_t*>(dst);
+  get(raw, n * 4);
+  if constexpr (std::endian::native != std::endian::little) {
+    for (size_t i = 0; i < n; ++i) {
+      const uint32_t bits = load_le32(raw + 4 * i);
+      std::memcpy(dst + i, &bits, 4);
+    }
+  }
+}
+
+void CrcIn::skip(size_t n) {
+  if (n > left_) fail("truncated checkpoint data");
+  scratch_.resize(n);
+  get(scratch_.data(), n);
+}
+
+void CrcIn::limit(uint64_t n) {
+  if (n > left_) fail("truncated checkpoint data");
+  left_ = n;
 }
 
 }  // namespace gluefl::ckpt

@@ -15,6 +15,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <iosfwd>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -30,8 +31,16 @@ class CkptError : public std::runtime_error {
 };
 
 /// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over `size` bytes,
-/// computed slicing-by-8; the value is the bytewise definition's.
-uint32_t crc32(const uint8_t* data, size_t size);
+/// computed slicing-by-8; the value is the bytewise definition's. Passing
+/// the CRC of the bytes that precede `data` as `crc` continues it, so
+/// crc32(b, nb, crc32(a, na)) is the CRC of a followed by b.
+uint32_t crc32(const uint8_t* data, size_t size, uint32_t crc = 0);
+
+/// Size of the regular file at `path`. A missing or unreadable path, or
+/// one that is not a regular file (a directory, a FIFO), fails as one
+/// CkptError line naming `what`, so no reader sizes a buffer from an
+/// unchecked tellg().
+uint64_t regular_file_size(const std::string& path, const std::string& what);
 
 /// Bytes Writer::varint(v) appends (1..10).
 inline size_t varint_size(uint64_t v) {
@@ -69,9 +78,66 @@ class Writer {
   size_t size() const { return buf_.size(); }
   const std::vector<uint8_t>& buffer() const { return buf_; }
   std::vector<uint8_t> take() { return std::move(buf_); }
+  void clear() { buf_.clear(); }
 
  private:
   std::vector<uint8_t> buf_;
+};
+
+/// Streams bytes into an std::ostream, folding each one into a running
+/// CRC-32 and a byte count. The residual journal puts a record's small
+/// fields through a Writer and its rows straight from memory, so no copy
+/// of a whole record ever exists (DESIGN.md §8).
+class CrcOut {
+ public:
+  explicit CrcOut(std::ostream& os) : os_(os) {}
+
+  void put(const uint8_t* data, size_t n);
+  /// Puts the bytes staged in `w`, then clears it.
+  void put(Writer& w);
+  /// `n` raw f32 bit patterns, little-endian (no count).
+  void put_f32(const float* v, size_t n);
+
+  uint32_t crc() const { return crc_; }
+  uint64_t count() const { return count_; }
+
+ private:
+  std::ostream& os_;
+  uint32_t crc_ = 0;
+  uint64_t count_ = 0;
+};
+
+/// Reads an std::istream with Reader's discipline — every read is checked
+/// against a byte limit, and truncation fails as CkptError — while folding
+/// each byte into a running CRC-32. Large arrays land straight in the
+/// caller's memory.
+class CrcIn {
+ public:
+  CrcIn(std::istream& is, uint64_t limit) : is_(is), left_(limit) {}
+
+  uint8_t u8();
+  uint32_t u32();
+  uint64_t u64();
+  uint64_t varint();
+  uint64_t varint_max(uint64_t max, const char* what);
+  double f64();
+  /// `n` raw little-endian f32 bit patterns (no count) into `dst`.
+  void get_f32(float* dst, size_t n);
+  /// Reads and checksums `n` bytes without keeping them.
+  void skip(size_t n);
+
+  uint64_t remaining() const { return left_; }
+  /// Narrows the limit to the next `n` bytes; they must fit the current one.
+  void limit(uint64_t n);
+  uint32_t crc() const { return crc_; }
+
+ private:
+  void get(uint8_t* dst, size_t n);
+
+  std::istream& is_;
+  uint64_t left_;
+  uint32_t crc_ = 0;
+  std::vector<uint8_t> scratch_;
 };
 
 class Reader {

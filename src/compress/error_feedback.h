@@ -15,18 +15,57 @@
 // Residuals are allocated lazily: with cross-device populations only a
 // small subset of clients ever participates, and sticky sampling keeps
 // re-using them, so memory stays ~O(participants) * dim.
+//
+// Checkpoints keep the rows in the directory's residual journal, not in
+// the strategy blob (DESIGN.md §8). Every store() stamps its row with a
+// rising commit stamp, so a commit can write just the rows stored since
+// the previous one.
 #pragma once
 
 #include <cstddef>
-#include <unordered_map>
+#include <cstdint>
+#include <map>
+#include <memory>
 #include <vector>
 
 namespace gluefl {
 
 namespace ckpt {
-class Writer;
-class Reader;
+class CrcIn;
+class CrcOut;
 }  // namespace ckpt
+
+/// One client's residual h_i, the weight nu it was stored with, and the
+/// commit stamp of that store (0 for a row restored from a checkpoint).
+/// h is shared, never copied, between a store and the snapshots taken of
+/// it or restored into it; store() copies a shared h before writing it.
+struct ResidualRow {
+  std::shared_ptr<std::vector<float>> h;
+  double nu = 1.0;
+  uint64_t stamp = 0;
+};
+
+/// Residual rows by ascending client id: the unit the checkpoint journal
+/// stores.
+struct ResidualRows {
+  size_t dim = 0;
+  std::map<int, ResidualRow> rows;
+};
+
+/// Journal payload over the rows a record holds — every row for a base,
+/// those stamped after `since` for a delta (DESIGN.md §8):
+///   dim varint | count varint | (client varint, nu f64, h f32s)*
+/// with client ids strictly ascending. residual_payload_bytes is its exact
+/// size; write_residual_payload streams it row by row.
+size_t residual_payload_bytes(const ResidualRows& rows, bool base,
+                              uint64_t since);
+void write_residual_payload(const ResidualRows& rows, bool base,
+                            uint64_t since, ckpt::CrcOut& out);
+/// Reads one payload into `into`, newest record first: a client `into`
+/// already holds keeps its row (its bytes are still read and checksummed).
+/// The first payload sets into.dim and every later one must match it.
+/// Non-ascending ids and wrong dims fail as CkptError.
+void read_residual_payload(ckpt::CrcIn& in, ResidualRows& into);
 
 class ErrorFeedback {
  public:
@@ -44,26 +83,21 @@ class ErrorFeedback {
   /// Stores the new residual for `client` together with its current weight.
   void store(int client, double nu_now, const float* residual);
 
-  bool has(int client) const { return store_.count(client) != 0; }
-  size_t num_tracked_clients() const { return store_.size(); }
+  bool has(int client) const { return store_.rows.count(client) != 0; }
+  size_t num_tracked_clients() const { return store_.rows.size(); }
 
-  /// Checkpoint section: every tracked residual with its stored weight,
-  /// serialized in ascending client order so identical state writes
-  /// identical bytes regardless of hash-map iteration order. restore_state
-  /// rejects ids that are not strictly ascending (CkptError).
-  void save_state(ckpt::Writer& w) const;
-  void restore_state(ckpt::Reader& r);
-  /// Exact byte size of the save_state section (save_state reserves it).
-  size_t state_bytes() const;
+  const ResidualRows& rows() const { return store_; }
+  /// Commit stamp of the newest store (0 before any).
+  uint64_t stamp() const { return stamp_; }
+  /// Replaces every row with a checkpoint's, sharing their h; CkptError on
+  /// a dim mismatch.
+  void restore_rows(const ResidualRows& rows);
 
  private:
-  struct Entry {
-    std::vector<float> h;
-    double nu = 1.0;
-  };
   Mode mode_;
   size_t dim_;
-  std::unordered_map<int, Entry> store_;
+  ResidualRows store_;
+  uint64_t stamp_ = 0;
 };
 
 }  // namespace gluefl

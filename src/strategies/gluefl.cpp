@@ -45,22 +45,14 @@ void GlueFlStrategy::save_state(ckpt::Writer& w) const {
   GLUEFL_CHECK_MSG(sampler_ != nullptr, "save_state needs an init()-ed "
                                         "strategy");
   sampler_->save_state(w);
-  // Room for everything after the sampler at once: the residuals are most
-  // of a GlueFL snapshot, and growing the buffer past them would recopy it.
-  const std::vector<uint8_t> mask = wire::encode_mask(mask_);
-  const uint64_t regen = static_cast<uint64_t>(regen_count_);
-  w.reserve(ec_->state_bytes() + ckpt::varint_size(mask.size()) +
-            mask.size() + ckpt::varint_size(regen));
-  ec_->save_state(w);
-  w.blob(mask);
-  w.varint(regen);
+  w.blob(wire::encode_mask(mask_));
+  w.varint(static_cast<uint64_t>(regen_count_));
 }
 
 void GlueFlStrategy::restore_state(ckpt::Reader& r) {
   GLUEFL_CHECK_MSG(sampler_ != nullptr, "restore_state needs an init()-ed "
                                         "strategy");
   sampler_->restore_state(r);
-  ec_->restore_state(r);
   const std::vector<uint8_t> mbuf = r.blob();
   BitMask m = wire::decode_mask(mbuf.data(), mbuf.size());
   if (m.size() != mask_.size()) {
@@ -69,6 +61,10 @@ void GlueFlStrategy::restore_state(ckpt::Reader& r) {
   mask_ = std::move(m);
   regen_count_ =
       static_cast<int>(r.varint_max(ckpt::kIntCap, "regen count"));
+}
+
+void GlueFlStrategy::restore_residuals(const ResidualRows& rows) {
+  ec_->restore_rows(rows);
 }
 
 void GlueFlStrategy::run_round(SimEngine& engine, int round,

@@ -61,10 +61,12 @@ class GlueFlStrategy final : public Strategy {
   void init(SimEngine& engine) override;
   void run_round(SimEngine& engine, int round, RoundRecord& rec) override;
 
-  /// Checkpointable: sticky cohort, error-compensation residuals, shared
-  /// mask M_t and the regeneration counter.
+  /// Checkpointable: sticky cohort, shared mask M_t and the regeneration
+  /// counter; the error-compensation residuals ride the journal.
   void save_state(ckpt::Writer& w) const override;
   void restore_state(ckpt::Reader& r) override;
+  const ErrorFeedback* residuals() const override { return ec_.get(); }
+  void restore_residuals(const ResidualRows& rows) override;
 
   const BitMask& shared_mask() const { return mask_; }
   const StickySampler& sampler() const { return *sampler_; }

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "agg/sparse_delta.h"
-#include "ckpt/io.h"
 #include "common/check.h"
 #include "compress/encoding.h"
 #include "compress/topk.h"
@@ -29,15 +28,8 @@ void StcStrategy::init(SimEngine& engine) {
       1, static_cast<size_t>(std::lround(cfg_.q * engine.dim())));
 }
 
-void StcStrategy::save_state(ckpt::Writer& w) const {
-  GLUEFL_CHECK_MSG(ec_ != nullptr, "save_state needs an init()-ed strategy");
-  ec_->save_state(w);
-}
-
-void StcStrategy::restore_state(ckpt::Reader& r) {
-  GLUEFL_CHECK_MSG(ec_ != nullptr,
-                   "restore_state needs an init()-ed strategy");
-  ec_->restore_state(r);
+void StcStrategy::restore_residuals(const ResidualRows& rows) {
+  ec_->restore_rows(rows);
 }
 
 void StcStrategy::run_round(SimEngine& engine, int round, RoundRecord& rec) {

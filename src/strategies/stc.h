@@ -35,9 +35,12 @@ class StcStrategy final : public Strategy {
   void init(SimEngine& engine) override;
   void run_round(SimEngine& engine, int round, RoundRecord& rec) override;
 
-  /// Checkpointable: the per-client error-accumulation memories.
-  void save_state(ckpt::Writer& w) const override;
-  void restore_state(ckpt::Reader& r) override;
+  /// Checkpointable: the per-client error-accumulation memories, which
+  /// ride the residual journal; the strategy blob itself is empty.
+  void save_state(ckpt::Writer& w) const override { (void)w; }
+  void restore_state(ckpt::Reader& r) override { (void)r; }
+  const ErrorFeedback* residuals() const override { return ec_.get(); }
+  void restore_residuals(const ResidualRows& rows) override;
 
  private:
   StcConfig cfg_;

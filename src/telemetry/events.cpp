@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <fstream>
-#include <sstream>
 
 #include "ckpt/io.h"
 #include "common/check.h"
@@ -262,17 +261,17 @@ void parse_records(ckpt::Reader& r, EventLog& log, size_t& record) {
 }  // namespace
 
 EventLog read_log(const std::string& path) {
+  const uint64_t size = ckpt::regular_file_size(path, "events: log");
   std::ifstream f(path, std::ios::binary);
-  if (!f) {
-    throw ckpt::CkptError("events: cannot read '" + path + "'");
+  std::vector<uint8_t> data(static_cast<size_t>(size));
+  f.read(reinterpret_cast<char*>(data.data()),
+         static_cast<std::streamsize>(data.size()));
+  if (!f || f.gcount() != static_cast<std::streamsize>(data.size())) {
+    throw ckpt::CkptError("events: log '" + path + "' cannot be read");
   }
-  std::ostringstream ss;
-  ss << f.rdbuf();
-  const std::string data = ss.str();
-  const uint8_t* bytes = reinterpret_cast<const uint8_t*>(data.data());
 
   EventLog log;
-  ckpt::Reader r(bytes, data.size());
+  ckpt::Reader r(data.data(), data.size());
   size_t record = 0;
   try {
     parse_records(r, log, record);

@@ -68,6 +68,8 @@ constexpr MetricDef kDefs[] = {
      "checkpoints written this process"},
     {"ckpt.loads", MetricKind::kCounter, MetricClass::kProcess,
      "checkpoints loaded this process"},
+    {"ckpt.written_bytes", MetricKind::kCounter, MetricClass::kProcess,
+     "checkpoint head plus residual-journal bytes written this process"},
     {"ckpt.save_ms", MetricKind::kCounter, MetricClass::kWall,
      "cumulative wall milliseconds spent saving checkpoints"},
     {"ckpt.load_ms", MetricKind::kCounter, MetricClass::kWall,

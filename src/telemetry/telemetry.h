@@ -73,6 +73,7 @@ enum MetricId : int {
   kDirChainEvictions,
   kCkptSaves,
   kCkptLoads,
+  kCkptWrittenBytes,
   // -- wall class: JSONL / trace only --
   kCkptSaveMs,
   kCkptLoadMs,

@@ -6,10 +6,14 @@
 // per-round byte/time metric), across seeds and thread counts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <limits>
+#include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -30,10 +34,34 @@
 namespace gluefl {
 namespace {
 
+namespace fs = std::filesystem;
 using testing::tiny_proxy;
 using testing::tiny_run_config;
 using testing::tiny_spec;
 using testing::tiny_train_config;
+
+/// A directory that exists for one test (or one loop pass of it).
+struct ScratchDir {
+  fs::path path;
+  explicit ScratchDir(const std::string& name) : path(name) {
+    fs::remove_all(path);
+    fs::create_directories(path);
+  }
+  ~ScratchDir() { fs::remove_all(path); }
+  std::string str() const { return path.string(); }
+};
+
+std::vector<uint8_t> slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::vector<uint8_t>((std::istreambuf_iterator<char>(in)),
+                              std::istreambuf_iterator<char>());
+}
+
+void spit(const std::string& path, const std::vector<uint8_t>& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+}
 
 // ---------------------------------------------------------------- io
 
@@ -112,17 +140,31 @@ TEST(CkptIo, Crc32KnownVector) {
     }
   }
 
-  // A whole encoded snapshot, pinned to the bytes format 5 has always
+  // A whole encoded snapshot, pinned to the bytes format 6 has always
   // written: its size, the payload CRC in the header and the file's CRC.
   const std::vector<uint8_t> bytes = ckpt::encode_snapshot(tiny_snapshot());
-  ASSERT_EQ(bytes.size(), 1052u);
+  ASSERT_EQ(bytes.size(), 1064u);
   uint32_t header_crc = 0;
   for (int i = 0; i < 4; ++i) {
     header_crc |= static_cast<uint32_t>(bytes[6 + static_cast<size_t>(i)])
                   << (8 * i);
   }
-  EXPECT_EQ(header_crc, 0x1E8CC6C4u);
-  EXPECT_EQ(ckpt::crc32(bytes.data(), bytes.size()), 0xC7B05626u);
+  EXPECT_EQ(header_crc, 0xE7A7AA59u);
+  EXPECT_EQ(ckpt::crc32(bytes.data(), bytes.size()), 0xE663C88Eu);
+}
+
+TEST(CkptIo, Crc32ContinuesAcrossSplits) {
+  // The journal checksums a record piecewise as it streams; continuing
+  // the CRC at any split point must give the one-shot value.
+  std::vector<uint8_t> buf(100);
+  Rng rng(17);
+  for (uint8_t& b : buf) b = static_cast<uint8_t>(rng.next_u64());
+  const uint32_t whole = ckpt::crc32(buf.data(), buf.size());
+  for (size_t cut = 0; cut <= buf.size(); ++cut) {
+    const uint32_t head = ckpt::crc32(buf.data(), cut);
+    EXPECT_EQ(ckpt::crc32(buf.data() + cut, buf.size() - cut, head), whole)
+        << "split at " << cut;
+  }
 }
 
 // ------------------------------------------------------ component state
@@ -174,33 +216,63 @@ TEST(CkptState, SyncTrackerRejectsShapeMismatch) {
 }
 
 TEST(CkptState, ErrorFeedbackRoundTrip) {
+  // Residual rows have one byte form, the journal record: they round-trip
+  // through a base record in a scratch directory.
+  ScratchDir dir("ckpt_test_ef_roundtrip");
   ErrorFeedback ef(ErrorFeedback::Mode::kRescaled, 4);
   const float h1[4] = {1.0f, -2.0f, 0.5f, 0.0f};
   const float h2[4] = {0.1f, 0.2f, 0.3f, 0.4f};
   ef.store(9, 0.7, h1);
   ef.store(2, 1.3, h2);
 
-  ckpt::Writer w;
-  ef.save_state(w);
-  EXPECT_EQ(w.size(), ef.state_bytes());  // the size save_state reserves
+  const ckpt::JournalRecord rec = ckpt::append_residuals(
+      dir.str(), /*base=*/true, 1, ckpt::kNoJournal, ef.rows(), 0);
+  EXPECT_EQ(rec.at, 0u);
+  EXPECT_EQ(rec.bytes, ckpt::residual_record_bytes(ef.rows(), true, 0));
+  EXPECT_EQ(fs::file_size(ckpt::journal_path(dir.str())), rec.bytes);
   ErrorFeedback ef2(ErrorFeedback::Mode::kRescaled, 4);
-  ckpt::Reader r(w.buffer().data(), w.buffer().size());
-  ef2.restore_state(r);
-  r.expect_end("ef");
+  ef2.restore_rows(ckpt::load_residuals(dir.str(), rec.at, rec.crc, 1));
 
   EXPECT_EQ(ef2.num_tracked_clients(), 2u);
-  std::vector<float> d1(4, 0.0f), d2(4, 0.0f);
-  ef.apply(9, 0.7, d1.data());
-  ef2.apply(9, 0.7, d2.data());
-  EXPECT_EQ(d1, d2);
+  for (const int c : {9, 2}) {
+    std::vector<float> d1(4, 0.0f), d2(4, 0.0f);
+    ef.apply(c, 0.7, d1.data());
+    ef2.apply(c, 0.7, d2.data());
+    EXPECT_EQ(d1, d2) << "client " << c;
+  }
+  // A restored row carries no commit stamp: only later stores are new.
+  EXPECT_EQ(ef2.stamp(), 0u);
+  EXPECT_EQ(ckpt::residual_record_bytes(ef2.rows(), false, ef2.stamp()),
+            ckpt::residual_record_bytes(ResidualRows{4, {}}, false, 0));
+}
+
+/// A journal record sealed by hand, as a hostile writer could seal one.
+std::vector<uint8_t> sealed_record(uint8_t kind, uint32_t boundary,
+                                   uint64_t parent,
+                                   const std::vector<uint8_t>& payload) {
+  ckpt::Writer w;
+  w.u32(ckpt::kJournalMagic);
+  w.u8(kind);
+  w.u32(boundary);
+  if (kind == ckpt::kJournalDelta) w.u64(parent);
+  w.u64(payload.size());
+  w.bytes(payload.data(), payload.size());
+  w.u32(ckpt::crc32(w.buffer().data(), w.size()));
+  return w.take();
+}
+
+uint32_t trailing_crc(const std::vector<uint8_t>& record) {
+  ckpt::Reader r(record.data() + record.size() - 4, 4);
+  return r.u32();
 }
 
 TEST(CkptState, ErrorFeedbackRejectsNonAscendingIds) {
-  // save_state writes client ids strictly ascending. A CRC-resealed
-  // section with a swapped pair or a repeated id would otherwise restore
-  // a different residual store, so both must fail as one CkptError line.
+  // Writers emit client ids strictly ascending. A sealed record with a
+  // swapped pair or a repeated id would otherwise restore a different
+  // residual store, so both must fail as one CkptError line.
+  ScratchDir dir("ckpt_test_ef_ids");
   const float h[2] = {1.0f, -1.0f};
-  const auto section = [&h](std::vector<int> ids) {
+  const auto payload = [&h](std::vector<int> ids) {
     ckpt::Writer w;
     w.varint(2);  // dim
     w.varint(ids.size());
@@ -211,24 +283,27 @@ TEST(CkptState, ErrorFeedbackRejectsNonAscendingIds) {
     }
     return w.take();
   };
+  const std::string journal = ckpt::journal_path(dir.str());
   for (const std::vector<int>& ids :
        {std::vector<int>{5, 3}, std::vector<int>{3, 3}}) {
-    const std::vector<uint8_t> bytes = section(ids);
-    ErrorFeedback ef(ErrorFeedback::Mode::kRescaled, 2);
-    ckpt::Reader r(bytes.data(), bytes.size());
+    const std::vector<uint8_t> rec =
+        sealed_record(ckpt::kJournalBase, 1, 0, payload(ids));
+    spit(journal, rec);
     try {
-      ef.restore_state(r);
+      ckpt::load_residuals(dir.str(), 0, trailing_crc(rec), 1);
       ADD_FAILURE() << "ids " << ids[0] << "," << ids[1] << " were accepted";
     } catch (const ckpt::CkptError& e) {
       EXPECT_EQ(std::string(e.what()).find('\n'), std::string::npos);
+      EXPECT_NE(std::string(e.what()).find("ascending"), std::string::npos)
+          << e.what();
     }
   }
   // The canonical order still restores.
-  const std::vector<uint8_t> ok = section({3, 5});
+  const std::vector<uint8_t> ok =
+      sealed_record(ckpt::kJournalBase, 1, 0, payload({3, 5}));
+  spit(journal, ok);
   ErrorFeedback ef(ErrorFeedback::Mode::kRescaled, 2);
-  ckpt::Reader r(ok.data(), ok.size());
-  ef.restore_state(r);
-  r.expect_end("ef");
+  ef.restore_rows(ckpt::load_residuals(dir.str(), 0, trailing_crc(ok), 1));
   EXPECT_EQ(ef.num_tracked_clients(), 2u);
 }
 
@@ -310,7 +385,6 @@ TEST(CkptFile, BadMagicIsRejected) {
 }
 
 TEST(CkptFile, SaveIsAtomicAndLoadable) {
-  namespace fs = std::filesystem;
   const fs::path dir = fs::path("ckpt_test_save");
   fs::create_directories(dir);
   const std::string path = (dir / "snap.gfc").string();
@@ -319,7 +393,54 @@ TEST(CkptFile, SaveIsAtomicAndLoadable) {
   EXPECT_FALSE(fs::exists(path + ".tmp"));  // temp was renamed away
   const ckpt::Snapshot back = ckpt::load_checkpoint(path);
   EXPECT_EQ(back.next_round, 2);
+  // FedAvg keeps no residuals: no journal, and the head says so.
+  EXPECT_EQ(back.journal_at, ckpt::kNoJournal);
+  EXPECT_FALSE(back.residuals.has_value());
+  EXPECT_FALSE(fs::exists(ckpt::journal_path(dir.string())));
   fs::remove_all(dir);
+}
+
+TEST(CkptFile, SaveWritesTheSnapshotRowsAsABase) {
+  ScratchDir dir("ckpt_test_save_rows");
+  ckpt::Snapshot snap = tiny_snapshot();
+  ResidualRows rows;
+  rows.dim = 3;
+  rows.rows[4].h =
+      std::make_shared<std::vector<float>>(std::vector<float>{1, 2, 3});
+  rows.rows[4].nu = 0.25;
+  rows.rows[11].h =
+      std::make_shared<std::vector<float>>(std::vector<float>{-1, 0, 1});
+  snap.residuals = rows;
+  const std::string path = (dir.path / "snap.gfc").string();
+  ckpt::save_checkpoint(path, snap);
+  ckpt::save_checkpoint(path, snap);  // a second base, appended
+  const ckpt::Snapshot back = ckpt::load_checkpoint(path);
+  ASSERT_TRUE(back.residuals.has_value());
+  EXPECT_EQ(back.journal_at, ckpt::residual_record_bytes(rows, true, 0));
+  EXPECT_EQ(back.residuals->dim, 3u);
+  ASSERT_EQ(back.residuals->rows.size(), 2u);
+  EXPECT_EQ(*back.residuals->rows.at(4).h, *rows.rows.at(4).h);
+  EXPECT_EQ(back.residuals->rows.at(4).nu, 0.25);
+  EXPECT_EQ(*back.residuals->rows.at(11).h, *rows.rows.at(11).h);
+}
+
+TEST(CkptFile, DirectoriesAreNotCheckpoints) {
+  // A directory must fail as one line, not size a buffer from tellg().
+  ScratchDir dir("ckpt_test_dir_path");
+  for (const std::string& path :
+       {dir.str(), ckpt::checkpoint_path(dir.str(), 1)}) {
+    fs::create_directories(path);
+    try {
+      ckpt::load_checkpoint(path);
+      ADD_FAILURE() << path << " loaded";
+    } catch (const ckpt::CkptError& e) {
+      EXPECT_NE(std::string(e.what()).find("not a regular file"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  fs::create_directories(ckpt::journal_path(dir.str()));
+  EXPECT_THROW(ckpt::load_residuals(dir.str(), 0, 0, 1), ckpt::CkptError);
 }
 
 TEST(CkptFile, MissingFileIsACleanError) {
@@ -432,6 +553,9 @@ void expect_identical_runs(const RunResult& ref, const RunResult& res,
   }
 }
 
+/// Every sync combination: the uninterrupted run saves a head at every
+/// boundary, so the heads sit on base+delta journal chains; resuming from
+/// an early and from the newest head must reproduce the same run.
 void run_sync_matrix(const std::string& strategy_name) {
   const MatrixConfig combos[] = {
       {42, 1, false, 0}, {7, 4, false, 0}, {42, 1, true, 0}, {7, 4, true, 0},
@@ -444,28 +568,42 @@ void run_sync_matrix(const std::string& strategy_name) {
         (c.sharded ? " sharded" : " dense") +
         (c.edges > 0 ? " hier" : " flat");
 
+    ScratchDir dir("ckpt_matrix_" + strategy_name);
     SimEngine ref_engine = make_matrix_engine(c);
     auto ref_strategy = make_matrix_strategy(strategy_name);
-    CaptureHook hook;
-    hook.id = ref_strategy->name();
-    hook.strategy = ref_strategy.get();
+    ckpt::CkptOptions opts;
+    opts.every = 1;
+    opts.dir = dir.str();
+    ckpt::CheckpointHook hook(opts, {{"origin", "test"}},
+                              ref_strategy->name(), *ref_strategy);
     const RunResult ref = ref_engine.run(*ref_strategy, &hook);
-    ASSERT_TRUE(hook.captured) << label;
+    ASSERT_EQ(hook.saves(), kRounds - 1) << label;
+    EXPECT_EQ(fs::exists(ckpt::journal_path(dir.str())),
+              ref_strategy->residuals() != nullptr)
+        << label;
 
-    // The snapshot goes through the full byte codec, like a real file.
-    const std::vector<uint8_t> bytes = ckpt::encode_snapshot(hook.snap);
-    const ckpt::Snapshot snap =
-        ckpt::decode_snapshot(bytes.data(), bytes.size());
+    for (const int boundary : {kBoundary, kRounds - 1}) {
+      const ckpt::Snapshot snap =
+          ckpt::load_checkpoint(ckpt::checkpoint_path(dir.str(), boundary));
+      SimEngine res_engine = make_matrix_engine(c);
+      auto res_strategy = make_matrix_strategy(strategy_name);
+      ckpt::restore_sync_run(snap, res_engine, *res_strategy);
+      const RunResult res = res_engine.run_from(
+          *res_strategy, snap.next_round, ckpt::history_result(snap));
 
-    SimEngine res_engine = make_matrix_engine(c);
-    auto res_strategy = make_matrix_strategy(strategy_name);
-    ckpt::restore_sync_run(snap, res_engine, *res_strategy);
-    const RunResult res = res_engine.run_from(
-        *res_strategy, snap.next_round, ckpt::history_result(snap));
-
-    expect_identical_runs(ref, res, label);
-    EXPECT_EQ(ref_engine.params(), res_engine.params()) << label;
-    EXPECT_EQ(ref_engine.stats(), res_engine.stats()) << label;
+      const std::string at = label + " from " + std::to_string(boundary);
+      if (snap.residuals && boundary == kBoundary) {
+        // This head's rows come back through a delta, not a lone base.
+        const std::vector<uint8_t> journal =
+            slurp(ckpt::journal_path(dir.str()));
+        EXPECT_EQ(journal.at(static_cast<size_t>(snap.journal_at) + 4),
+                  ckpt::kJournalDelta)
+            << at;
+      }
+      expect_identical_runs(ref, res, at);
+      EXPECT_EQ(ref_engine.params(), res_engine.params()) << at;
+      EXPECT_EQ(ref_engine.stats(), res_engine.stats()) << at;
+    }
   }
 }
 
@@ -489,20 +627,21 @@ TEST(CkptResume, AsyncFedBuffMatrix) {
     acfg.buffer_size = 4;
     acfg.concurrency = 8;
 
+    ScratchDir dir("ckpt_matrix_async");
     SimEngine ref_engine = make_matrix_engine(c);
     AsyncSimEngine ref_async(ref_engine, acfg);
     AsyncFedBuffStrategy ref_strategy{AsyncFedBuffConfig{}};
-    CaptureHook hook;
-    hook.id = ref_strategy.name();
-    hook.strategy = &ref_strategy;
+    ckpt::CkptOptions opts;
+    opts.every = 1;
+    opts.dir = dir.str();
+    ckpt::CheckpointHook hook(opts, {{"origin", "test"}}, ref_strategy.name(),
+                              ref_strategy);
     const RunResult ref = ref_async.run(ref_strategy, &hook);
-    ASSERT_TRUE(hook.captured) << label;
-    ASSERT_TRUE(hook.snap.has_async) << label;
+    ASSERT_EQ(hook.saves(), kRounds - 1) << label;
 
-    const std::vector<uint8_t> bytes = ckpt::encode_snapshot(hook.snap);
     const ckpt::Snapshot snap =
-        ckpt::decode_snapshot(bytes.data(), bytes.size());
-
+        ckpt::load_checkpoint(ckpt::checkpoint_path(dir.str(), kBoundary));
+    ASSERT_TRUE(snap.has_async) << label;
     SimEngine res_engine = make_matrix_engine(c);
     AsyncSimEngine res_async(res_engine, acfg);
     AsyncFedBuffStrategy res_strategy{AsyncFedBuffConfig{}};
@@ -547,7 +686,6 @@ TEST(CkptResume, SurvivesAvailabilityChurn) {
 // ------------------------------------------------------ hook behaviour
 
 TEST(CkptHook, SavesOnCadenceAndSkipsFinalBoundary) {
-  namespace fs = std::filesystem;
   const fs::path dir = fs::path("ckpt_test_hook");
   fs::create_directories(dir);
 
@@ -570,7 +708,6 @@ TEST(CkptHook, SavesOnCadenceAndSkipsFinalBoundary) {
 }
 
 TEST(CkptHook, CrashThrowsAfterSavingDueSnapshot) {
-  namespace fs = std::filesystem;
   const fs::path dir = fs::path("ckpt_test_crash");
   fs::create_directories(dir);
 
@@ -656,6 +793,320 @@ TEST(CkptRestore, RejectsStrategyMismatch) {
   auto stc = make_matrix_strategy("stc");
   EXPECT_THROW(ckpt::restore_sync_run(hook.snap, engine2, *stc),
                ckpt::CkptError);
+}
+
+// ------------------------------------------------------ residual journal
+
+/// Stores a scripted set of residual rows each round and changes nothing
+/// else, so the journal's base/delta rule can be checked record by record.
+class ScriptedResiduals final : public Strategy {
+ public:
+  explicit ScriptedResiduals(std::vector<std::vector<int>> script)
+      : script_(std::move(script)) {}
+  std::string name() const override { return "scripted"; }
+  void init(SimEngine& engine) override {
+    ec_ = std::make_unique<ErrorFeedback>(ErrorFeedback::Mode::kRaw,
+                                          engine.dim());
+  }
+  void run_round(SimEngine& engine, int round, RoundRecord& rec) override {
+    (void)rec;
+    const std::vector<float> h(engine.dim(), static_cast<float>(round));
+    for (const int c : script_[static_cast<size_t>(round)]) {
+      ec_->store(c, 1.0 + round, h.data());
+    }
+    engine.sync().record_round_changes(round, BitMask(engine.dim()));
+  }
+  void save_state(ckpt::Writer& w) const override { (void)w; }
+  void restore_state(ckpt::Reader& r) override { (void)r; }
+  const ErrorFeedback* residuals() const override { return ec_.get(); }
+  void restore_residuals(const ResidualRows& rows) override {
+    ec_->restore_rows(rows);
+  }
+
+ private:
+  std::vector<std::vector<int>> script_;
+  std::unique_ptr<ErrorFeedback> ec_;
+};
+
+/// One journal record as found on disk.
+struct ParsedRecord {
+  uint64_t at = 0;
+  uint8_t kind = 0;
+  uint32_t boundary = 0;
+  uint64_t parent = 0;
+  uint64_t bytes = 0;
+  std::vector<int> clients;
+};
+
+std::vector<ParsedRecord> parse_journal(const std::vector<uint8_t>& bytes) {
+  std::vector<ParsedRecord> out;
+  ckpt::Reader r(bytes.data(), bytes.size());
+  while (r.remaining() > 0) {
+    ParsedRecord rec;
+    rec.at = bytes.size() - r.remaining();
+    EXPECT_EQ(r.u32(), ckpt::kJournalMagic);
+    rec.kind = r.u8();
+    rec.boundary = r.u32();
+    if (rec.kind == ckpt::kJournalDelta) rec.parent = r.u64();
+    const uint64_t len = r.u64();
+    ckpt::Reader p(r.bytes(static_cast<size_t>(len)), static_cast<size_t>(len));
+    p.varint();  // dim
+    const uint64_t n = p.varint();
+    for (uint64_t i = 0; i < n; ++i) {
+      rec.clients.push_back(static_cast<int>(p.varint()));
+      p.f64();
+      p.f32s();
+    }
+    p.expect_end("payload");
+    r.u32();  // crc
+    rec.bytes = bytes.size() - r.remaining() - rec.at;
+    out.push_back(rec);
+  }
+  return out;
+}
+
+TEST(CkptJournal, DeltasHoldTheRowsStoredSinceThePreviousCommit) {
+  // Round r stores one new client and two it has stored before, so deltas
+  // stay large next to the base and the rule has to fall back to a base
+  // every few commits.
+  constexpr int kScriptRounds = 14;
+  std::vector<std::vector<int>> script = {{0, 1, 2, 3}};
+  for (int r = 1; r < kScriptRounds; ++r) {
+    script.push_back({r % 3, (r * 7) % (r + 3), r + 3});
+  }
+  ScratchDir dir("ckpt_test_journal_rule");
+  RunConfig rc = tiny_run_config(kScriptRounds, 6, 42);
+  rc.eval_every = kScriptRounds;
+  SimEngine engine(make_synthetic_dataset(tiny_spec()), tiny_proxy(),
+                   make_datacenter_env(), tiny_train_config(), rc);
+  ScriptedResiduals strategy(script);
+  ckpt::CkptOptions opts;
+  opts.every = 1;
+  opts.dir = dir.str();
+  ckpt::CheckpointHook hook(opts, {}, strategy.name(), strategy);
+  engine.run(strategy, &hook);
+
+  const std::vector<ParsedRecord> recs =
+      parse_journal(slurp(ckpt::journal_path(dir.str())));
+  ASSERT_EQ(recs.size(), static_cast<size_t>(kScriptRounds - 1));
+
+  // Replays the rule on the row bytes alone: the first commit is a base;
+  // later ones are deltas unless the deltas since the last base plus this
+  // one would exceed a base's bytes.
+  const size_t dim = engine.dim();
+  const auto row_bytes = [dim](int c) {
+    return ckpt::varint_size(static_cast<uint64_t>(c)) + 8 +
+           ckpt::varint_size(dim) + 4 * dim;
+  };
+  const auto record_bytes = [&](const std::set<int>& ids, bool base) {
+    uint64_t b = (base ? 17 : 25) + 4 + ckpt::varint_size(dim) +
+                 ckpt::varint_size(ids.size());
+    for (const int c : ids) b += row_bytes(c);
+    return b;
+  };
+  std::set<int> live;
+  uint64_t delta_sum = 0;
+  int bases = 0;
+  for (size_t i = 0; i < recs.size(); ++i) {
+    const int boundary = static_cast<int>(i) + 1;
+    const std::set<int> stored(script[i].begin(), script[i].end());
+    live.insert(stored.begin(), stored.end());
+    const uint64_t delta = record_bytes(stored, false);
+    const bool base = i == 0 || delta_sum + delta > record_bytes(live, true);
+    const ParsedRecord& rec = recs[i];
+    const std::string at = "boundary " + std::to_string(boundary);
+    EXPECT_EQ(rec.boundary, static_cast<uint32_t>(boundary)) << at;
+    ASSERT_EQ(rec.kind, base ? ckpt::kJournalBase : ckpt::kJournalDelta) << at;
+    const std::set<int>& want = base ? live : stored;
+    EXPECT_EQ(rec.clients, std::vector<int>(want.begin(), want.end())) << at;
+    EXPECT_EQ(rec.bytes, record_bytes(want, base)) << at;
+    if (!base) {
+      EXPECT_EQ(rec.parent, recs[i - 1].at) << at;
+    }
+    delta_sum = base ? 0 : delta_sum + delta;
+    bases += base ? 1 : 0;
+
+    // Every head loads the rows live at its boundary: the newest store of
+    // each client wins.
+    const ckpt::Snapshot snap =
+        ckpt::load_checkpoint(ckpt::checkpoint_path(dir.str(), boundary));
+    ASSERT_TRUE(snap.residuals.has_value()) << at;
+    EXPECT_EQ(snap.journal_at, rec.at) << at;
+    ASSERT_EQ(snap.residuals->rows.size(), live.size()) << at;
+    for (const int c : live) {
+      int last = 0;
+      for (int r = 0; r < boundary; ++r) {
+        for (const int s : script[static_cast<size_t>(r)]) {
+          if (s == c) last = r;
+        }
+      }
+      const ResidualRow& row = snap.residuals->rows.at(c);
+      EXPECT_EQ(row.nu, 1.0 + last) << at << " client " << c;
+      EXPECT_EQ(row.h->front(), static_cast<float>(last))
+          << at << " client " << c;
+    }
+  }
+  // The script must exercise both kinds more than once.
+  EXPECT_GE(bases, 3);
+  EXPECT_GE(static_cast<int>(recs.size()) - bases, 3);
+}
+
+TEST(CkptJournal, HostileJournalsFailWithOneLine) {
+  ScratchDir dir("ckpt_test_journal_hostile");
+  ErrorFeedback ef(ErrorFeedback::Mode::kRaw, 4);
+  const float h1[4] = {1.0f, 2.0f, 3.0f, 4.0f};
+  const float h2[4] = {-1.0f, -2.0f, -3.0f, -4.0f};
+  ef.store(1, 1.0, h1);
+  ef.store(5, 1.0, h1);
+  const ckpt::JournalRecord base = ckpt::append_residuals(
+      dir.str(), true, 1, ckpt::kNoJournal, ef.rows(), 0);
+  const uint64_t stamp = ef.stamp();
+  ef.store(5, 1.0, h2);
+  ef.store(7, 1.0, h2);
+  const ckpt::JournalRecord delta =
+      ckpt::append_residuals(dir.str(), false, 2, base.at, ef.rows(), stamp);
+  ASSERT_EQ(delta.at, base.bytes);
+
+  const ResidualRows rows = ckpt::load_residuals(dir.str(), delta.at,
+                                                 delta.crc, 2);
+  ASSERT_EQ(rows.rows.size(), 3u);
+  EXPECT_EQ(rows.rows.at(5).h->front(), -1.0f);  // the newest row wins
+  EXPECT_EQ(rows.rows.at(1).h->front(), 1.0f);
+
+  const std::string journal = ckpt::journal_path(dir.str());
+  const std::vector<uint8_t> good = slurp(journal);
+  const size_t d = static_cast<size_t>(delta.at);
+  const size_t delta_end = d + static_cast<size_t>(delta.bytes);
+  // Recomputes a record's trailing CRC after a deliberate edit.
+  const auto reseal = [](std::vector<uint8_t>& b, size_t at, size_t end) {
+    const uint32_t crc = ckpt::crc32(b.data() + at, end - 4 - at);
+    for (size_t i = 0; i < 4; ++i) {
+      b[end - 4 + i] = static_cast<uint8_t>(crc >> (8 * i));
+    }
+  };
+  struct Case {
+    const char* label;
+    std::vector<uint8_t> bytes;
+    uint32_t crc;
+    int boundary;
+    const char* expect;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"truncated record",
+                   std::vector<uint8_t>(good.begin(), good.end() - 3),
+                   delta.crc, 2, "truncated"});
+  {
+    std::vector<uint8_t> b = good;
+    b[delta_end - 9] ^= 0x10;  // inside the last row's floats
+    cases.push_back({"flipped payload byte", b, delta.crc, 2, "CRC mismatch"});
+  }
+  {
+    std::vector<uint8_t> b = good;
+    b[delta_end - 1] ^= 0x01;
+    cases.push_back({"flipped CRC byte", b, delta.crc, 2, "CRC mismatch"});
+  }
+  {
+    std::vector<uint8_t> b = good;
+    b[d + 4] = 7;  // kind
+    reseal(b, d, delta_end);
+    cases.push_back({"bad kind", b, 0, 2, "unknown kind"});
+  }
+  {
+    std::vector<uint8_t> b = good;
+    for (size_t i = 0; i < 8; ++i) {
+      b[d + 9 + i] = static_cast<uint8_t>(delta.at >> (8 * i));  // parent
+    }
+    reseal(b, d, delta_end);
+    cases.push_back({"self parent", b, 0, 2, "does not point backward"});
+  }
+  {
+    std::vector<uint8_t> b = good;
+    b[5] = 2;  // the base claims boundary 2, the delta's own
+    reseal(b, 0, static_cast<size_t>(base.bytes));
+    cases.push_back({"base not before delta", b, delta.crc, 2,
+                     "does not precede"});
+  }
+  cases.push_back({"chain ends elsewhere", good, delta.crc, 3, "not the head's"});
+  cases.push_back({"head CRC mismatch", good, delta.crc ^ 1u, 2,
+                   "does not match the head"});
+
+  for (Case& c : cases) {
+    spit(journal, c.bytes);
+    // A re-sealed delta carries a new CRC; the head must name it.
+    const uint32_t crc =
+        c.crc != 0 ? c.crc : ckpt::Reader(&c.bytes[delta_end - 4], 4).u32();
+    try {
+      ckpt::load_residuals(dir.str(), delta.at, crc, c.boundary);
+      ADD_FAILURE() << c.label << " was accepted";
+    } catch (const ckpt::CkptError& e) {
+      const std::string what = e.what();
+      EXPECT_EQ(what.find('\n'), std::string::npos) << c.label;
+      EXPECT_NE(what.find(c.expect), std::string::npos)
+          << c.label << ": " << what;
+    }
+  }
+  fs::remove(journal);
+  try {
+    ckpt::load_residuals(dir.str(), delta.at, delta.crc, 2);
+    ADD_FAILURE() << "a missing journal was accepted";
+  } catch (const ckpt::CkptError& e) {
+    EXPECT_NE(std::string(e.what()).find("cannot be read"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(CkptJournal, ResumingAnOlderHeadForksALineageAndKeepsEveryHeadLoadable) {
+  // Resume from boundary 2 into the same directory, saving again: the
+  // resumed hook starts with a base, appends after the first lineage's
+  // records, and every head of both lineages stays loadable and resumes
+  // to the uninterrupted run.
+  ScratchDir dir("ckpt_test_journal_fork");
+  MatrixConfig c;
+  ckpt::CkptOptions opts;
+  opts.every = 1;
+  opts.dir = dir.str();
+
+  SimEngine ref_engine = make_matrix_engine(c);
+  auto ref_strategy = make_matrix_strategy("gluefl");
+  ckpt::CheckpointHook first(opts, {}, "gluefl", *ref_strategy);
+  const RunResult ref = ref_engine.run(*ref_strategy, &first);
+  const std::string old4 = (dir.path / "old-4.gfc").string();
+  fs::rename(ckpt::checkpoint_path(dir.str(), 4), old4);
+  const uint64_t first_lineage = fs::file_size(ckpt::journal_path(dir.str()));
+
+  {
+    const ckpt::Snapshot snap =
+        ckpt::load_checkpoint(ckpt::checkpoint_path(dir.str(), 2));
+    SimEngine engine = make_matrix_engine(c);
+    auto strategy = make_matrix_strategy("gluefl");
+    ckpt::CheckpointHook second(opts, {}, "gluefl", *strategy);
+    ckpt::restore_sync_run(snap, engine, *strategy);
+    engine.run_from(*strategy, snap.next_round, ckpt::history_result(snap),
+                    &second);
+    EXPECT_EQ(second.saves(), kRounds - 1 - 2);
+  }
+  const std::vector<ParsedRecord> recs =
+      parse_journal(slurp(ckpt::journal_path(dir.str())));
+  const auto fork = std::find_if(recs.begin(), recs.end(),
+                                 [&](const ParsedRecord& r) {
+                                   return r.at == first_lineage;
+                                 });
+  ASSERT_NE(fork, recs.end());
+  EXPECT_EQ(fork->kind, ckpt::kJournalBase);
+  EXPECT_EQ(fork->boundary, 3u);
+
+  for (const std::string& path :
+       {old4, ckpt::checkpoint_path(dir.str(), 1),
+        ckpt::checkpoint_path(dir.str(), 4)}) {
+    const ckpt::Snapshot snap = ckpt::load_checkpoint(path);
+    SimEngine engine = make_matrix_engine(c);
+    auto strategy = make_matrix_strategy("gluefl");
+    ckpt::restore_sync_run(snap, engine, *strategy);
+    const RunResult res = engine.run_from(*strategy, snap.next_round,
+                                          ckpt::history_result(snap));
+    expect_identical_runs(ref, res, path);
+    EXPECT_EQ(ref_engine.params(), engine.params()) << path;
+  }
 }
 
 }  // namespace

@@ -587,6 +587,33 @@ TEST(CliCkpt, ResumeTruncatedAndCorruptAndWrongVersionRejected) {
     EXPECT_EQ(r.code, 1) << c.path;
     EXPECT_NE(r.err.find(c.expect), std::string::npos) << r.err;
   }
+  // A directory is not a checkpoint: one line, exit 1, no bad_alloc.
+  const CliResult r = invoke({"resume", dir.str().c_str()});
+  EXPECT_EQ(r.code, 1) << r.err;
+  EXPECT_NE(r.err.find("not a regular file"), std::string::npos) << r.err;
+  EXPECT_EQ(r.err.find('\n'), r.err.size() - 1) << r.err;
+}
+
+TEST(CliCkpt, CorruptResidualJournalIsACleanError) {
+  // GlueFL's residual rows live in the directory's journal: a flipped
+  // byte there fails the resume as one CkptError line, exit 1.
+  ScratchDir dir("cli_ckpt_journal");
+  const CliResult w =
+      invoke({"run", "--strategy", "gluefl", "--rounds", "4", "--scale",
+              "0.02", "--checkpoint-every", "1", "--checkpoint-dir",
+              dir.str().c_str()});
+  ASSERT_EQ(w.code, 0) << w.err;
+  const fs::path journal = dir.path / "residuals.gfj";
+  ASSERT_TRUE(fs::exists(journal));
+  std::fstream f(journal, std::ios::in | std::ios::out | std::ios::binary);
+  f.seekp(static_cast<std::streamoff>(fs::file_size(journal) - 9));
+  f.put('\x5a');
+  f.close();
+  const std::string ckpt = (dir.path / "ckpt-00000003.gfc").string();
+  const CliResult r = invoke({"resume", ckpt.c_str()});
+  EXPECT_EQ(r.code, 1) << r.err;
+  EXPECT_NE(r.err.find("CRC mismatch"), std::string::npos) << r.err;
+  EXPECT_EQ(r.err.find('\n'), r.err.size() - 1) << r.err;
 }
 
 TEST(CliCkpt, CrashThenResumeReproducesUninterruptedJsonByteExactly) {

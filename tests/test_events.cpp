@@ -330,6 +330,12 @@ TEST(EventsReader, MissingFileAndEmptyLogBehaveSanely) {
   const CliResult empty = invoke({"report", empty_path});
   EXPECT_EQ(empty.code, 0) << empty.err;
   EXPECT_NE(empty.out.find("rounds: 0"), std::string::npos) << empty.out;
+  // A directory is neither: one line, exit 1, not an empty report.
+  const CliResult is_dir = invoke({"report", dir.path.string()});
+  EXPECT_EQ(is_dir.code, 1) << is_dir.out;
+  EXPECT_NE(is_dir.err.find("not a regular file"), std::string::npos)
+      << is_dir.err;
+  EXPECT_EQ(is_dir.err.find('\n'), is_dir.err.size() - 1) << is_dir.err;
 }
 
 // ----------------------------------------------------------- gluefl report
