@@ -8,19 +8,73 @@
 
 namespace gluefl {
 
+namespace {
+// Client i's stream is rng.fork(kClientStreamBase + i).
+constexpr uint64_t kClientStreamBase = 0x10000;
+
+// A client's sample count: the clipped log-normal first draw of its stream.
+int draw_size(const SyntheticSpec& spec, Rng& cr) {
+  const double raw = cr.lognormal(spec.size_mu_log, spec.size_sigma_log);
+  return std::clamp(static_cast<int>(std::lround(raw)), spec.min_samples,
+                    spec.max_samples);
+}
+
+// One sample of class `label`: its prototype plus scaled Gaussian noise.
+void draw_sample(const FederatedDataset& ds, Rng& r, int label, float* out) {
+  const int dim = ds.spec.feature_dim;
+  const float* pc = ds.protos.data() + static_cast<size_t>(label) * dim;
+  for (int j = 0; j < dim; ++j) {
+    out[j] = pc[j] + static_cast<float>(r.normal(0.0, ds.spec.noise_sd)) *
+                         ds.fscale[static_cast<size_t>(j)];
+  }
+}
+}  // namespace
+
+ClientShard FederatedDataset::derive_shard(int i) const {
+  GLUEFL_CHECK(i >= 0 && i < num_clients());
+  Rng cr = rng.fork(kClientStreamBase + static_cast<uint64_t>(i));
+  ClientShard shard;
+  shard.n = draw_size(spec, cr);
+  const std::vector<double> class_dist = cr.dirichlet(std::vector<double>(
+      static_cast<size_t>(spec.num_classes), spec.dirichlet_alpha));
+  // Cumulative distribution for multinomial draws.
+  std::vector<double> cum(class_dist.size());
+  double acc = 0.0;
+  for (size_t c = 0; c < class_dist.size(); ++c) {
+    acc += class_dist[c];
+    cum[c] = acc;
+  }
+  shard.x.resize(static_cast<size_t>(shard.n) * spec.feature_dim);
+  shard.y.resize(static_cast<size_t>(shard.n));
+  for (int s = 0; s < shard.n; ++s) {
+    const double u = cr.uniform() * acc;
+    int label = static_cast<int>(
+        std::lower_bound(cum.begin(), cum.end(), u) - cum.begin());
+    label = std::min(label, spec.num_classes - 1);
+    draw_sample(*this, cr, label,
+                shard.x.data() + static_cast<size_t>(s) * spec.feature_dim);
+    if (spec.label_noise > 0.0 && cr.bernoulli(spec.label_noise)) {
+      label = cr.uniform_int(0, spec.num_classes - 1);
+    }
+    shard.y[static_cast<size_t>(s)] = label;
+  }
+  return shard;
+}
+
 FederatedDataset make_synthetic_dataset(const SyntheticSpec& spec) {
   GLUEFL_CHECK(spec.num_clients > 0);
   GLUEFL_CHECK(spec.num_classes > 1);
   GLUEFL_CHECK(spec.feature_dim > 0);
   GLUEFL_CHECK(spec.min_samples >= 1 && spec.max_samples >= spec.min_samples);
 
-  Rng rng(spec.seed);
   FederatedDataset ds;
   ds.spec = spec;
+  ds.rng = Rng(spec.seed);
 
   // Per-feature magnitude scales (heavy-tailed when feature_decay > 0).
   GLUEFL_CHECK(spec.feature_decay >= 0.0);
-  std::vector<float> fscale(static_cast<size_t>(spec.feature_dim), 1.0f);
+  std::vector<float>& fscale = ds.fscale;
+  fscale.assign(static_cast<size_t>(spec.feature_dim), 1.0f);
   if (spec.feature_decay > 0.0) {
     double sum = 0.0;
     for (int j = 0; j < spec.feature_dim; ++j) {
@@ -38,15 +92,15 @@ FederatedDataset make_synthetic_dataset(const SyntheticSpec& spec) {
   // With proto_sparsity < 1 each class's mass sits on a random feature
   // subset, so informative coordinates persist across training.
   GLUEFL_CHECK(spec.proto_sparsity > 0.0 && spec.proto_sparsity <= 1.0);
-  std::vector<float> protos(
-      static_cast<size_t>(spec.num_classes) * spec.feature_dim);
+  ds.protos.assign(static_cast<size_t>(spec.num_classes) * spec.feature_dim,
+                   0.0f);
   {
-    Rng proto_rng = rng.fork(0xC1A55);
+    Rng proto_rng = ds.rng.fork(0xC1A55);
     const int support = std::max(
         2, static_cast<int>(std::lround(spec.proto_sparsity *
                                         spec.feature_dim)));
     for (int c = 0; c < spec.num_classes; ++c) {
-      float* pc = protos.data() + static_cast<size_t>(c) * spec.feature_dim;
+      float* pc = ds.protos.data() + static_cast<size_t>(c) * spec.feature_dim;
       // Half of every class's support sits on the globally strongest
       // features (shared, discriminative, persistently high-gradient);
       // the rest is class-specific detail on random weaker features.
@@ -72,65 +126,30 @@ FederatedDataset make_synthetic_dataset(const SyntheticSpec& spec) {
     }
   }
 
-  auto draw_sample = [&](Rng& r, int label, float* out) {
-    const float* pc = protos.data() + static_cast<size_t>(label) * spec.feature_dim;
-    for (int j = 0; j < spec.feature_dim; ++j) {
-      out[j] = pc[j] + static_cast<float>(r.normal(0.0, spec.noise_sd)) *
-                           fscale[static_cast<size_t>(j)];
-    }
-  };
-
-  // Per-client shards.
-  ds.clients.resize(static_cast<size_t>(spec.num_clients));
-  const std::vector<double> alpha(
-      static_cast<size_t>(spec.num_classes), spec.dirichlet_alpha);
+  // Per-client sample counts; the shards themselves are derived on use.
+  ds.sizes.resize(static_cast<size_t>(spec.num_clients));
   for (int i = 0; i < spec.num_clients; ++i) {
-    Rng cr = rng.fork(0x10000 + static_cast<uint64_t>(i));
-    ClientShard& shard = ds.clients[static_cast<size_t>(i)];
-    const double raw = cr.lognormal(spec.size_mu_log, spec.size_sigma_log);
-    shard.n = std::clamp(static_cast<int>(std::lround(raw)), spec.min_samples,
-                         spec.max_samples);
-    const std::vector<double> class_dist = cr.dirichlet(alpha);
-    // Cumulative distribution for multinomial draws.
-    std::vector<double> cum(class_dist.size());
-    double acc = 0.0;
-    for (size_t c = 0; c < class_dist.size(); ++c) {
-      acc += class_dist[c];
-      cum[c] = acc;
-    }
-    shard.x.resize(static_cast<size_t>(shard.n) * spec.feature_dim);
-    shard.y.resize(static_cast<size_t>(shard.n));
-    for (int s = 0; s < shard.n; ++s) {
-      const double u = cr.uniform() * acc;
-      int label = static_cast<int>(
-          std::lower_bound(cum.begin(), cum.end(), u) - cum.begin());
-      label = std::min(label, spec.num_classes - 1);
-      draw_sample(cr, label,
-                  shard.x.data() + static_cast<size_t>(s) * spec.feature_dim);
-      if (spec.label_noise > 0.0 && cr.bernoulli(spec.label_noise)) {
-        label = cr.uniform_int(0, spec.num_classes - 1);
-      }
-      shard.y[static_cast<size_t>(s)] = label;
-    }
-    ds.total_samples += static_cast<size_t>(shard.n);
+    Rng cr = ds.rng.fork(kClientStreamBase + static_cast<uint64_t>(i));
+    ds.sizes[static_cast<size_t>(i)] = draw_size(spec, cr);
+    ds.total_samples += static_cast<size_t>(ds.sizes[static_cast<size_t>(i)]);
   }
 
   // Importance weights p_i = n_i / total.
   ds.p.resize(static_cast<size_t>(spec.num_clients));
   for (int i = 0; i < spec.num_clients; ++i) {
     ds.p[static_cast<size_t>(i)] =
-        static_cast<double>(ds.clients[static_cast<size_t>(i)].n) /
+        static_cast<double>(ds.sizes[static_cast<size_t>(i)]) /
         static_cast<double>(ds.total_samples);
   }
 
   // Class-balanced IID test set (clean labels).
   {
-    Rng tr = rng.fork(0x7E57);
+    Rng tr = ds.rng.fork(0x7E57);
     ds.test_x.resize(static_cast<size_t>(spec.test_samples) * spec.feature_dim);
     ds.test_y.resize(static_cast<size_t>(spec.test_samples));
     for (int s = 0; s < spec.test_samples; ++s) {
       const int label = s % spec.num_classes;
-      draw_sample(tr, label,
+      draw_sample(ds, tr, label,
                   ds.test_x.data() + static_cast<size_t>(s) * spec.feature_dim);
       ds.test_y[static_cast<size_t>(s)] = label;
     }

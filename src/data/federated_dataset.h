@@ -1,11 +1,15 @@
-// Federated dataset container: per-client shards plus a centralized test
-// set, with FedAvg importance weights p_i = n_i / sum_j n_j.
+// Federated dataset: per-client sample counts, a centralized test set and
+// FedAvg importance weights p_i = n_i / sum_j n_j. Client shards are not
+// stored: each is a pure function of (seed, client id), derived on demand
+// (DESIGN.md §2) and cached by the engine (data/shard_cache.h).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "common/rng.h"
 
 namespace gluefl {
 
@@ -54,19 +58,32 @@ struct SyntheticSpec {
 
 struct FederatedDataset {
   SyntheticSpec spec;
-  std::vector<ClientShard> clients;
+  /// Per-client sample counts n_i: the first draw of each client's stream.
+  std::vector<int> sizes;
   std::vector<float> test_x;
   std::vector<int> test_y;
   /// FedAvg client importance weights, p_i = n_i / total (sums to 1).
   std::vector<double> p;
   size_t total_samples = 0;
+  /// What derive_shard reads: the class prototypes (row-major
+  /// [num_classes, feature_dim]), the per-feature scales and the root
+  /// stream every per-client stream forks from.
+  std::vector<float> protos;
+  std::vector<float> fscale;
+  Rng rng{0};
 
-  int num_clients() const { return static_cast<int>(clients.size()); }
+  int num_clients() const { return static_cast<int>(sizes.size()); }
+
+  /// Client i's shard, replayed from its own stream rng.fork(0x10000 + i):
+  /// the size, the Dirichlet label mix, then per sample the label, the
+  /// features and the label-noise flip. The same bytes on every call.
+  ClientShard derive_shard(int i) const;
 };
 
-/// Generates the synthetic task: Gaussian class prototypes, Dirichlet
-/// non-IID label distribution per client, log-normal client sizes, and a
-/// class-balanced IID test set. Deterministic in spec.seed.
+/// Generates the synthetic task: Gaussian class prototypes, log-normal
+/// client sizes, and a class-balanced IID test set; each client's shard
+/// (Dirichlet non-IID labels) comes later from derive_shard. Deterministic
+/// in spec.seed.
 FederatedDataset make_synthetic_dataset(const SyntheticSpec& spec);
 
 }  // namespace gluefl

@@ -147,11 +147,25 @@ size_t SimEngine::memory_estimate_bytes() const {
   // grads). Counted thread-invariantly: the estimate rides the JSON
   // report, whose bytes must not depend on --threads (results never do).
   size_t bytes = 2 * 3 * (dim_ + stat_dim_) * f;
-  // Dataset shards and the test split.
+  // Sync tracker occupancy is bounded by the clients ever invited.
+  const double invited_per_round =
+      std::ceil(run_cfg_.overcommit *
+                static_cast<double>(run_cfg_.clients_per_round));
+  const int64_t participants = std::min(
+      population_, static_cast<int64_t>(invited_per_round) *
+                       static_cast<int64_t>(run_cfg_.rounds));
+  bytes += static_cast<size_t>(participants) * 48;
+  // The test split, plus the shards resident at once at the mean shard
+  // size: no more than the cache holds, the dataset has, or the clients
+  // ever invited touch.
   bytes += (dataset_.test_x.size() + dataset_.test_y.size()) * f;
-  for (const ClientShard& c : dataset_.clients) {
-    bytes += c.x.size() * f + c.y.size() * sizeof(int);
-  }
+  const size_t num_shards = static_cast<size_t>(dataset_.num_clients());
+  const size_t resident =
+      std::min({ShardCache::kDefaultCapacity, num_shards,
+                static_cast<size_t>(participants)});
+  const size_t sample_bytes =
+      static_cast<size_t>(dataset_.spec.feature_dim) * f + sizeof(int);
+  bytes += dataset_.total_samples * sample_bytes * resident / num_shards;
   // Per-client directory state: dense materializes the population,
   // virtual keeps only the LRU-cached cohort.
   if (run_cfg_.population_mode == PopulationMode::kDense) {
@@ -163,14 +177,6 @@ size_t SimEngine::memory_estimate_bytes() const {
   } else {
     bytes += ClientDirectory::kDefaultCacheCapacity * 192;
   }
-  // Sync tracker occupancy is bounded by the clients ever invited.
-  const double invited_per_round =
-      std::ceil(run_cfg_.overcommit *
-                static_cast<double>(run_cfg_.clients_per_round));
-  const int64_t participants = std::min(
-      population_, static_cast<int64_t>(invited_per_round) *
-                       static_cast<int64_t>(run_cfg_.rounds));
-  bytes += static_cast<size_t>(participants) * 48;
   return bytes;
 }
 
@@ -515,12 +521,8 @@ std::function<size_t(int)> SimEngine::down_bytes_fn(int round,
   };
 }
 
-void SimEngine::train_one(Worker& w, int client, double lr, Rng rng,
-                          LocalResult& out) {
-  // Virtual ids beyond the dataset's client count reuse shards modulo the
-  // shard count; at the default population this is the identity map.
-  const ClientShard& shard =
-      dataset_.clients[static_cast<size_t>(client % dataset_.num_clients())];
+void SimEngine::train_one(Worker& w, const ClientShard& shard, double lr,
+                          Rng rng, LocalResult& out) {
   GLUEFL_CHECK(shard.n > 0);
   const int feat = dataset_.spec.feature_dim;
   const int bs = std::min(train_cfg_.batch_size, shard.n);
@@ -567,24 +569,37 @@ void SimEngine::train_one(Worker& w, int client, double lr, Rng rng,
 std::vector<LocalResult> SimEngine::train_batch(
     const std::vector<int>& clients, double lr,
     const std::function<Rng(size_t)>& rng_at) {
+  // Resolve every shard on the coordinator before any worker starts, so
+  // the cache never sees a thread and the batch's shared_ptrs keep each
+  // shard alive even if a later lookup in this batch evicts it. Virtual
+  // ids beyond the dataset's client count reuse shards modulo the shard
+  // count; at the default population this is the identity map.
+  std::vector<std::shared_ptr<const ClientShard>> shards;
+  {
+    telemetry::Span span("data.derive");
+    shards.reserve(clients.size());
+    for (const int c : clients) {
+      shards.push_back(shards_.get(dataset_, c % dataset_.num_clients()));
+    }
+  }
   telemetry::Span span("local_train");  // whole cohort, worker pool inside
   std::vector<LocalResult> results(clients.size());
   const int nthreads =
       std::min<int>(num_threads_, static_cast<int>(clients.size()));
   if (nthreads <= 1) {
     for (size_t i = 0; i < clients.size(); ++i) {
-      train_one(*workers_[0], clients[i], lr, rng_at(i), results[i]);
+      train_one(*workers_[0], *shards[i], lr, rng_at(i), results[i]);
     }
     return results;
   }
   std::vector<std::thread> threads;
   threads.reserve(static_cast<size_t>(nthreads));
   for (int t = 0; t < nthreads; ++t) {
-    threads.emplace_back([this, t, nthreads, lr, &rng_at, &clients,
+    threads.emplace_back([this, t, nthreads, lr, &rng_at, &shards,
                           &results]() {
-      for (size_t i = static_cast<size_t>(t); i < clients.size();
+      for (size_t i = static_cast<size_t>(t); i < shards.size();
            i += static_cast<size_t>(nthreads)) {
-        train_one(*workers_[static_cast<size_t>(t)], clients[i], lr,
+        train_one(*workers_[static_cast<size_t>(t)], *shards[i], lr,
                   rng_at(i), results[i]);
       }
     });

@@ -1,9 +1,10 @@
 // SimEngine: the cross-device FL simulator.
 //
 // Owns the global model state (flat trainable params + BatchNorm stats),
-// the federated dataset, the client directory (per-client profiles and
-// availability, dense or virtual) and the staleness tracker. Strategies
-// drive each round through the context API below; the engine provides
+// the federated dataset and its cache of derived client shards, the client
+// directory (per-client profiles and availability, dense or virtual) and
+// the staleness tracker. Strategies drive each round through the context
+// API below; the engine provides
 //
 //   * deterministic, parallel client-local SGD (real training on the
 //     proxy model — accuracy curves are genuine, not modelled),
@@ -24,6 +25,7 @@
 #include "agg/topology.h"
 #include "common/rng.h"
 #include "data/federated_dataset.h"
+#include "data/shard_cache.h"
 #include "fl/metrics.h"
 #include "fl/run_hook.h"
 #include "fl/sim_config.h"
@@ -114,9 +116,10 @@ class SimEngine {
   double client_weight(int client) const;
 
   /// Deterministic, config-derived estimate of the engine's peak resident
-  /// bytes (model replicas, dataset, per-client directory state, sync
-  /// tracker). Identical for a run and its resume by construction, so it
-  /// can ride the JSON report without breaking byte-identity.
+  /// bytes (model replicas, test set, cached shards, per-client directory
+  /// state, sync tracker). Identical for a run and its resume by
+  /// construction, so it can ride the JSON report without breaking
+  /// byte-identity.
   size_t memory_estimate_bytes() const;
 
   SyncTracker& sync() { return *sync_; }
@@ -222,12 +225,14 @@ class SimEngine {
 
   RunResult run_rounds(Strategy& strategy, int first_round, RunResult result,
                        RoundHook* hook);
-  void train_one(Worker& w, int client, double lr, Rng rng, LocalResult& out);
+  void train_one(Worker& w, const ClientShard& shard, double lr, Rng rng,
+                 LocalResult& out);
   std::vector<LocalResult> train_batch(
       const std::vector<int>& clients, double lr,
       const std::function<Rng(size_t)>& rng_at);
 
   FederatedDataset dataset_;
+  ShardCache shards_;  // coordinator-only, like the directory
   ModelProxy proxy_;
   NetworkEnv env_;
   TrainConfig train_cfg_;

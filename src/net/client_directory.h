@@ -20,12 +20,10 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <memory>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
+#include "common/lru_cache.h"
 #include "common/rng.h"
 #include "net/availability.h"
 #include "net/client_profile.h"
@@ -33,56 +31,6 @@
 #include "scenario/scenario.h"
 
 namespace gluefl {
-namespace detail {
-
-/// Minimal LRU map keyed by client id; capacity-bounded, O(1) hit/insert.
-template <typename V>
-class LruCache {
- public:
-  explicit LruCache(size_t capacity) : capacity_(capacity) {}
-
-  /// Returns the cached value (touching it) or nullptr. The pointer stays
-  /// valid until the next insert.
-  V* find(int64_t key) {
-    auto it = map_.find(key);
-    if (it == map_.end()) return nullptr;
-    order_.splice(order_.begin(), order_, it->second.pos);
-    return &it->second.value;
-  }
-
-  V& insert(int64_t key, V value) {
-    if (map_.size() >= capacity_ && capacity_ > 0) {
-      map_.erase(order_.back());
-      order_.pop_back();
-    }
-    order_.push_front(key);
-    auto [it, fresh] = map_.emplace(key, Entry{std::move(value), order_.begin()});
-    if (!fresh) {
-      order_.erase(it->second.pos);
-      order_.pop_front();
-      order_.push_front(key);
-      it->second = Entry{std::move(value), order_.begin()};
-    }
-    return it->second.value;
-  }
-
-  size_t size() const { return map_.size(); }
-
-  /// True when the next insert of an ABSENT key will evict the LRU entry
-  /// (telemetry counts evictions through this before inserting).
-  bool at_capacity() const { return capacity_ > 0 && map_.size() >= capacity_; }
-
- private:
-  struct Entry {
-    V value;
-    std::list<int64_t>::iterator pos;
-  };
-  size_t capacity_;
-  std::list<int64_t> order_;
-  std::unordered_map<int64_t, Entry> map_;
-};
-
-}  // namespace detail
 
 class ClientDirectory {
  public:
@@ -164,8 +112,8 @@ class ClientDirectory {
   std::unique_ptr<AvailabilityTrace> trace_;
 
   // Lazy mode.
-  mutable detail::LruCache<ClientProfile> profile_cache_;
-  mutable detail::LruCache<Chain> chain_cache_;
+  mutable LruCache<ClientProfile> profile_cache_;
+  mutable LruCache<Chain> chain_cache_;
 };
 
 }  // namespace gluefl

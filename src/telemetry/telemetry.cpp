@@ -64,6 +64,12 @@ constexpr MetricDef kDefs[] = {
      "ClientDirectory availability-chain LRU cache misses"},
     {"dir.chain.evictions", MetricKind::kCounter, MetricClass::kProcess,
      "ClientDirectory availability-chain LRU evictions"},
+    {"data.shard.hits", MetricKind::kCounter, MetricClass::kProcess,
+     "ShardCache hits (client shard already derived)"},
+    {"data.shard.misses", MetricKind::kCounter, MetricClass::kProcess,
+     "ShardCache misses (client shard derived from its stream)"},
+    {"data.shard.evictions", MetricKind::kCounter, MetricClass::kProcess,
+     "ShardCache LRU evictions (re-derivation only)"},
     {"ckpt.saves", MetricKind::kCounter, MetricClass::kProcess,
      "checkpoints written this process"},
     {"ckpt.loads", MetricKind::kCounter, MetricClass::kProcess,

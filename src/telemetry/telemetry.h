@@ -71,6 +71,9 @@ enum MetricId : int {
   kDirChainHits,
   kDirChainMisses,
   kDirChainEvictions,
+  kDataShardHits,
+  kDataShardMisses,
+  kDataShardEvictions,
   kCkptSaves,
   kCkptLoads,
   kCkptWrittenBytes,

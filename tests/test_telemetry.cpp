@@ -1,5 +1,6 @@
 // Telemetry subsystem (DESIGN.md §10): registry sanity, the null-sink
-// disabled path, LRU counters + re-derivation-only eviction, checkpoint
+// disabled path, LRU and shard-cache counters + re-derivation-only
+// eviction, checkpoint
 // round-trip of the sim-class counters, the Chrome trace schema, the
 // tracing-on/off byte-identity contract over the real CLI, eager output
 // path validation, `gluefl profile`, and `gluefl list --metrics`.
@@ -18,6 +19,7 @@
 #include "common/rng.h"
 #include "net/client_directory.h"
 #include "net/environment.h"
+#include "telemetry/events.h"
 #include "telemetry/telemetry.h"
 
 namespace gluefl {
@@ -193,6 +195,37 @@ TEST(TelemetryDirectory, ChainCountersSplitHitsMissesEvictions) {
   // Forward queries on a cached chain are hits.
   (void)dir.available(63, 7);
   EXPECT_GT(telemetry::value(telemetry::kDirChainHits), 0u);
+}
+
+// ------------------------------------------------------ ShardCache counters
+
+TEST(TelemetryShards, MissesCountDistinctShardsAndLookupsCountUpdates) {
+  ScratchDir dir("telemetry_shards");
+  const std::string jsonl = (dir.path / "metrics.jsonl").string();
+  const std::string log = (dir.path / "events.bin").string();
+  const CliResult r = invoke({"run", "--strategy", "fedavg", "--rounds", "3",
+                              "--scale", "0.02", "--metrics", jsonl,
+                              "--events", log});
+  ASSERT_EQ(r.code, 0) << r.err;
+  // Without a scenario every recorded participation trained one update,
+  // and at the default population a client id is its shard id.
+  std::set<int64_t> distinct;
+  size_t updates = 0;
+  for (const events::ClientEvent& e : events::read_log(log).clients) {
+    ASSERT_EQ(e.fate, events::Fate::kCompleted);
+    distinct.insert(e.client);
+    ++updates;
+  }
+  std::ifstream f(jsonl);
+  std::string line, last;
+  while (std::getline(f, line)) last = line;
+  const json::Value counters = json::parse(last).at("counters");
+  const double hits = counters.at("data.shard.hits").number;
+  const double misses = counters.at("data.shard.misses").number;
+  EXPECT_EQ(misses, static_cast<double>(distinct.size()));
+  EXPECT_EQ(hits + misses, static_cast<double>(updates));
+  EXPECT_GT(hits, 0.0);  // re-invited clients find their shard cached
+  EXPECT_EQ(counters.at("data.shard.evictions").number, 0.0);
 }
 
 // ------------------------------------------------------ checkpoint format v3
