@@ -1,8 +1,10 @@
 // Micro-benchmarks (google-benchmark) for the hot kernels of the
-// simulator: top-k selection, bitmask algebra, sparse scatter, GEMM, and
-// the SyncTracker union that dominates staleness accounting.
+// simulator: top-k selection, bitmask algebra, sparse scatter, the
+// training GEMMs per tier, and the SyncTracker union that dominates
+// staleness accounting.
 #include <benchmark/benchmark.h>
 
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -69,20 +71,51 @@ void BM_ScatterAdd(benchmark::State& state) {
 }
 BENCHMARK(BM_ScatterAdd)->Arg(33000)->Arg(1 << 20);
 
-void BM_GemmForward(benchmark::State& state) {
-  // The shape of one ShuffleNet-proxy hidden layer on a batch of 16.
-  const int bs = 16, in = 128, out = 128;
-  const auto a = random_vec(static_cast<size_t>(bs) * in, 4);
-  const auto b = random_vec(static_cast<size_t>(in) * out, 5);
-  std::vector<float> c(static_cast<size_t>(bs) * out);
-  for (auto _ : state) {
-    gemm_nn(a.data(), b.data(), c.data(), bs, in, out);
-    benchmark::DoNotOptimize(c.data());
+// The five GEMMs of one ShuffleNet-proxy training step at OpenImage scale
+// (64 features, 128-wide hidden layers, 64 classes, batch 16), run under
+// each GEMM tier: the three forward layers, the hidden layer's dW, and its
+// dX^T = W * gout^T. FLOP/s counts 2*m*k*n per call; compare it with the
+// host's non-FMA peak (one vector multiply and one vector add per cycle
+// and port).
+void BM_TrainingGemm(benchmark::State& state) {
+  const struct {
+    const char* name;
+    bool tn;  // gemm_tn (dW) instead of gemm_nn
+    int m, k, n;
+  } shapes[] = {
+      {"fwd 16x64x128", false, 16, 64, 128},
+      {"fwd 16x128x128", false, 16, 128, 128},
+      {"fwd 16x128x64", false, 16, 128, 64},
+      {"dW 128x16x128", true, 16, 128, 128},
+      {"dXt 128x128x16", false, 128, 128, 16},
+  };
+  const auto& s = shapes[state.range(0)];
+  const auto tier = static_cast<detail::GemmTier>(state.range(1));
+  if (!detail::gemm_tier_supported(tier)) {
+    state.SkipWithError("GEMM tier not supported by this build/CPU");
+    return;
   }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 2 * bs *
-                          in * out);
+  const detail::GemmTier picked = detail::gemm_tier();
+  detail::set_gemm_tier(tier);
+  state.SetLabel(std::string(s.name) + " " + detail::gemm_tier_name(tier));
+  // gemm_tn reads A[m,k] and B[m,n] and writes C[k,n].
+  const auto a = random_vec(static_cast<size_t>(s.m) * s.k, 4);
+  const auto b = random_vec(static_cast<size_t>(s.tn ? s.m : s.k) * s.n, 5);
+  std::vector<float> c(static_cast<size_t>(s.tn ? s.k : s.m) * s.n);
+  for (auto _ : state) {
+    if (s.tn) {
+      gemm_tn(a.data(), b.data(), c.data(), s.m, s.k, s.n);
+    } else {
+      gemm_nn(a.data(), b.data(), c.data(), s.m, s.k, s.n);
+    }
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["FLOP/s"] = benchmark::Counter(
+      2.0 * s.m * s.k * s.n, benchmark::Counter::kIsIterationInvariantRate);
+  detail::set_gemm_tier(picked);
 }
-BENCHMARK(BM_GemmForward);
+BENCHMARK(BM_TrainingGemm)->ArgsProduct({{0, 1, 2, 3, 4}, {0, 1, 2}});
 
 void BM_SyncTrackerUnion(benchmark::State& state) {
   // A client stale by `range` rounds under q = 20% masking of a 33k-dim

@@ -224,24 +224,27 @@ RunResult AsyncSimEngine::run_loop(AsyncStrategy& strategy, AsyncRunState st,
   auto fill_slots = [&]() {
     if (st.free_slots <= 0 || st.version >= rc.rounds) return;
     std::vector<int> picked;
-    if (static_cast<int64_t>(n) > kDenseScanThreshold) {
-      // Virtual population: rejection-sample dispatch candidates instead
-      // of scanning the whole id space per event.
-      picked = sample_virtual(n, st.free_slots, st.pick_rng, [&](int c) {
-        return st.in_flight.count(c) == 0 &&
-               eng.client_available(c, st.version);
-      });
-    } else {
-      std::vector<int> pool;
-      for (int c = 0; c < n; ++c) {
-        if (st.in_flight.count(c) == 0 &&
-            eng.client_available(c, st.version)) {
-          pool.push_back(c);
+    {
+      telemetry::Span span("sample");
+      if (static_cast<int64_t>(n) > kDenseScanThreshold) {
+        // Virtual population: rejection-sample dispatch candidates instead
+        // of scanning the whole id space per event.
+        picked = sample_virtual(n, st.free_slots, st.pick_rng, [&](int c) {
+          return st.in_flight.count(c) == 0 &&
+                 eng.client_available(c, st.version);
+        });
+      } else {
+        std::vector<int> pool;
+        for (int c = 0; c < n; ++c) {
+          if (st.in_flight.count(c) == 0 &&
+              eng.client_available(c, st.version)) {
+            pool.push_back(c);
+          }
         }
+        const int take =
+            std::min(st.free_slots, static_cast<int>(pool.size()));
+        picked = st.pick_rng.sample_without_replacement(pool, take);
       }
-      const int take =
-          std::min(st.free_slots, static_cast<int>(pool.size()));
-      picked = st.pick_rng.sample_without_replacement(pool, take);
     }
     const int take = static_cast<int>(picked.size());
     if (take <= 0) return;

@@ -1,8 +1,6 @@
 // Parameter-free activation layers.
 #pragma once
 
-#include <vector>
-
 #include "nn/layer.h"
 
 namespace gluefl {
@@ -25,7 +23,7 @@ class ReLU final : public Layer {
 
  private:
   int dim_;
-  std::vector<float> cached_out_;
+  const float* cached_in_ = nullptr;  // input of the last training forward
   int cached_bs_ = 0;
 };
 

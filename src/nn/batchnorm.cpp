@@ -31,6 +31,10 @@ void BatchNorm1d::init_stats(float* flat_stats) const {
   count[0] = 0.0f;
 }
 
+// Every pass walks the batch row by row, so the inner loops run over
+// contiguous features. Each feature still sums its rows in ascending order
+// into its own double accumulator, and each element is the same scalar
+// expression, evaluated in the same order, as a per-feature column loop.
 void BatchNorm1d::forward(const float* flat_params, float* flat_stats,
                           const float* in, float* out, int bs, bool training) {
   const float* gamma = flat_params + params_.offset;
@@ -38,44 +42,62 @@ void BatchNorm1d::forward(const float* flat_params, float* flat_stats,
   float* run_mean = flat_stats + stats_.offset;
   float* run_var = run_mean + dim_;
   float* num_batches = run_var + dim_;
+  const size_t d = static_cast<size_t>(dim_);
 
   if (training) {
     GLUEFL_CHECK_MSG(bs >= 2, "BatchNorm training requires batch size >= 2");
-    xhat_.resize(static_cast<size_t>(bs) * dim_);
-    inv_std_.resize(static_cast<size_t>(dim_));
+    xhat_.resize(static_cast<size_t>(bs) * d);
+    inv_std_.resize(d);
     cached_bs_ = bs;
-    for (int j = 0; j < dim_; ++j) {
-      double m = 0.0;
-      for (int i = 0; i < bs; ++i) m += in[static_cast<size_t>(i) * dim_ + j];
-      m /= bs;
-      double v = 0.0;
-      for (int i = 0; i < bs; ++i) {
-        const double d = in[static_cast<size_t>(i) * dim_ + j] - m;
-        v += d * d;
+    acc_a_.assign(d, 0.0);
+    acc_b_.assign(d, 0.0);
+    double* mean = acc_a_.data();
+    double* sq = acc_b_.data();
+    float* istd = inv_std_.data();
+    for (int i = 0; i < bs; ++i) {
+      const float* xi = in + static_cast<size_t>(i) * d;
+      for (size_t j = 0; j < d; ++j) mean[j] += xi[j];
+    }
+    for (size_t j = 0; j < d; ++j) mean[j] /= bs;
+    for (int i = 0; i < bs; ++i) {
+      const float* xi = in + static_cast<size_t>(i) * d;
+      for (size_t j = 0; j < d; ++j) {
+        const double dev = xi[j] - mean[j];
+        sq[j] += dev * dev;
       }
-      const double var_biased = v / bs;
-      const double var_unbiased = bs > 1 ? v / (bs - 1) : var_biased;
-      const float istd = 1.0f / std::sqrt(static_cast<float>(var_biased) + eps_);
-      inv_std_[static_cast<size_t>(j)] = istd;
-      for (int i = 0; i < bs; ++i) {
-        const size_t idx = static_cast<size_t>(i) * dim_ + j;
-        const float xh = (in[idx] - static_cast<float>(m)) * istd;
-        xhat_[idx] = xh;
-        out[idx] = gamma[j] * xh + beta[j];
-      }
+    }
+    for (size_t j = 0; j < d; ++j) {
+      const double var_biased = sq[j] / bs;
+      const double var_unbiased = bs > 1 ? sq[j] / (bs - 1) : var_biased;
+      istd[j] = 1.0f / std::sqrt(static_cast<float>(var_biased) + eps_);
       run_mean[j] = (1.0f - momentum_) * run_mean[j] +
-                    momentum_ * static_cast<float>(m);
+                    momentum_ * static_cast<float>(mean[j]);
       run_var[j] = (1.0f - momentum_) * run_var[j] +
                    momentum_ * static_cast<float>(var_unbiased);
     }
+    for (int i = 0; i < bs; ++i) {
+      const size_t row = static_cast<size_t>(i) * d;
+      const float* __restrict xi = in + row;
+      float* __restrict xh = xhat_.data() + row;
+      float* __restrict oi = out + row;
+      for (size_t j = 0; j < d; ++j) {
+        xh[j] = (xi[j] - static_cast<float>(mean[j])) * istd[j];
+        oi[j] = gamma[j] * xh[j] + beta[j];
+      }
+    }
     num_batches[0] += 1.0f;
   } else {
-    for (int j = 0; j < dim_; ++j) {
-      const float istd = 1.0f / std::sqrt(run_var[j] + eps_);
-      const float m = run_mean[j];
-      for (int i = 0; i < bs; ++i) {
-        const size_t idx = static_cast<size_t>(i) * dim_ + j;
-        out[idx] = gamma[j] * (in[idx] - m) * istd + beta[j];
+    fac_.resize(d);
+    float* istd = fac_.data();
+    for (size_t j = 0; j < d; ++j) {
+      istd[j] = 1.0f / std::sqrt(run_var[j] + eps_);
+    }
+    for (int i = 0; i < bs; ++i) {
+      const size_t row = static_cast<size_t>(i) * d;
+      const float* __restrict xi = in + row;
+      float* __restrict oi = out + row;
+      for (size_t j = 0; j < d; ++j) {
+        oi[j] = gamma[j] * (xi[j] - run_mean[j]) * istd[j] + beta[j];
       }
     }
   }
@@ -87,27 +109,38 @@ void BatchNorm1d::backward(const float* flat_params, const float* gout,
   const float* gamma = flat_params + params_.offset;
   float* ggamma = flat_grads + params_.offset;
   float* gbeta = ggamma + dim_;
+  const size_t d = static_cast<size_t>(dim_);
 
-  for (int j = 0; j < dim_; ++j) {
-    // Reductions over the batch for feature j.
-    double sum_g = 0.0;       // sum of gout
-    double sum_gx = 0.0;      // sum of gout * xhat
-    for (int i = 0; i < bs; ++i) {
-      const size_t idx = static_cast<size_t>(i) * dim_ + j;
-      sum_g += gout[idx];
-      sum_gx += static_cast<double>(gout[idx]) * xhat_[idx];
+  acc_a_.assign(d, 0.0);
+  acc_b_.assign(d, 0.0);
+  double* sum_g = acc_a_.data();   // sum of gout
+  double* sum_gx = acc_b_.data();  // sum of gout * xhat
+  for (int i = 0; i < bs; ++i) {
+    const size_t row = static_cast<size_t>(i) * d;
+    const float* gi = gout + row;
+    const float* xh = xhat_.data() + row;
+    for (size_t j = 0; j < d; ++j) {
+      sum_g[j] += gi[j];
+      sum_gx[j] += static_cast<double>(gi[j]) * xh[j];
     }
-    ggamma[j] += static_cast<float>(sum_gx);
-    gbeta[j] += static_cast<float>(sum_g);
-    if (gin != nullptr) {
-      const float istd = inv_std_[static_cast<size_t>(j)];
-      const float c = gamma[j] * istd / static_cast<float>(bs);
-      for (int i = 0; i < bs; ++i) {
-        const size_t idx = static_cast<size_t>(i) * dim_ + j;
-        gin[idx] = c * (static_cast<float>(bs) * gout[idx] -
-                        static_cast<float>(sum_g) -
-                        xhat_[idx] * static_cast<float>(sum_gx));
-      }
+  }
+  for (size_t j = 0; j < d; ++j) {
+    ggamma[j] += static_cast<float>(sum_gx[j]);
+    gbeta[j] += static_cast<float>(sum_g[j]);
+  }
+  if (gin == nullptr) return;
+  fac_.resize(d);
+  float* c = fac_.data();
+  const float fbs = static_cast<float>(bs);
+  for (size_t j = 0; j < d; ++j) c[j] = gamma[j] * inv_std_[j] / fbs;
+  for (int i = 0; i < bs; ++i) {
+    const size_t row = static_cast<size_t>(i) * d;
+    const float* __restrict gi = gout + row;
+    const float* __restrict xh = xhat_.data() + row;
+    float* __restrict gn = gin + row;
+    for (size_t j = 0; j < d; ++j) {
+      gn[j] = c[j] * (fbs * gi[j] - static_cast<float>(sum_g[j]) -
+                      xh[j] * static_cast<float>(sum_gx[j]));
     }
   }
 }

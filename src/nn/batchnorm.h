@@ -43,6 +43,11 @@ class BatchNorm1d final : public Layer {
   std::vector<float> xhat_;     // normalized inputs [bs, dim]
   std::vector<float> inv_std_;  // 1/sqrt(var + eps) per feature
   int cached_bs_ = 0;
+  // Per-feature scratch of the row-major passes: two double accumulators
+  // that sum the rows in ascending order, and a float factor that the
+  // elementwise row pass reads.
+  std::vector<double> acc_a_, acc_b_;
+  std::vector<float> fac_;
 };
 
 }  // namespace gluefl

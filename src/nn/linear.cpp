@@ -49,12 +49,17 @@ void Linear::backward(const float* flat_params, const float* gout, float* gin,
     const float* gi = gout + static_cast<size_t>(i) * out_;
     for (int j = 0; j < out_; ++j) gb[j] += gi[j];
   }
-  // dX[bs,in] = gout[bs,out] * W^T[out,in], as gemm_nn over a transposed
-  // copy of W: each dX entry sums over out in ascending order.
+  // dX[bs,in] = gout[bs,out] * W^T[out,in], computed as its transpose
+  // dX^T[in,bs] = W[in,out] * gout^T[out,bs] so that only the two bs-row
+  // matrices are transposed, not W. W[k,j] * gout[i,j] is the same
+  // rounded product as gout[i,j] * W[k,j], and each dX entry still sums
+  // over out in ascending order.
   if (gin != nullptr) {
-    wt_.resize(static_cast<size_t>(in_) * out_);
-    transpose(w, wt_.data(), in_, out_);
-    gemm_nn(gout, wt_.data(), gin, bs, out_, in_);
+    gout_t_.resize(static_cast<size_t>(bs) * out_);
+    gin_t_.resize(static_cast<size_t>(bs) * in_);
+    transpose(gout, gout_t_.data(), bs, out_);
+    gemm_nn(w, gout_t_.data(), gin_t_.data(), in_, out_, bs);
+    transpose(gin_t_.data(), gin, in_, bs);
   }
 }
 

@@ -29,7 +29,8 @@ class Linear final : public Layer {
   int in_;
   int out_;
   const float* cached_in_ = nullptr;  // input of the last training forward
-  std::vector<float> wt_;             // W^T scratch for the input gradient
+  // gout^T and dX^T scratch for the input gradient
+  std::vector<float> gout_t_, gin_t_;
   int cached_bs_ = 0;
 };
 

@@ -8,7 +8,7 @@ namespace gluefl {
 /// Computes mean softmax cross-entropy over a batch and, when
 /// `grad_logits` is non-null, writes dL/dlogits (already divided by the
 /// batch size) into it. `logits` is [bs, classes] row-major; it is not
-/// modified.
+/// modified, and `grad_logits` must not alias it.
 float softmax_xent(const float* logits, const int* labels, int bs, int classes,
                    float* grad_logits);
 

@@ -1,93 +1,71 @@
 #include "tensor/ops.h"
 
 #include <algorithm>
-#include <cmath>
+#include <atomic>
 #include <cstring>
+#include <string>
+
+#include "common/check.h"
+#include "tensor/gemm_tiled.h"
 
 namespace gluefl {
 
 namespace {
 
-// Four floats in one vector register, via the GCC/Clang vector extension.
-// Lane-wise + and * are the scalar IEEE operations, so a tile held in
-// these registers adds exactly the products the naive loop adds.
-typedef float v4 __attribute__((vector_size(16)));
+using detail::GemmTier;
+using detail::GemmTiledFn;
 
-inline v4 load4(const float* p) {
-  v4 v;
-  std::memcpy(&v, p, sizeof v);
-  return v;
-}
-
-inline void store4(float* p, v4 v) { std::memcpy(p, &v, sizeof v); }
-
-inline v4 splat(float x) { return v4{x, x, x, x}; }
-
-constexpr int kTileRows = 4;
-constexpr int kTileCols = 8;  // two v4 per tile row
-
-// C[R, 8] (row stride ldc) += sum over t in [0, len) of A(r, t) * B[t, 0..8),
-// t ascending, where A(r, t) = a[r * a_row + t * a_red] and B has row
-// stride ldb. The 2R accumulators live in registers for the whole sum.
-template <int R>
-inline void tile(const float* a, size_t a_row, size_t a_red, const float* b,
-                 size_t ldb, float* c, size_t ldc, int len) {
-  v4 lo[R], hi[R];
-  for (int r = 0; r < R; ++r) {
-    lo[r] = load4(c + r * ldc);
-    hi[r] = load4(c + r * ldc + 4);
-  }
-  for (int t = 0; t < len; ++t, a += a_red, b += ldb) {
-    const v4 b0 = load4(b);
-    const v4 b1 = load4(b + 4);
-    for (int r = 0; r < R; ++r) {
-      const v4 av = splat(a[r * a_row]);
-      lo[r] += av * b0;
-      hi[r] += av * b1;
-    }
-  }
-  for (int r = 0; r < R; ++r) {
-    store4(c + r * ldc, lo[r]);
-    store4(c + r * ldc + 4, hi[r]);
-  }
-}
-
-// C[rows, n] += A * B[len, n] with A(r, t) = a[r * a_row + t * a_red].
-// Every C entry adds its len products in ascending t, exactly like
-// `for t: for r: for j: c[r][j] += A(r, t) * b[t][j]`; only the loop nest
-// around that per-entry sum is tiled. Kept out of line and 64-byte
-// aligned, like `transpose`, so the hot loops' cache-line placement does
-// not move with unrelated code.
-__attribute__((noinline, aligned(64))) void gemm_tiled(
+// The 4-lane tier, at the baseline ISA. Kept out of line and 64-byte
+// aligned, like the wide tiers and `transpose`, so the hot loops'
+// cache-line placement does not move with unrelated code.
+__attribute__((noinline, aligned(64))) void gemm_tiled_lanes4(
     const float* a, size_t a_row, size_t a_red, const float* b, float* c,
     int rows, int len, int n) {
-  const size_t ldb = static_cast<size_t>(n);
-  const int ncols = n - n % kTileCols;
-  int r = 0;
-  for (; r + kTileRows <= rows; r += kTileRows) {
-    const float* ar = a + static_cast<size_t>(r) * a_row;
-    float* cr = c + static_cast<size_t>(r) * ldb;
-    for (int j = 0; j < ncols; j += kTileCols) {
-      tile<kTileRows>(ar, a_row, a_red, b + j, ldb, cr + j, ldb, len);
-    }
+  gemm_tiled<4, 4>(a, a_row, a_red, b, c, rows, len, n);
+}
+
+constexpr GemmTier kTiers[] = {GemmTier::kLanes4, GemmTier::kAvx2,
+                               GemmTier::kAvx512};
+
+// The tier's entry point, or nullptr when this build does not hold it.
+GemmTiledFn tier_fn(GemmTier tier) {
+  switch (tier) {
+    case GemmTier::kLanes4:
+      return &gemm_tiled_lanes4;
+#if defined(GLUEFL_TENSOR_SIMD)
+    case GemmTier::kAvx2:
+      return &detail::gemm_tiled_avx2;
+    case GemmTier::kAvx512:
+      return &detail::gemm_tiled_avx512;
+#else
+    case GemmTier::kAvx2:
+    case GemmTier::kAvx512:
+      return nullptr;
+#endif
   }
-  for (; r < rows; ++r) {
-    const float* ar = a + static_cast<size_t>(r) * a_row;
-    float* cr = c + static_cast<size_t>(r) * ldb;
-    for (int j = 0; j < ncols; j += kTileCols) {
-      tile<1>(ar, a_row, a_red, b + j, ldb, cr + j, ldb, len);
+  return nullptr;
+}
+
+bool cpu_has(GemmTier tier) {
+#if defined(GLUEFL_TENSOR_SIMD)
+  __builtin_cpu_init();
+  if (tier == GemmTier::kAvx2) return __builtin_cpu_supports("avx2") != 0;
+  if (tier == GemmTier::kAvx512) return __builtin_cpu_supports("avx512f") != 0;
+#endif
+  return tier == GemmTier::kLanes4;
+}
+
+// The process's entry point: the widest supported tier, resolved on first
+// use.
+std::atomic<GemmTiledFn>& active_fn() {
+  static std::atomic<GemmTiledFn> fn{[] {
+    GemmTier widest = GemmTier::kLanes4;
+    for (const GemmTier t : kTiers) {
+      if (detail::gemm_tier_supported(t)) widest = t;
     }
-  }
-  if (ncols == n) return;
-  for (r = 0; r < rows; ++r) {
-    const float* ar = a + static_cast<size_t>(r) * a_row;
-    float* cr = c + static_cast<size_t>(r) * ldb;
-    for (int t = 0; t < len; ++t) {
-      const float av = ar[static_cast<size_t>(t) * a_red];
-      const float* bt = b + static_cast<size_t>(t) * ldb;
-      for (int j = ncols; j < n; ++j) cr[j] += av * bt[j];
-    }
-  }
+    return tier_fn(widest);
+  }()};
+  return fn;
 }
 
 }  // namespace
@@ -95,13 +73,13 @@ __attribute__((noinline, aligned(64))) void gemm_tiled(
 void gemm_nn(const float* a, const float* b, float* c, int m, int k, int n,
              bool accumulate) {
   if (!accumulate) std::memset(c, 0, sizeof(float) * static_cast<size_t>(m) * n);
-  gemm_tiled(a, static_cast<size_t>(k), 1, b, c, m, k, n);
+  active_fn().load()(a, static_cast<size_t>(k), 1, b, c, m, k, n);
 }
 
 void gemm_tn(const float* a, const float* b, float* c, int m, int k, int n,
              bool accumulate) {
   if (!accumulate) std::memset(c, 0, sizeof(float) * static_cast<size_t>(k) * n);
-  gemm_tiled(a, 1, static_cast<size_t>(k), b, c, k, m, n);
+  active_fn().load()(a, 1, static_cast<size_t>(k), b, c, k, m, n);
 }
 
 __attribute__((aligned(64))) void transpose(const float* src, float* dst,
@@ -125,25 +103,9 @@ void axpy(float alpha, const float* x, float* y, size_t n) {
   for (size_t i = 0; i < n; ++i) y[i] += alpha * x[i];
 }
 
-void scale(float alpha, float* x, size_t n) {
-  for (size_t i = 0; i < n; ++i) x[i] *= alpha;
-}
-
 void sub(const float* a, const float* b, float* out, size_t n) {
   for (size_t i = 0; i < n; ++i) out[i] = a[i] - b[i];
 }
-
-void fill(float* x, size_t n, float v) {
-  std::fill(x, x + n, v);
-}
-
-double dot(const float* a, const float* b, size_t n) {
-  double s = 0.0;
-  for (size_t i = 0; i < n; ++i) s += static_cast<double>(a[i]) * b[i];
-  return s;
-}
-
-double sqnorm(const float* x, size_t n) { return dot(x, x, n); }
 
 void add_row_bias(const float* bias, float* x, int m, int n) {
   for (int i = 0; i < m; ++i) {
@@ -152,19 +114,39 @@ void add_row_bias(const float* bias, float* x, int m, int n) {
   }
 }
 
-void softmax_rows(float* x, int m, int n) {
-  for (int i = 0; i < m; ++i) {
-    float* xi = x + static_cast<size_t>(i) * n;
-    float mx = xi[0];
-    for (int j = 1; j < n; ++j) mx = std::max(mx, xi[j]);
-    float sum = 0.0f;
-    for (int j = 0; j < n; ++j) {
-      xi[j] = std::exp(xi[j] - mx);
-      sum += xi[j];
-    }
-    const float inv = 1.0f / sum;
-    for (int j = 0; j < n; ++j) xi[j] *= inv;
+namespace detail {
+
+const char* gemm_tier_name(GemmTier tier) {
+  switch (tier) {
+    case GemmTier::kLanes4:
+      return "lanes4";
+    case GemmTier::kAvx2:
+      return "avx2";
+    case GemmTier::kAvx512:
+      return "avx512";
   }
+  return "unknown";
 }
+
+bool gemm_tier_supported(GemmTier tier) {
+  return tier_fn(tier) != nullptr && cpu_has(tier);
+}
+
+GemmTier gemm_tier() {
+  const GemmTiledFn fn = active_fn().load();
+  for (const GemmTier t : kTiers) {
+    if (tier_fn(t) == fn) return t;
+  }
+  return GemmTier::kLanes4;
+}
+
+void set_gemm_tier(GemmTier tier) {
+  GLUEFL_CHECK_MSG(gemm_tier_supported(tier),
+                   std::string("GEMM tier ") + gemm_tier_name(tier) +
+                       " is not supported by this build/CPU");
+  active_fn().store(tier_fn(tier));
+}
+
+}  // namespace detail
 
 }  // namespace gluefl

@@ -1,14 +1,19 @@
 // SimEngine behaviour: local training, participation/straggler simulation,
 // byte accounting, determinism across thread counts.
 #include <cmath>
+#include <cstring>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "common/check.h"
 #include "compress/encoding.h"
+#include "data/presets.h"
 #include "fl/engine.h"
 #include "net/bandwidth.h"
+#include "strategies/factory.h"
 #include "strategies/fedavg.h"
+#include "tensor/ops.h"
 #include "test_util.h"
 
 namespace gluefl {
@@ -215,6 +220,70 @@ TEST(Engine, RunExecutesAllRoundsAndEvaluates) {
   EXPECT_TRUE(std::isnan(res.rounds[1].test_acc));
   EXPECT_FALSE(std::isnan(res.rounds[5].test_acc));
   EXPECT_FALSE(std::isnan(res.rounds[11].test_acc));
+}
+
+// The GEMM tiers are bit-identical by contract (DESIGN.md §2 "Training
+// kernels"), and the CLI cannot force one, so this is the end-to-end
+// check: 3 FedAvg and 3 GlueFL rounds of the shufflenet proxy on FEMNIST
+// at scale 0.05, rerun under every tier this CPU supports, give the same
+// round records and final parameters.
+TEST(Engine, RunsBitIdenticalAcrossGemmTiers) {
+  using detail::GemmTier;
+  const GemmTier picked = detail::gemm_tier();
+  const SyntheticSpec spec = femnist_spec(0.05);
+  const int k = preset_clients_per_round(spec);
+  auto run_under = [&](const std::string& name, GemmTier tier) {
+    detail::set_gemm_tier(tier);
+    RunConfig rc;
+    rc.rounds = 3;
+    rc.clients_per_round = k;
+    rc.eval_every = 3;
+    rc.topk_accuracy = preset_topk(spec);
+    rc.seed = 42;
+    SimEngine eng(make_synthetic_dataset(spec),
+                  make_proxy("shufflenet", spec.feature_dim, spec.num_classes),
+                  make_datacenter_env(), TrainConfig{}, rc);
+    auto strategy = make_strategy(name, k, "shufflenet");
+    RunResult res = eng.run(*strategy);
+    return std::make_pair(std::move(res), eng.params());
+  };
+  auto bits = [](double v) {
+    uint64_t u;
+    std::memcpy(&u, &v, sizeof u);
+    return u;
+  };
+  for (const char* name : {"fedavg", "gluefl"}) {
+    const auto ref = run_under(name, GemmTier::kLanes4);
+    for (const GemmTier tier : {GemmTier::kAvx2, GemmTier::kAvx512}) {
+      if (!detail::gemm_tier_supported(tier)) continue;
+      const std::string label =
+          std::string(name) + " under " + detail::gemm_tier_name(tier);
+      const auto got = run_under(name, tier);
+      ASSERT_EQ(got.first.rounds.size(), ref.first.rounds.size()) << label;
+      for (size_t i = 0; i < ref.first.rounds.size(); ++i) {
+        const RoundRecord& a = ref.first.rounds[i];
+        const RoundRecord& b = got.first.rounds[i];
+        EXPECT_EQ(a.round, b.round) << label;
+        EXPECT_EQ(a.num_invited, b.num_invited) << label;
+        EXPECT_EQ(a.num_included, b.num_included) << label;
+        for (const auto field :
+             {&RoundRecord::down_bytes, &RoundRecord::up_bytes,
+              &RoundRecord::down_time_s, &RoundRecord::up_time_s,
+              &RoundRecord::compute_time_s, &RoundRecord::wall_time_s,
+              &RoundRecord::train_loss, &RoundRecord::test_acc,
+              &RoundRecord::mean_staleness, &RoundRecord::changed_frac,
+              &RoundRecord::mask_overlap}) {
+          EXPECT_EQ(bits(a.*field), bits(b.*field))
+              << label << " round " << i;
+        }
+      }
+      EXPECT_EQ(std::memcmp(got.second.data(), ref.second.data(),
+                            ref.second.size() * sizeof(float)),
+                0)
+          << label << " final params";
+    }
+  }
+  detail::set_gemm_tier(picked);
 }
 
 }  // namespace

@@ -1,13 +1,18 @@
 // Layer/model tests: finite-difference gradient checks for every layer
 // type, BatchNorm semantics, optimizer math, and end-to-end trainability.
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/check.h"
 #include "common/rng.h"
+#include "gemm_tier_test.h"
 #include "nn/activation.h"
 #include "nn/batchnorm.h"
 #include "nn/gradcheck.h"
@@ -342,7 +347,7 @@ uint64_t model_hash(const std::vector<float>& params,
 // kernels replaced them; a kernel that changes any summation order (or lets
 // the compiler fuse mul+add) changes them, and must re-pin them as a
 // declared contract change (DESIGN.md "Training kernels").
-TEST(NnProxies, TrainingStepsMatchPinnedHash) {
+void check_training_hashes() {
   const struct {
     const char* name;
     int classes;
@@ -367,6 +372,238 @@ TEST(NnProxies, TrainingStepsMatchPinnedHash) {
     }
     EXPECT_EQ(model_hash(params, stats), c.hash)
         << c.name << " hash 0x" << std::hex << model_hash(params, stats);
+  }
+}
+
+// At the tier this process picked by CPUID.
+TEST(NnProxies, TrainingStepsMatchPinnedHash) { check_training_hashes(); }
+
+class NnTiers : public testing::GemmTierTest {};
+
+TEST_P(NnTiers, TrainingStepsMatchPinnedHash) { check_training_hashes(); }
+
+INSTANTIATE_TEST_SUITE_P(Tiers, NnTiers, testing::all_gemm_tiers(),
+                         testing::gemm_tier_param_name);
+
+// ---- The column-loop layers the row-major passes replaced, kept as ------
+// ---- bit-exact oracles. -------------------------------------------------
+
+bool same_bits(const std::vector<float>& x, const std::vector<float>& y) {
+  return x.size() == y.size() &&
+         std::memcmp(x.data(), y.data(), x.size() * sizeof(float)) == 0;
+}
+
+bool same_bits(float x, float y) { return std::memcmp(&x, &y, sizeof x) == 0; }
+
+// BatchNorm1d state the oracle reads and writes, in the layer's flat
+// layouts: params = gamma[dim] beta[dim]; stats = mean[dim] var[dim] count.
+struct BnState {
+  std::vector<float> params, stats, grads;
+  std::vector<float> xhat, inv_std;  // training caches
+};
+
+// BatchNorm1d::forward as one column loop per feature.
+void ref_bn_forward(BnState& st, const float* in, float* out, int bs, int dim,
+                    bool training) {
+  const float momentum = 0.1f, eps = 1e-5f;
+  const float* gamma = st.params.data();
+  const float* beta = gamma + dim;
+  float* run_mean = st.stats.data();
+  float* run_var = run_mean + dim;
+  float* num_batches = run_var + dim;
+  if (training) {
+    st.xhat.resize(static_cast<size_t>(bs) * dim);
+    st.inv_std.resize(static_cast<size_t>(dim));
+    for (int j = 0; j < dim; ++j) {
+      double m = 0.0;
+      for (int i = 0; i < bs; ++i) m += in[static_cast<size_t>(i) * dim + j];
+      m /= bs;
+      double v = 0.0;
+      for (int i = 0; i < bs; ++i) {
+        const double d = in[static_cast<size_t>(i) * dim + j] - m;
+        v += d * d;
+      }
+      const double var_biased = v / bs;
+      const double var_unbiased = bs > 1 ? v / (bs - 1) : var_biased;
+      const float istd = 1.0f / std::sqrt(static_cast<float>(var_biased) + eps);
+      st.inv_std[static_cast<size_t>(j)] = istd;
+      for (int i = 0; i < bs; ++i) {
+        const size_t idx = static_cast<size_t>(i) * dim + j;
+        const float xh = (in[idx] - static_cast<float>(m)) * istd;
+        st.xhat[idx] = xh;
+        out[idx] = gamma[j] * xh + beta[j];
+      }
+      run_mean[j] = (1.0f - momentum) * run_mean[j] +
+                    momentum * static_cast<float>(m);
+      run_var[j] = (1.0f - momentum) * run_var[j] +
+                   momentum * static_cast<float>(var_unbiased);
+    }
+    num_batches[0] += 1.0f;
+  } else {
+    for (int j = 0; j < dim; ++j) {
+      const float istd = 1.0f / std::sqrt(run_var[j] + eps);
+      const float m = run_mean[j];
+      for (int i = 0; i < bs; ++i) {
+        const size_t idx = static_cast<size_t>(i) * dim + j;
+        out[idx] = gamma[j] * (in[idx] - m) * istd + beta[j];
+      }
+    }
+  }
+}
+
+// BatchNorm1d::backward as one column loop per feature.
+void ref_bn_backward(BnState& st, const float* gout, float* gin, int bs,
+                     int dim) {
+  const float* gamma = st.params.data();
+  float* ggamma = st.grads.data();
+  float* gbeta = ggamma + dim;
+  for (int j = 0; j < dim; ++j) {
+    double sum_g = 0.0;
+    double sum_gx = 0.0;
+    for (int i = 0; i < bs; ++i) {
+      const size_t idx = static_cast<size_t>(i) * dim + j;
+      sum_g += gout[idx];
+      sum_gx += static_cast<double>(gout[idx]) * st.xhat[idx];
+    }
+    ggamma[j] += static_cast<float>(sum_gx);
+    gbeta[j] += static_cast<float>(sum_g);
+    const float istd = st.inv_std[static_cast<size_t>(j)];
+    const float c = gamma[j] * istd / static_cast<float>(bs);
+    for (int i = 0; i < bs; ++i) {
+      const size_t idx = static_cast<size_t>(i) * dim + j;
+      gin[idx] = c * (static_cast<float>(bs) * gout[idx] -
+                      static_cast<float>(sum_g) -
+                      st.xhat[idx] * static_cast<float>(sum_gx));
+    }
+  }
+}
+
+std::vector<float> normal_vec(size_t n, Rng& rng, double mean, double sd) {
+  std::vector<float> v(n);
+  for (auto& x : v) x = static_cast<float>(rng.normal(mean, sd));
+  return v;
+}
+
+TEST(NnOracles, BatchNormMatchesColumnLoops) {
+  Rng rng(21);
+  for (const int bs : {2, 3, 16, 17}) {
+    for (const int dim : {1, 7, 64, 128}) {
+      const size_t n = static_cast<size_t>(bs) * dim;
+      BatchNorm1d bn(dim);
+      bn.bind({0, bn.param_count()}, {0, bn.stat_count()});
+      BnState ref;
+      ref.params = normal_vec(bn.param_count(), rng, 1.0, 0.5);
+      ref.stats = normal_vec(bn.stat_count(), rng, 0.0, 1.0);
+      for (int j = 0; j < dim; ++j) {  // running variances are positive
+        ref.stats[static_cast<size_t>(dim + j)] =
+            std::fabs(ref.stats[static_cast<size_t>(dim + j)]) + 0.1f;
+      }
+      ref.grads = normal_vec(bn.param_count(), rng, 0.0, 1.0);
+      std::vector<float> stats = ref.stats;
+      std::vector<float> grads = ref.grads;
+      const auto in = normal_vec(n, rng, 3.0, 2.0);
+      const auto gout = normal_vec(n, rng, 0.0, 1.0);
+      const std::string shape =
+          std::to_string(bs) + "x" + std::to_string(dim);
+
+      for (const bool training : {false, true}) {
+        std::vector<float> out(n), ref_out(n);
+        bn.forward(ref.params.data(), stats.data(), in.data(), out.data(), bs,
+                   training);
+        ref_bn_forward(ref, in.data(), ref_out.data(), bs, dim, training);
+        EXPECT_TRUE(same_bits(out, ref_out))
+            << shape << " training=" << training;
+        EXPECT_TRUE(same_bits(stats, ref.stats))
+            << shape << " training=" << training;
+      }
+      std::vector<float> gin(n), ref_gin(n);
+      bn.backward(ref.params.data(), gout.data(), gin.data(), grads.data(), bs);
+      ref_bn_backward(ref, gout.data(), ref_gin.data(), bs, dim);
+      EXPECT_TRUE(same_bits(gin, ref_gin)) << shape;
+      EXPECT_TRUE(same_bits(grads, ref.grads)) << shape;
+    }
+  }
+}
+
+TEST(NnOracles, ReluMatchesOutputMask) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const std::vector<float> specials{0.0f, -0.0f, nan, -nan, inf, -inf,
+                                    1.5f, -2.5f};
+  const int dim = static_cast<int>(specials.size());
+  const int bs = dim;
+  std::vector<float> in, gout;
+  // Row r pairs input special j with gradient special (j + r) mod dim, so
+  // the rows cover every pair.
+  for (int r = 0; r < bs; ++r) {
+    for (int j = 0; j < dim; ++j) {
+      in.push_back(specials[static_cast<size_t>(j)]);
+      gout.push_back(specials[static_cast<size_t>((j + r) % dim)]);
+    }
+  }
+  ReLU relu(dim);
+  std::vector<float> out(in.size()), gin(in.size());
+  relu.forward(nullptr, nullptr, in.data(), out.data(), bs, true);
+  relu.backward(nullptr, gout.data(), gin.data(), nullptr, bs);
+  std::vector<float> ref_out(in.size()), ref_gin(in.size());
+  for (size_t i = 0; i < in.size(); ++i) {
+    ref_out[i] = in[i] > 0.0f ? in[i] : 0.0f;
+    ref_gin[i] = ref_out[i] > 0.0f ? gout[i] : 0.0f;
+  }
+  EXPECT_TRUE(same_bits(out, ref_out));
+  EXPECT_TRUE(same_bits(gin, ref_gin));
+}
+
+// softmax_xent with its per-call probability buffer.
+float ref_softmax_xent(const float* logits, const int* labels, int bs,
+                       int classes, float* grad_logits) {
+  double loss = 0.0;
+  const float inv_bs = 1.0f / static_cast<float>(bs);
+  std::vector<float> prob(static_cast<size_t>(classes));
+  for (int i = 0; i < bs; ++i) {
+    const float* row = logits + static_cast<size_t>(i) * classes;
+    const int y = labels[i];
+    float mx = row[0];
+    for (int j = 1; j < classes; ++j) mx = std::max(mx, row[j]);
+    double sum = 0.0;
+    for (int j = 0; j < classes; ++j) {
+      prob[static_cast<size_t>(j)] = std::exp(row[j] - mx);
+      sum += prob[static_cast<size_t>(j)];
+    }
+    const double log_sum = std::log(sum);
+    loss += -(static_cast<double>(row[y]) - mx - log_sum);
+    if (grad_logits != nullptr) {
+      float* g = grad_logits + static_cast<size_t>(i) * classes;
+      const float inv_sum = static_cast<float>(1.0 / sum);
+      for (int j = 0; j < classes; ++j) {
+        g[j] = prob[static_cast<size_t>(j)] * inv_sum * inv_bs;
+      }
+      g[y] -= inv_bs;
+    }
+  }
+  return static_cast<float>(loss / bs);
+}
+
+TEST(NnOracles, SoftmaxXentMatchesAllocatingLoop) {
+  Rng rng(22);
+  for (const int bs : {1, 3, 16}) {
+    for (const int classes : {2, 7, 62, 64}) {
+      const auto logits =
+          normal_vec(static_cast<size_t>(bs) * classes, rng, 0.0, 4.0);
+      std::vector<int> y(static_cast<size_t>(bs));
+      for (auto& v : y) v = rng.uniform_int(0, classes - 1);
+      std::vector<float> g(logits.size()), ref_g(logits.size());
+      const float loss =
+          softmax_xent(logits.data(), y.data(), bs, classes, g.data());
+      const float ref_loss =
+          ref_softmax_xent(logits.data(), y.data(), bs, classes, ref_g.data());
+      EXPECT_TRUE(same_bits(loss, ref_loss)) << bs << "x" << classes;
+      EXPECT_TRUE(same_bits(g, ref_g)) << bs << "x" << classes;
+      EXPECT_TRUE(same_bits(
+          softmax_xent(logits.data(), y.data(), bs, classes, nullptr),
+          ref_loss))
+          << bs << "x" << classes;
+    }
   }
 }
 

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "gemm_tier_test.h"
 #include "nn/linear.h"
 
 namespace gluefl {
@@ -74,8 +75,11 @@ bool same_bits(const std::vector<float>& x, const std::vector<float>& y) {
          std::memcmp(x.data(), y.data(), x.size() * sizeof(float)) == 0;
 }
 
-// Sizes that hit every tile tail of the 4x8 kernels.
-constexpr int kSizes[] = {1, 3, 4, 5, 7, 8, 9, 16, 17, 64, 128};
+// Sizes that hit every row and column tail of the 4-, 8- and 16-lane
+// tiers: partial row blocks, two-vector tiles, the one-vector strip
+// [L, 2L) and the scalar columns after it.
+constexpr int kSizes[] = {1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 48,
+                          64, 128};
 
 // Runs fn(m, k, n) over every shape in kSizes^3.
 template <typename Fn>
@@ -102,28 +106,29 @@ void check_gemm_nn(bool accumulate) {
   });
 }
 
-TEST(Tensor, GemmNnMatchesReference) { check_gemm_nn(/*accumulate=*/false); }
-
-TEST(Tensor, GemmNnAccumulates) { check_gemm_nn(/*accumulate=*/true); }
-
-// Linear::backward computes A * B^T as gemm_nn over transpose(B).
-TEST(Tensor, GemmNtMatchesReference) {
+// Linear::backward computes dX[bs,in] = gout[bs,out] * W[in,out]^T as the
+// transpose of dX^T[in,bs] = W[in,out] * gout^T[out,bs]: gemm_nn over a
+// transposed gout, transposed back. Checked against the serial dot
+// product per output.
+void check_gemm_nt() {
   Rng rng(3);
   for_each_shape([&](int m, int n, int k) {
-    // C[m,k] = A[m,n] * B[k,n]^T
+    // C[m,k] = A[m,n] * B[k,n]^T, with A = gout and B = W.
     const auto a = random_vec(static_cast<size_t>(m) * n, rng);
     const auto b = random_vec(static_cast<size_t>(k) * n, rng);
-    std::vector<float> bt(b.size());
-    transpose(b.data(), bt.data(), k, n);
+    std::vector<float> at(a.size());
+    std::vector<float> ct(static_cast<size_t>(k) * m);
+    transpose(a.data(), at.data(), m, n);
+    gemm_nn(b.data(), at.data(), ct.data(), k, n, m);
     auto c = random_vec(static_cast<size_t>(m) * k, rng);
     auto ref = c;
-    gemm_nn(a.data(), bt.data(), c.data(), m, n, k);
+    transpose(ct.data(), c.data(), k, m);
     ref_gemm_nt(a.data(), b.data(), ref.data(), m, n, k);
     ASSERT_TRUE(same_bits(c, ref)) << m << "x" << n << "x" << k;
   });
 }
 
-TEST(Tensor, GemmTnMatchesReference) {
+void check_gemm_tn() {
   Rng rng(4);
   for (const bool accumulate : {false, true}) {
     for_each_shape([&](int m, int k, int n) {
@@ -140,25 +145,8 @@ TEST(Tensor, GemmTnMatchesReference) {
   }
 }
 
-TEST(Tensor, TransposeCoversBlockTails) {
-  for (int rows : kSizes) {
-    for (int cols : kSizes) {
-      std::vector<float> src(static_cast<size_t>(rows) * cols);
-      for (size_t i = 0; i < src.size(); ++i) src[i] = static_cast<float>(i);
-      std::vector<float> dst(src.size(), -1.0f);
-      transpose(src.data(), dst.data(), rows, cols);
-      for (int i = 0; i < rows; ++i) {
-        for (int j = 0; j < cols; ++j) {
-          ASSERT_EQ(dst[static_cast<size_t>(j) * rows + i],
-                    src[static_cast<size_t>(i) * cols + j]);
-        }
-      }
-    }
-  }
-}
-
 // Linear::backward's dX and dW against the naive gemm_nt / gemm_tn.
-TEST(Tensor, LinearBackwardMatchesNaiveKernels) {
+void check_linear_backward() {
   Rng rng(5);
   for (const int in : {5, 64, 128}) {
     for (const int out : {7, 64, 128}) {
@@ -188,6 +176,62 @@ TEST(Tensor, LinearBackwardMatchesNaiveKernels) {
   }
 }
 
+// The Tensor tests run at the tier this process picked by CPUID, the one
+// every run uses; the TensorTiers tests force each tier in turn.
+TEST(Tensor, GemmNnMatchesReference) { check_gemm_nn(/*accumulate=*/false); }
+
+TEST(Tensor, GemmNnAccumulates) { check_gemm_nn(/*accumulate=*/true); }
+
+TEST(Tensor, GemmNtMatchesReference) { check_gemm_nt(); }
+
+TEST(Tensor, GemmTnMatchesReference) { check_gemm_tn(); }
+
+TEST(Tensor, LinearBackwardMatchesNaiveKernels) { check_linear_backward(); }
+
+class TensorTiers : public testing::GemmTierTest {};
+
+TEST_P(TensorTiers, GemmNnMatchesReference) { check_gemm_nn(false); }
+
+TEST_P(TensorTiers, GemmNnAccumulates) { check_gemm_nn(true); }
+
+TEST_P(TensorTiers, GemmNtMatchesReference) { check_gemm_nt(); }
+
+TEST_P(TensorTiers, GemmTnMatchesReference) { check_gemm_tn(); }
+
+TEST_P(TensorTiers, LinearBackwardMatchesNaiveKernels) {
+  check_linear_backward();
+}
+
+INSTANTIATE_TEST_SUITE_P(Tiers, TensorTiers, testing::all_gemm_tiers(),
+                         testing::gemm_tier_param_name);
+
+TEST(Tensor, PicksWidestSupportedGemmTier) {
+  using detail::GemmTier;
+  ASSERT_TRUE(detail::gemm_tier_supported(GemmTier::kLanes4));
+  GemmTier widest = GemmTier::kLanes4;
+  for (const GemmTier t : {GemmTier::kAvx2, GemmTier::kAvx512}) {
+    if (detail::gemm_tier_supported(t)) widest = t;
+  }
+  EXPECT_EQ(detail::gemm_tier(), widest);
+}
+
+TEST(Tensor, TransposeCoversBlockTails) {
+  for (int rows : kSizes) {
+    for (int cols : kSizes) {
+      std::vector<float> src(static_cast<size_t>(rows) * cols);
+      for (size_t i = 0; i < src.size(); ++i) src[i] = static_cast<float>(i);
+      std::vector<float> dst(src.size(), -1.0f);
+      transpose(src.data(), dst.data(), rows, cols);
+      for (int i = 0; i < rows; ++i) {
+        for (int j = 0; j < cols; ++j) {
+          ASSERT_EQ(dst[static_cast<size_t>(j) * rows + i],
+                    src[static_cast<size_t>(i) * cols + j]);
+        }
+      }
+    }
+  }
+}
+
 TEST(Tensor, Axpy) {
   std::vector<float> x{1.0f, 2.0f, 3.0f};
   std::vector<float> y{10.0f, 20.0f, 30.0f};
@@ -197,26 +241,13 @@ TEST(Tensor, Axpy) {
   EXPECT_FLOAT_EQ(y[2], 36.0f);
 }
 
-TEST(Tensor, ScaleFillSub) {
-  std::vector<float> x{2.0f, 4.0f};
-  scale(0.5f, x.data(), 2);
-  EXPECT_FLOAT_EQ(x[0], 1.0f);
-  EXPECT_FLOAT_EQ(x[1], 2.0f);
-  fill(x.data(), 2, 7.0f);
-  EXPECT_FLOAT_EQ(x[0], 7.0f);
+TEST(Tensor, Sub) {
   std::vector<float> a{5.0f, 3.0f};
   std::vector<float> b{2.0f, 1.0f};
   std::vector<float> out(2);
   sub(a.data(), b.data(), out.data(), 2);
   EXPECT_FLOAT_EQ(out[0], 3.0f);
   EXPECT_FLOAT_EQ(out[1], 2.0f);
-}
-
-TEST(Tensor, DotAndSqnorm) {
-  std::vector<float> a{1.0f, 2.0f, 3.0f};
-  std::vector<float> b{4.0f, 5.0f, 6.0f};
-  EXPECT_DOUBLE_EQ(dot(a.data(), b.data(), 3), 32.0);
-  EXPECT_DOUBLE_EQ(sqnorm(a.data(), 3), 14.0);
 }
 
 TEST(Tensor, AddRowBias) {
@@ -227,18 +258,6 @@ TEST(Tensor, AddRowBias) {
   EXPECT_FLOAT_EQ(x[1], 22.0f);
   EXPECT_FLOAT_EQ(x[2], 13.0f);
   EXPECT_FLOAT_EQ(x[3], 24.0f);
-}
-
-TEST(Tensor, SoftmaxRows) {
-  std::vector<float> x{0.0f, 0.0f, 1000.0f, 0.0f};  // 2x2, row 2 is extreme
-  softmax_rows(x.data(), 2, 2);
-  EXPECT_NEAR(x[0], 0.5f, 1e-6);
-  EXPECT_NEAR(x[1], 0.5f, 1e-6);
-  EXPECT_NEAR(x[2], 1.0f, 1e-6);  // no overflow thanks to max-shift
-  EXPECT_NEAR(x[3], 0.0f, 1e-6);
-  // Rows sum to one.
-  EXPECT_NEAR(x[0] + x[1], 1.0f, 1e-6);
-  EXPECT_NEAR(x[2] + x[3], 1.0f, 1e-6);
 }
 
 }  // namespace
