@@ -1,6 +1,7 @@
-// Aggregation-phase throughput and peak update memory: the dense serial
-// reduction (the seed repo's behaviour) versus the sharded sparse path
-// (src/agg/), at OpenImage round scale and at a 100x scaled-up population.
+// Aggregation-phase throughput and peak update memory: reduce_deltas
+// (src/agg/) over model-sized dense updates versus the same updates in
+// the sparse representation, at OpenImage round scale and at a 100x
+// scaled-up population.
 //
 // Updates are modelled GlueFL-style: a sticky cohort (80% of participants)
 // shares one mask of q_shr * dim coordinates and ships values-only
@@ -9,8 +10,8 @@
 // materialized as model-sized vectors, which is exactly what the
 // strategies did before src/agg/ existed.
 //
-// Both paths reduce the same update pool, and the bench asserts their
-// outputs are bit-identical before reporting timings.
+// Both representations reduce the same logical updates, and the bench
+// asserts their outputs are bit-identical before reporting timings.
 //
 // Environment knobs:
 //   GLUEFL_FULL=1           real-model dimension (2^21) and the full
@@ -18,7 +19,6 @@
 //                           default is a laptop/CI-sized configuration.
 //   GLUEFL_AGG_DIM=n        model dimension override
 //   GLUEFL_AGG_POP=n        update count override for the 100x arm
-//   GLUEFL_AGG_SHARDS=n     shard-count override (default: auto)
 //   GLUEFL_BENCH_JSON=FILE  machine-readable summary (perf trajectory)
 #include <algorithm>
 #include <chrono>
@@ -27,7 +27,6 @@
 #include <iostream>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "agg/aggregator.h"
@@ -89,7 +88,7 @@ std::vector<uint32_t> random_support_excluding(
 /// Shared mask built from contiguous position runs — the shape a bitmap/RLE
 /// cohort mask decodes to when layers are selected wholesale (DESIGN.md
 /// §6b). Runs of kRunLen positions are spread evenly across the model with
-/// a little jittered placement so shard boundaries still cut through runs.
+/// a little jittered placement.
 std::vector<uint32_t> run_structured_support(size_t dim, size_t k, Rng& rng) {
   constexpr size_t kRunLen = 256;
   std::vector<uint32_t> idx;
@@ -130,7 +129,7 @@ Pool make_pool(size_t dim, size_t window, Rng& rng, bool run_mask) {
   Pool pool;
   pool.sparse_bytes += shared_idx->capacity() * sizeof(uint32_t);
   // Clients [0, n_sticky) form the sticky cohort; like GlueFL's shared
-  // batch, their values-only deltas sit consecutively so the aggregator's
+  // batch, their values-only deltas sit consecutively so the reduce's
   // cohort-run fast path engages. Mask and complement supports are
   // disjoint, so each client's (shared, unique) pair merges losslessly
   // into one dense vector — and per-position addition order matches the
@@ -183,11 +182,10 @@ Pool make_pool(size_t dim, size_t window, Rng& rng, bool run_mask) {
   return pool;
 }
 
-double time_reduce(const Aggregator& agg,
-                   const std::vector<SparseDelta>& batch, float* out,
+double time_reduce(const std::vector<SparseDelta>& batch, float* out,
                    size_t dim, size_t waves) {
   const auto t0 = std::chrono::steady_clock::now();
-  for (size_t r = 0; r < waves; ++r) agg.reduce(batch, out, dim);
+  for (size_t r = 0; r < waves; ++r) reduce_deltas(batch, out, dim);
   const auto t1 = std::chrono::steady_clock::now();
   return std::chrono::duration<double, std::milli>(t1 - t0).count();
 }
@@ -197,7 +195,7 @@ struct ArmResult {
   size_t dim = 0;
   size_t updates = 0;
   double dense_ms = 0.0;
-  double sharded_ms = 0.0;
+  double sparse_ms = 0.0;
   double speedup = 0.0;
   double dense_mb = 0.0;    // full update set, dense representation
   double sparse_mb = 0.0;   // full update set, sparse representation
@@ -205,21 +203,17 @@ struct ArmResult {
 };
 
 ArmResult run_arm(const std::string& label, size_t dim, size_t updates,
-                  int shards, int threads, uint64_t seed,
-                  bool run_mask = false) {
+                  uint64_t seed, bool run_mask = false) {
   const size_t window = std::min<size_t>(updates, 200);
   const size_t waves = (updates + window - 1) / window;
   Rng rng(seed);
   Pool pool = make_pool(dim, window, rng, run_mask);
 
-  const DenseAggregator dense_agg;
-  const ShardedAggregator sharded_agg(shards, threads);
-
   // Bit-identity sanity check before timing anything: the sparse batch
   // must reduce to exactly the dense batch's result.
   std::vector<float> ref(dim, 0.0f), got(dim, 0.0f);
-  dense_agg.reduce(pool.dense, ref.data(), dim);
-  sharded_agg.reduce(pool.sparse, got.data(), dim);
+  reduce_deltas(pool.dense, ref.data(), dim);
+  reduce_deltas(pool.sparse, got.data(), dim);
   bool identical = true;
   for (size_t j = 0; j < dim; ++j) {
     if (ref[j] != got[j]) {
@@ -244,16 +238,14 @@ ArmResult run_arm(const std::string& label, size_t dim, size_t updates,
   std::vector<float> out(dim, 0.0f);
   // Best of 3 timing passes each, interleaved to share cache warmth.
   arm.dense_ms = 1e300;
-  arm.sharded_ms = 1e300;
+  arm.sparse_ms = 1e300;
   for (int rep = 0; rep < 3; ++rep) {
     arm.dense_ms = std::min(
-        arm.dense_ms, time_reduce(dense_agg, pool.dense, out.data(), dim,
-                                  waves));
-    arm.sharded_ms = std::min(
-        arm.sharded_ms, time_reduce(sharded_agg, pool.sparse, out.data(),
-                                    dim, waves));
+        arm.dense_ms, time_reduce(pool.dense, out.data(), dim, waves));
+    arm.sparse_ms = std::min(
+        arm.sparse_ms, time_reduce(pool.sparse, out.data(), dim, waves));
   }
-  arm.speedup = arm.sharded_ms > 0.0 ? arm.dense_ms / arm.sharded_ms : 0.0;
+  arm.speedup = arm.sparse_ms > 0.0 ? arm.dense_ms / arm.sparse_ms : 0.0;
   return arm;
 }
 
@@ -269,39 +261,33 @@ int main() {
   const size_t k_openimage = 100;
   const size_t pop_updates =
       bench::env_positive("GLUEFL_AGG_POP", full ? 10000 : 2000);
-  const int threads = static_cast<int>(
-      std::min(8u, std::max(1u, std::thread::hardware_concurrency())));
 
   bench::print_header(
       "Aggregation-phase throughput and peak update memory",
-      "scaling study beyond the paper: dense serial vs sharded sparse",
-      "GlueFL-shaped updates (q=20%, q_shr=16%, 80% sticky); sharded path "
-      "uses " + std::to_string(threads) + " threads, auto shard count");
-
-  const int shards =
-      static_cast<int>(bench::env_positive("GLUEFL_AGG_SHARDS", 0 /* auto */));
+      "scaling study beyond the paper: dense vs sparse update representation",
+      "GlueFL-shaped updates (q=20%, q_shr=16%, 80% sticky), one serial "
+      "reduce");
 
   std::vector<ArmResult> arms;
   arms.push_back(run_arm("openimage round (K=100)", dim, k_openimage,
-                         shards, threads, /*seed=*/42));
-  arms.push_back(run_arm("100x population round", dim, pop_updates, shards,
-                         threads, /*seed=*/43));
+                         /*seed=*/42));
+  arms.push_back(run_arm("100x population round", dim, pop_updates,
+                         /*seed=*/43));
   // Same K=100 round but with a run-structured shared mask (contiguous
   // position blocks, as decoded from bitmap/RLE cohort masks): exercises
-  // the aggregator's positional-delta fast path, where gather/scatter
+  // the reduce's positional-delta fast path, where gather/scatter
   // collapses to unit-stride accumulation.
   arms.push_back(run_arm("openimage round, run-structured mask", dim,
-                         k_openimage, shards, threads, /*seed=*/44,
-                         /*run_mask=*/true));
+                         k_openimage, /*seed=*/44, /*run_mask=*/true));
 
   TablePrinter t;
-  t.set_headers({"arm", "dim", "updates", "dense (ms)", "sharded (ms)",
+  t.set_headers({"arm", "dim", "updates", "dense (ms)", "sparse (ms)",
                  "speedup", "dense mem", "sparse mem"});
   for (const auto& a : arms) {
     GLUEFL_CHECK_MSG(a.bit_identical,
-                     "sharded sparse result diverged from dense reference");
+                     "sparse result diverged from the dense reduction");
     t.add_row({a.label, std::to_string(a.dim), std::to_string(a.updates),
-               fmt_double(a.dense_ms, 1), fmt_double(a.sharded_ms, 1),
+               fmt_double(a.dense_ms, 1), fmt_double(a.sparse_ms, 1),
                fmt_double(a.speedup, 1) + "x", fmt_bytes(a.dense_mb * 1e6),
                fmt_bytes(a.sparse_mb * 1e6)});
   }
@@ -311,21 +297,19 @@ int main() {
   std::cout << "\nShape: the sparse representation stores ~"
             << fmt_double(mem_ratio * 100.0, 0)
             << "% of the dense update bytes (values plus index encodings;\n"
-               "sticky cohorts share one index set), and parameter-range\n"
-               "sharding parallelizes the reduce without changing a single\n"
-               "bit of the result.\n";
+               "sticky cohorts share one index set), and reduces to the\n"
+               "same bits.\n";
 
   if (const char* path = std::getenv("GLUEFL_BENCH_JSON")) {
     std::ostringstream json;
-    json << "{\"schema\": \"gluefl.bench_agg_scale.v1\", \"threads\": "
-         << threads << ", \"arms\": [";
+    json << "{\"schema\": \"gluefl.bench_agg_scale.v2\", \"arms\": [";
     for (size_t i = 0; i < arms.size(); ++i) {
       const auto& a = arms[i];
       if (i > 0) json << ", ";
       json << "{\"label\": \"" << a.label << "\", \"dim\": " << a.dim
            << ", \"updates\": " << a.updates
            << ", \"dense_ms\": " << a.dense_ms
-           << ", \"sharded_ms\": " << a.sharded_ms
+           << ", \"sparse_ms\": " << a.sparse_ms
            << ", \"speedup\": " << a.speedup
            << ", \"dense_update_mb\": " << a.dense_mb
            << ", \"sparse_update_mb\": " << a.sparse_mb

@@ -40,7 +40,6 @@
 #include "telemetry/events.h"
 #include "telemetry/telemetry.h"
 #include "wire/codec.h"
-#include "wire/kernels.h"
 
 using namespace gluefl;
 using gluefl::testing::random_support;
@@ -147,7 +146,7 @@ int main() {
       "PR 8 tentpole: <1% disabled-path budget (DESIGN.md §10)",
       "8-bit GlueFL-shaped upload at dim=" + std::to_string(dim) + ", " +
           std::to_string(iters) + " iters x " + std::to_string(reps) +
-          " reps per arm; active kernel: " + wire::active_kernel().name);
+          " reps per arm");
 
   Payload p;
   p.dim = dim;
@@ -230,10 +229,9 @@ int main() {
   if (const char* path = std::getenv("GLUEFL_BENCH_JSON")) {
     std::ostringstream json;
     json.precision(10);
-    json << "{\"schema\": \"gluefl.bench_telemetry.v1\", \"dim\": " << dim
+    json << "{\"schema\": \"gluefl.bench_telemetry.v2\", \"dim\": " << dim
          << ", \"bits\": " << kBits << ", \"iters\": " << iters
          << ", \"reps\": " << reps
-         << ", \"kernel\": \"" << wire::active_kernel().name << "\""
          << ", \"disabled_a_ms\": " << disabled_a_ms
          << ", \"counters_ms\": " << counters_ms
          << ", \"traced_ms\": " << traced_ms

@@ -7,8 +7,8 @@
 #
 # Defaults: OUT_JSON=BENCH_10.json, BUILD_DIR=build. Honors the benches'
 # environment knobs (GLUEFL_ROUNDS, GLUEFL_FULL, GLUEFL_AGG_*,
-# GLUEFL_WIRE_DIM, GLUEFL_WIRE_KERNEL, GLUEFL_CKPT_SCALE_PCT,
-# GLUEFL_POP_MAX, GLUEFL_TELEMETRY_REPS); CI passes GLUEFL_ROUNDS=1 for a
+# GLUEFL_WIRE_DIM, GLUEFL_CKPT_SCALE_PCT, GLUEFL_POP_MAX,
+# GLUEFL_TELEMETRY_REPS); CI passes GLUEFL_ROUNDS=1 for a
 # fast smoke, the committed repo-root BENCH_10.json is produced with the
 # defaults (the wire bench's default dimension and the checkpoint bench's
 # default population are already OpenImage scale; the population bench

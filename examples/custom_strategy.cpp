@@ -13,6 +13,7 @@
 #include <memory>
 #include <utility>
 
+#include "agg/aggregator.h"
 #include "analysis/report.h"
 #include "compress/encoding.h"
 #include "compress/error_feedback.h"
@@ -93,7 +94,7 @@ class TopKOnlyStrategy final : public Strategy {
         });
       }
       intake.price(part, rec);
-      engine.aggregator().reduce(batch, agg.data(), dim);
+      reduce_deltas(batch, agg.data(), dim);
       // KEY DIFFERENCE vs STC: the server applies the aggregate densely —
       // no second top-k. The union of K clients' top-k sets touches most
       // of the model, so the changed set is large every round.

@@ -1,9 +1,5 @@
 #include "agg/aggregator.h"
 
-#include <algorithm>
-#include <thread>
-
-#include "common/check.h"
 #include "telemetry/telemetry.h"
 #include "tensor/ops.h"
 
@@ -11,23 +7,16 @@ namespace gluefl {
 
 namespace {
 
-/// Accumulates one delta restricted to positions [lo, hi). The per-position
-/// arithmetic (out[j] += w * v) is shared by both aggregators so the
-/// backends cannot drift apart numerically.
-void accumulate_range(const SparseDelta& d, float* out, size_t lo,
-                      size_t hi) {
+/// Accumulates one delta.
+void accumulate(const SparseDelta& d, float* out, size_t dim) {
   const float w = d.weight;
   if (d.is_dense()) {
-    axpy(w, d.val.data() + lo, out + lo, hi - lo);
+    axpy(w, d.val.data(), out, dim);
     return;
   }
   const std::vector<uint32_t>& idx = *d.idx;
-  const auto begin = std::lower_bound(idx.begin(), idx.end(),
-                                      static_cast<uint32_t>(lo));
-  const auto end =
-      std::lower_bound(begin, idx.end(), static_cast<uint32_t>(hi));
-  size_t k = static_cast<size_t>(begin - idx.begin());
-  const size_t k1 = static_cast<size_t>(end - idx.begin());
+  size_t k = 0;
+  const size_t k1 = idx.size();
   // Positional-delta fast path: supports decoded from bitmap/RLE cohort
   // masks arrive as runs of consecutive positions, where the scatter
   // collapses to a unit-stride axpy over the run. Supports ascend
@@ -56,14 +45,10 @@ void accumulate_range(const SparseDelta& d, float* out, size_t lo,
 /// sequence is still i0, i0+1, ..., so the result is bit-identical to
 /// processing the run delta-by-delta.
 void accumulate_shared_run(const std::vector<SparseDelta>& deltas, size_t i0,
-                           size_t i1, float* out, size_t lo, size_t hi) {
+                           size_t i1, float* out) {
   const std::vector<uint32_t>& idx = *deltas[i0].idx;
-  const auto begin = std::lower_bound(idx.begin(), idx.end(),
-                                      static_cast<uint32_t>(lo));
-  size_t k0 = static_cast<size_t>(begin - idx.begin());
-  size_t k1 = k0;
-  while (k1 < idx.size() && idx[k1] < hi) ++k1;
-  if (k0 == k1) return;
+  const size_t k1 = idx.size();
+  if (k1 == 0) return;
 
   const size_t n = i1 - i0;
   std::vector<const float*> vals(n);
@@ -76,7 +61,7 @@ void accumulate_shared_run(const std::vector<SparseDelta>& deltas, size_t i0,
   // per position, bit-identical to the scalar form), but the kBlock chains
   // are independent, so the inner loop vectorizes / pipelines across them.
   constexpr size_t kBlock = 8;
-  size_t k = k0;
+  size_t k = 0;
   for (; k + kBlock <= k1; k += kBlock) {
     float acc[kBlock];
     // Positional-delta fast path: when the block's indices are one
@@ -110,10 +95,12 @@ void accumulate_shared_run(const std::vector<SparseDelta>& deltas, size_t i0,
   }
 }
 
-/// The walker both backends share: batch order outside, cohort runs
-/// (same shared index array) fused position-major inside.
-void reduce_slice(const std::vector<SparseDelta>& deltas, float* out,
-                  size_t lo, size_t hi) {
+}  // namespace
+
+void reduce_deltas(const std::vector<SparseDelta>& deltas, float* out,
+                   size_t dim) {
+  telemetry::Span span("aggregate");
+  validate_deltas(deltas, dim);
   size_t i = 0;
   while (i < deltas.size()) {
     const SparseDelta& d = deltas[i];
@@ -122,84 +109,12 @@ void reduce_slice(const std::vector<SparseDelta>& deltas, float* out,
       while (j < deltas.size() && deltas[j].idx.get() == d.idx.get()) ++j;
     }
     if (!d.is_dense() && j - i > 1) {
-      accumulate_shared_run(deltas, i, j, out, lo, hi);
+      accumulate_shared_run(deltas, i, j, out);
     } else {
-      accumulate_range(d, out, lo, hi);
+      accumulate(d, out, dim);
     }
     i = j;
   }
-}
-
-}  // namespace
-
-void DenseAggregator::reduce(const std::vector<SparseDelta>& deltas,
-                             float* out, size_t dim) const {
-  telemetry::Span span("aggregate");
-  validate_deltas(deltas, dim);
-  reduce_slice(deltas, out, 0, dim);
-}
-
-ShardedAggregator::ShardedAggregator(int shards, int threads)
-    : shards_(shards), threads_(std::max(1, threads)) {
-  GLUEFL_CHECK_MSG(shards >= 0,
-                   "aggregator shard count must be >= 0 (0 = auto)");
-}
-
-void ShardedAggregator::reduce(const std::vector<SparseDelta>& deltas,
-                               float* out, size_t dim) const {
-  telemetry::Span span("aggregate");
-  validate_deltas(deltas, dim);
-  if (dim == 0 || deltas.empty()) return;
-
-  // Auto mode oversubscribes the thread budget 4x so shard work imbalance
-  // (uneven sparse supports) load-balances through the round-robin below.
-  size_t shards = shards_ > 0 ? static_cast<size_t>(shards_)
-                              : static_cast<size_t>(threads_) * 4;
-  shards = std::min(shards, dim);
-  const size_t per = (dim + shards - 1) / shards;
-
-  auto run_shard = [&](size_t s) {
-    const size_t lo = s * per;
-    const size_t hi = std::min(dim, lo + per);
-    if (lo >= hi) return;
-    // Batch order within the shard == batch order of the serial reference;
-    // shard slices are disjoint, so this is the whole determinism story.
-    reduce_slice(deltas, out, lo, hi);
-  };
-
-  // Threads are spawned per reduce (matching train_batch's idiom), which
-  // only pays off when the batch carries enough elements to amortize the
-  // create/join cost — small CI-sized reduces run serial, with an
-  // identical result by the determinism argument above.
-  constexpr size_t kParallelThreshold = 1u << 16;
-  size_t total_elems = 0;
-  for (const SparseDelta& d : deltas) {
-    total_elems += d.is_dense() ? dim : d.nnz();
-  }
-  const size_t nthreads =
-      total_elems < kParallelThreshold
-          ? 1
-          : std::min<size_t>(static_cast<size_t>(threads_), shards);
-  if (nthreads <= 1) {
-    for (size_t s = 0; s < shards; ++s) run_shard(s);
-    return;
-  }
-  std::vector<std::thread> pool;
-  pool.reserve(nthreads);
-  for (size_t t = 0; t < nthreads; ++t) {
-    pool.emplace_back([&, t]() {
-      for (size_t s = t; s < shards; s += nthreads) run_shard(s);
-    });
-  }
-  for (auto& th : pool) th.join();
-}
-
-std::unique_ptr<Aggregator> make_aggregator(const AggConfig& cfg,
-                                            int threads) {
-  if (cfg.kind == AggKind::kSharded) {
-    return std::make_unique<ShardedAggregator>(cfg.shards, threads);
-  }
-  return std::make_unique<DenseAggregator>();
 }
 
 }  // namespace gluefl

@@ -1,77 +1,27 @@
-// Pluggable update-reduction backends.
+// The update reduction: folds a batch of weighted SparseDeltas into a flat
+// float accumulator,   out[j] += sum_i weight_i * delta_i[j].
 //
-// An Aggregator folds a batch of weighted SparseDeltas into a flat float
-// accumulator:   out[j] += sum_i weight_i * delta_i[j].
+// At every output position j the floating-point additions happen in the
+// order the deltas appear in the batch, so the result is a function of the
+// batch alone. The reduce is serial; DESIGN.md §6b gives the measurement
+// behind that choice.
 //
-// The contract that makes backends interchangeable is BIT-IDENTITY: for
-// every output position j, the floating-point additions happen in the order
-// the deltas appear in the batch, whatever the shard count or thread count.
-//
-//   * DenseAggregator walks the batch serially — the reference semantics
-//     (and the seed repo's original behaviour).
-//   * ShardedAggregator partitions the PARAMETER RANGE [0, dim) into
-//     contiguous shards and reduces shards in parallel. Because shards own
-//     disjoint output slices, the combiner is a trivially deterministic
-//     tree (slice concatenation — no cross-thread floating-point merge),
-//     and within a shard each position still accumulates in batch order.
-//     Hence ShardedAggregator is bit-identical to DenseAggregator for any
-//     (shards, threads) — verified by tests/test_agg.cpp property tests.
-//
-// Sparse deltas keep ascending index arrays, so a shard finds its slice of
-// every delta with one binary search instead of scanning the full support.
+// Sparse deltas keep ascending index arrays. Consecutive deltas aliasing
+// the same index array (GlueFL's sticky cohort on M_t) are reduced
+// position-major, and supports that run over consecutive positions
+// collapse to unit-stride axpys; neither changes the per-position order.
 #pragma once
 
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "agg/sparse_delta.h"
-#include "fl/sim_config.h"
 
 namespace gluefl {
 
-class Aggregator {
- public:
-  virtual ~Aggregator() = default;
-
-  virtual std::string name() const = 0;
-
-  /// out[j] += sum_i deltas[i].weight * deltas[i][j] over [0, dim).
-  /// Per-position addition order is the batch order (see header comment).
-  virtual void reduce(const std::vector<SparseDelta>& deltas, float* out,
-                      size_t dim) const = 0;
-};
-
-/// Serial reference reduction.
-class DenseAggregator : public Aggregator {
- public:
-  std::string name() const override { return "dense"; }
-  void reduce(const std::vector<SparseDelta>& deltas, float* out,
-              size_t dim) const override;
-};
-
-/// Parameter-range-sharded parallel reduction (bit-identical to dense).
-class ShardedAggregator : public Aggregator {
- public:
-  /// `shards` <= 0 picks an automatic shard count from `threads`.
-  /// `threads` <= 0 means serial execution.
-  ShardedAggregator(int shards, int threads);
-
-  std::string name() const override { return "sharded"; }
-  void reduce(const std::vector<SparseDelta>& deltas, float* out,
-              size_t dim) const override;
-
-  int shards() const { return shards_; }
-  int threads() const { return threads_; }
-
- private:
-  int shards_ = 0;  // 0 = auto (derived from threads_ per reduce call)
-  int threads_ = 1;
-};
-
-/// Factory keyed by RunConfig::agg; `threads` is the engine's resolved
-/// worker count (ShardedAggregator reuses the same parallelism budget as
-/// client training).
-std::unique_ptr<Aggregator> make_aggregator(const AggConfig& cfg, int threads);
+/// out[j] += sum_i deltas[i].weight * deltas[i][j] over [0, dim), in batch
+/// order at every position. Validates the batch against `dim` first
+/// (CheckError on misuse) and runs under the "aggregate" span.
+void reduce_deltas(const std::vector<SparseDelta>& deltas, float* out,
+                   size_t dim);
 
 }  // namespace gluefl

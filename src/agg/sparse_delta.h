@@ -1,4 +1,5 @@
-// SparseDelta: the unit of work submitted to an Aggregator.
+// SparseDelta: the unit of work submitted to the update reduction
+// (agg/aggregator.h).
 //
 // GlueFL's premise is that masked, quantized client updates are sparse; a
 // SparseDelta carries exactly the transmitted coordinates instead of a

@@ -21,7 +21,7 @@
 // journal. The head `ckpt-<B>.gfc` holds everything but the residual rows
 // (little-endian; Writer/Reader conventions from ckpt/io.h):
 //
-//   File    := magic u32 ("GFCK") | format u8 (=6) | reserved u8 (=0)
+//   File    := magic u32 ("GFCK") | format u8 (=7) | reserved u8 (=0)
 //              | crc32 u32 (of payload) | payload_len u64 | payload
 //   payload := meta | core | sync blob | history | strategy | async
 //              | telemetry | journal
@@ -94,7 +94,9 @@ inline constexpr uint32_t kMagic = 0x4B434647;  // "GFCK"
 /// dispatch-time download bytes.
 /// Format 6: the residual rows left the strategy section for the
 /// directory's journal, and the head gained the journal section.
-inline constexpr uint8_t kFormatVersion = 6;
+/// Format 7: the telemetry section lost the six per-kernel wire value
+/// counters, and the meta no longer carries "agg"/"agg_shards".
+inline constexpr uint8_t kFormatVersion = 7;
 inline constexpr size_t kHeaderBytes = 18;
 
 inline constexpr uint32_t kJournalMagic = 0x524A4647;  // "GFJR"

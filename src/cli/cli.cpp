@@ -30,7 +30,6 @@
 #include "telemetry/profile.h"
 #include "telemetry/report.h"
 #include "telemetry/telemetry.h"
-#include "wire/kernels.h"
 
 namespace gluefl::cli {
 
@@ -87,9 +86,6 @@ run flags:
   --eval-every N     evaluate test accuracy every N rounds       [5]
   --seed N           RNG seed                                    [42]
   --threads N        training threads; 0 = hardware concurrency  [0]
-  --agg MODE         update reduction: dense | sharded           [dense]
-  --agg-shards N     parameter-range shards (--agg=sharded only;
-                     omit for an automatic count)
   --topology SPEC    flat, or hier:<E> for E edge aggregators
                      between clients and cloud                   [flat]
   --wire MODE        byte accounting: encoded is the only mode
@@ -131,8 +127,8 @@ async run flags (require --exec=async):
   --max-staleness N    weight 0 beyond this staleness; 0 = off   [0]
 
 sweep flags (plus --dataset/--model/--env/--rounds/--scale/--seed/
-             --population/--population-mode/--agg/--agg-shards/
-             --topology/--wire/--scenario above):
+             --population/--population-mode/--topology/--wire/
+             --scenario above):
   --q LIST           total mask ratios, e.g. 0.1,0.2,0.3
   --q-shr LIST       shared mask ratios, e.g. 0.08,0.16
   --sticky-s LIST    sticky group sizes S (absolute client counts)
@@ -322,8 +318,6 @@ RunOptions resolve_common(Flags& flags) {
   opt.seed = static_cast<uint64_t>(
       flags.integer("seed", 42, 0, std::numeric_limits<long>::max()));
   opt.threads = static_cast<int>(flags.integer("threads", 0, 0, 1024));
-  opt.agg = flags.str("agg", opt.agg);
-  opt.agg_shards = static_cast<int>(flags.integer("agg-shards", 0, 1, 65536));
   opt.topology = flags.str("topology", opt.topology);
   opt.wire = flags.str("wire", opt.wire);
   opt.scenario = flags.str("scenario", "");
@@ -336,12 +330,8 @@ RunOptions resolve_common(Flags& flags) {
   require_name("model", opt.model, model_names());
   require_name("network env", opt.env, env_names());
   require_name("exec mode", opt.exec, {"sync", "async"});
-  require_name("aggregator", opt.agg, {"dense", "sharded"});
   require_name("population mode", opt.population_mode, {"dense", "virtual"});
   require_name("wire mode", opt.wire, {"encoded"});
-  if (flags.provided("agg-shards") && opt.agg != "sharded") {
-    throw UsageError("--agg-shards requires --agg=sharded");
-  }
   opt.num_edges = parse_topology(opt.topology);
   // Async execution has no invitation barrier, so over-commitment cannot
   // shape the run; reject it rather than silently ignore it.
@@ -483,8 +473,6 @@ SimEngine make_cli_engine(const RunOptions& opt, const SyntheticSpec& spec,
   run.population_mode = opt.population_mode == "virtual"
                             ? PopulationMode::kVirtual
                             : PopulationMode::kDense;
-  run.agg.kind = opt.agg == "sharded" ? AggKind::kSharded : AggKind::kDense;
-  run.agg.shards = opt.agg_shards;
   run.topology.num_edges = opt.num_edges;
   run.scenario = opt.scenario_spec;
   return SimEngine(make_synthetic_dataset(spec),
@@ -555,8 +543,6 @@ std::map<std::string, std::string> ckpt_meta(const RunOptions& opt,
   m["eval_every"] = std::to_string(opt.eval_every);
   m["seed"] = std::to_string(opt.seed);
   m["threads"] = std::to_string(opt.threads);
-  m["agg"] = opt.agg;
-  m["agg_shards"] = std::to_string(opt.agg_shards);
   m["topology"] = opt.topology;
   m["wire"] = opt.wire;
   // The canonical spec, not the --scenario flag value: the file it named
@@ -774,9 +760,7 @@ std::string run_json(const RunOptions& opt, const std::string& strategy,
      << ", \"model\": " << jstr(opt.model) << ", \"env\": " << jstr(opt.env)
      << ", \"rounds\": " << opt.rounds << ", \"clients\": " << spec.num_clients
      << ", \"clients_per_round\": " << k << ", \"scale\": " << jnum(opt.scale)
-     << ", \"seed\": " << opt.seed << ", \"agg\": " << jstr(opt.agg)
-     << ", \"agg_shards\": " << opt.agg_shards
-     << ", \"topology\": " << jstr(opt.topology)
+     << ", \"seed\": " << opt.seed << ", \"topology\": " << jstr(opt.topology)
      << ", \"wire\": " << jstr(opt.wire)
      << ", \"scenario\": " << scenario_json(opt)
      << ", \"population\": " << population
@@ -1130,16 +1114,7 @@ int cmd_run(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
         << aopt.staleness << " alpha=" << fmt_double(aopt.fedbuff.alpha, 2)
         << " server-lr=" << fmt_double(aopt.fedbuff.server_lr, 2) << "\n";
   }
-  if (opt.agg != "dense" || opt.num_edges > 0) {
-    out << "agg: " << opt.agg;
-    if (opt.agg == "sharded") {
-      out << " (shards="
-          << (opt.agg_shards > 0 ? std::to_string(opt.agg_shards)
-                                 : std::string("auto"))
-          << ")";
-    }
-    out << " topology=" << opt.topology << "\n";
-  }
+  if (opt.num_edges > 0) out << "topology: " << opt.topology << "\n";
   if (!opt.scenario.empty()) {
     const scenario::ScenarioSpec& s = opt.scenario_spec;
     out << "scenario: " << s.name << " (classes=" << s.device_classes.size()
@@ -1244,10 +1219,6 @@ int cmd_resume(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
                     ? static_cast<int>(threads_override)
                     : static_cast<int>(
                           meta_long_range(snap, "threads", 0, 1024));
-  opt.agg = meta_get(snap, "agg");
-  require_meta_name(snap, "agg", {"dense", "sharded"});
-  opt.agg_shards =
-      static_cast<int>(meta_long_range(snap, "agg_shards", 0, 65536));
   opt.topology = meta_get(snap, "topology");
   try {
     opt.num_edges = parse_topology(opt.topology);
@@ -1460,8 +1431,6 @@ int cmd_sweep_async(Flags& flags, const RunOptions& opt, bool dry_run,
   json << "{\"schema\": \"gluefl.sweep.v1\", \"exec\": \"async\""
        << ", \"dataset\": " << jstr(opt.dataset)
        << ", \"model\": " << jstr(opt.model) << ", \"env\": " << jstr(opt.env)
-       << ", \"agg\": " << jstr(opt.agg)
-       << ", \"agg_shards\": " << opt.agg_shards
        << ", \"topology\": " << jstr(opt.topology)
        << ", \"wire\": " << jstr(opt.wire)
        << ", \"scenario\": " << scenario_json(opt)
@@ -1594,8 +1563,6 @@ int cmd_sweep(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
   json << "{\"schema\": \"gluefl.sweep.v1\", \"exec\": \"sync\""
        << ", \"dataset\": " << jstr(opt.dataset)
        << ", \"model\": " << jstr(opt.model) << ", \"env\": " << jstr(opt.env)
-       << ", \"agg\": " << jstr(opt.agg)
-       << ", \"agg_shards\": " << opt.agg_shards
        << ", \"topology\": " << jstr(opt.topology)
        << ", \"wire\": " << jstr(opt.wire)
        << ", \"scenario\": " << scenario_json(opt)
@@ -1692,13 +1659,6 @@ int run_cli(const std::vector<std::string>& args, std::ostream& out,
     return 2;
   }
   try {
-    // Codec kernel resolution is lazy (first quantized block), so an
-    // fp32-only run would silently ignore a bad GLUEFL_WIRE_KERNEL.
-    // Validate eagerly whenever the knob is set: unknown or unsupported
-    // names fail here as one loud line, before any work happens.
-    if (std::getenv("GLUEFL_WIRE_KERNEL") != nullptr) {
-      (void)wire::active_kernel();
-    }
     if (parsed.command == "list") return cmd_list(parsed, out, err);
     if (parsed.command == "run") return cmd_run(parsed, out, err);
     if (parsed.command == "sweep") return cmd_sweep(parsed, out, err);

@@ -67,8 +67,6 @@ struct RunOptions {
   int eval_every = 5;
   uint64_t seed = 42;
   int threads = 0;         // training threads; 0 = hardware concurrency
-  std::string agg = "dense";      // update-reduction backend: dense | sharded
-  int agg_shards = 0;             // sharded backend shard count; 0 = auto
   std::string topology = "flat";  // "flat" or "hier:<E>"
   int num_edges = 0;              // parsed from topology; 0 = flat
   std::string wire = "encoded";   // byte accounting: encoded (only mode)

@@ -113,7 +113,6 @@ SimEngine::SimEngine(FederatedDataset dataset, ModelProxy proxy,
         std::make_unique<Worker>(proxy_.model, train_cfg_.momentum));
   }
 
-  aggregator_ = make_aggregator(run_cfg_.agg, num_threads_);
   if (run_cfg_.topology.hierarchical()) {
     topology_ = std::make_unique<HierarchicalTopology>(
         run_cfg_.topology, static_cast<int>(population_), env_.edge_down_mbps,

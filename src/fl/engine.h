@@ -21,7 +21,6 @@
 #include <memory>
 #include <vector>
 
-#include "agg/aggregator.h"
 #include "agg/topology.h"
 #include "common/rng.h"
 #include "data/federated_dataset.h"
@@ -124,10 +123,6 @@ class SimEngine {
 
   SyncTracker& sync() { return *sync_; }
   const SyncTracker& sync() const { return *sync_; }
-
-  /// Update-reduction backend (RunConfig::agg). Strategies submit their
-  /// weighted SparseDelta batches here instead of hand-rolled loops.
-  const Aggregator& aggregator() const { return *aggregator_; }
 
   /// Hierarchical (edge -> cloud) topology, or nullptr when flat.
   const HierarchicalTopology* topology() const { return topology_.get(); }
@@ -245,7 +240,6 @@ class SimEngine {
 
   int64_t population_ = 0;
   std::unique_ptr<ClientDirectory> directory_;
-  std::unique_ptr<Aggregator> aggregator_;
   std::unique_ptr<HierarchicalTopology> topology_;
   std::unique_ptr<SyncTracker> sync_;
   Rng master_rng_;

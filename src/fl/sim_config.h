@@ -35,16 +35,6 @@ struct AsyncConfig {
   int concurrency = 30;  // N: clients training concurrently
 };
 
-/// Update-reduction backend selection (src/agg/aggregator.h).
-enum class AggKind { kDense, kSharded };
-
-struct AggConfig {
-  AggKind kind = AggKind::kDense;
-  /// Parameter-range shard count for kSharded; 0 = auto (scales with the
-  /// engine's training thread count).
-  int shards = 0;
-};
-
 /// Aggregation topology (src/agg/topology.h): 0 edges = flat (every client
 /// reports to the cloud), E >= 1 = hierarchical with E edge aggregators.
 struct TopologyConfig {
@@ -91,8 +81,6 @@ struct RunConfig {
   uint64_t seed = 42;
   /// Threads for parallel client training; 0 = hardware concurrency.
   int num_threads = 0;
-  /// Update-reduction backend (dense reference or sharded parallel).
-  AggConfig agg;
   /// Flat or hierarchical (edge -> cloud) aggregation topology.
   TopologyConfig topology;
   /// Byte accounting; always the encoded (measured) wire.

@@ -57,7 +57,7 @@ class AsyncStrategy : public ckpt::Checkpointable {
   /// changed-position bitmap via
   /// engine.sync().record_round_changes(version, ...). The buffer is
   /// discarded afterwards, so the strategy may move update payloads out of
-  /// it (e.g. into the SparseDelta batch it submits to the aggregator).
+  /// it (e.g. into the SparseDelta batch it hands to reduce_deltas).
   virtual void aggregate(SimEngine& engine, int version,
                          std::vector<AsyncUpdate>& buffer,
                          RoundRecord& rec) = 0;

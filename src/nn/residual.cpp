@@ -67,7 +67,7 @@ void ResidualBlock::forward(const float* flat_params, float* flat_stats,
     out[i] = v > 0.0f ? v : 0.0f;
   }
   if (training) {
-    final_out_.assign(out, out + n);
+    cached_in_ = in;
     cached_bs_ = bs;
   }
 }
@@ -78,9 +78,15 @@ void ResidualBlock::backward(const float* flat_params, const float* gout,
   const size_t n = static_cast<size_t>(bs) * dim_;
   gbuf_a_.resize(n);
   gbuf_b_.resize(n);
-  // Through the final ReLU.
+  // Through the final ReLU: out > 0 exactly when in + F(in) > 0 (NaN
+  // included), and the sum rounds as it did in forward, so masking by it
+  // gives the bits masking by the output did. All operands are loaded
+  // unconditionally, so the select compiles branch-free.
+  const float* f = act_.back().data();
   for (size_t i = 0; i < n; ++i) {
-    gbuf_a_[i] = final_out_[i] > 0.0f ? gout[i] : 0.0f;
+    const float v = cached_in_[i] + f[i];
+    const float g = gout[i];
+    gbuf_a_[i] = v > 0.0f ? g : 0.0f;
   }
   // Skip path contribution.
   if (gin != nullptr) {

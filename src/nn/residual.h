@@ -38,7 +38,7 @@ class ResidualBlock final : public Layer {
   std::vector<std::unique_ptr<Layer>> inner_;
   // forward activations: act_[i] = output of inner_[i]
   std::vector<std::vector<float>> act_;
-  std::vector<float> final_out_;
+  const float* cached_in_ = nullptr;  // input of the last training forward
   std::vector<float> gbuf_a_, gbuf_b_;
   int cached_bs_ = 0;
 };

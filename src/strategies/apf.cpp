@@ -4,6 +4,7 @@
 #include <cmath>
 #include <memory>
 
+#include "agg/aggregator.h"
 #include "agg/sparse_delta.h"
 #include "ckpt/io.h"
 #include "common/check.h"
@@ -130,7 +131,7 @@ void ApfStrategy::run_round(SimEngine& engine, int round, RoundRecord& rec) {
         loss_sum += results[i].loss;
       });
     }
-    engine.aggregator().reduce(batch, agg.data(), dim);
+    reduce_deltas(batch, agg.data(), dim);
     float* params = engine.params().data();
     active.for_each_set([&](size_t j) {
       params[j] += agg[j];

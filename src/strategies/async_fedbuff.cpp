@@ -4,6 +4,7 @@
 #include <utility>
 #include <vector>
 
+#include "agg/aggregator.h"
 #include "agg/sparse_delta.h"
 #include "common/check.h"
 #include "compress/bitmask.h"
@@ -67,7 +68,7 @@ void AsyncFedBuffStrategy::aggregate(SimEngine& engine, int version,
       axpy(static_cast<float>(nu), stats[i].data(), stat_agg.data(),
            engine.stat_dim());
     }
-    engine.aggregator().reduce(batch, agg.data(), engine.dim());
+    reduce_deltas(batch, agg.data(), engine.dim());
     axpy(1.0f, agg.data(), engine.params().data(), engine.dim());
     axpy(1.0f, stat_agg.data(), engine.stats().data(), engine.stat_dim());
     rec.train_loss = loss_sum / static_cast<double>(valid);

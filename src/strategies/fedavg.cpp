@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "agg/aggregator.h"
 #include "agg/sparse_delta.h"
 #include "compress/encoding.h"
 #include "fl/uplink.h"
@@ -61,7 +62,7 @@ void FedAvgStrategy::run_round(SimEngine& engine, int round,
       });
     }
     intake.price(part, rec);
-    engine.aggregator().reduce(batch, agg.data(), engine.dim());
+    reduce_deltas(batch, agg.data(), engine.dim());
     axpy(1.0f, agg.data(), engine.params().data(), engine.dim());
     axpy(1.0f, stat_agg.data(), engine.stats().data(), engine.stat_dim());
     rec.train_loss = loss_sum / khat;

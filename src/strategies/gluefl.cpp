@@ -5,6 +5,7 @@
 #include <memory>
 #include <utility>
 
+#include "agg/aggregator.h"
 #include "agg/sparse_delta.h"
 #include "ckpt/io.h"
 #include "common/check.h"
@@ -190,9 +191,9 @@ void GlueFlStrategy::run_round(SimEngine& engine, int round,
     }
     intake.price(part, rec);
     if (k_shr > 0) {
-      engine.aggregator().reduce(shr_batch, agg_shr.data(), dim);
+      reduce_deltas(shr_batch, agg_shr.data(), dim);
     }
-    engine.aggregator().reduce(uni_batch, agg_uni.data(), dim);
+    reduce_deltas(uni_batch, agg_uni.data(), dim);
 
     // Server: Eq. (6) keeps the top_{q - q_shr} of the aggregated unique
     // gradients; the shared aggregate is applied as-is (Eq. 5).

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <utility>
 
+#include "agg/aggregator.h"
 #include "agg/sparse_delta.h"
 #include "common/check.h"
 #include "compress/encoding.h"
@@ -85,7 +86,7 @@ void StcStrategy::run_round(SimEngine& engine, int round, RoundRecord& rec) {
       });
     }
     intake.price(part, rec);
-    engine.aggregator().reduce(batch, agg.data(), dim);
+    reduce_deltas(batch, agg.data(), dim);
     // Server-side sparsification (Algorithm 1 line 17): top-q of the
     // aggregate becomes the actual model update.
     const SparseVec final_update = top_k_abs(agg.data(), dim, k_);

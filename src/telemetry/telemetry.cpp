@@ -27,18 +27,6 @@ constexpr MetricDef kDefs[] = {
      "wire frames decoded (frames parsed for aggregation)"},
     {"wire.decode.bytes", MetricKind::kCounter, MetricClass::kSim,
      "bytes consumed by the wire decoder"},
-    {"wire.encode.values.portable", MetricKind::kCounter, MetricClass::kSim,
-     "values encoded through the portable codec kernel"},
-    {"wire.encode.values.sse", MetricKind::kCounter, MetricClass::kSim,
-     "values encoded through the SSE4.1 codec kernel"},
-    {"wire.encode.values.avx2", MetricKind::kCounter, MetricClass::kSim,
-     "values encoded through the AVX2 codec kernel"},
-    {"wire.decode.values.portable", MetricKind::kCounter, MetricClass::kSim,
-     "values decoded through the portable codec kernel"},
-    {"wire.decode.values.sse", MetricKind::kCounter, MetricClass::kSim,
-     "values decoded through the SSE4.1 codec kernel"},
-    {"wire.decode.values.avx2", MetricKind::kCounter, MetricClass::kSim,
-     "values decoded through the AVX2 codec kernel"},
     {"wire.mask.frames", MetricKind::kCounter, MetricClass::kSim,
      "mask downlink frames priced via the RLE run walk (one per distinct "
      "staleness per round)"},

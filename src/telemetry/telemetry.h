@@ -48,12 +48,6 @@ enum MetricId : int {
   kWireEncodeBytes,
   kWireDecodeFrames,
   kWireDecodeBytes,
-  kWireEncodeValuesPortable,
-  kWireEncodeValuesSse,
-  kWireEncodeValuesAvx2,
-  kWireDecodeValuesPortable,
-  kWireDecodeValuesSse,
-  kWireDecodeValuesAvx2,
   kMaskFrames,
   kMaskRuns,
   // Scenario fault-injection paths (DESIGN.md §11): all four are pure

@@ -7,41 +7,8 @@
 
 #include "common/check.h"
 #include "telemetry/telemetry.h"
-#include "wire/kernels.h"
 
 namespace gluefl::wire {
-
-namespace {
-
-/// Per-kernel value counters: the quantized ValueBlock transform is the
-/// only path that goes through a dispatched kernel, so fp32 blocks are
-/// not attributed to any kernel (their bytes still land in
-/// wire.encode.bytes / wire.decode.bytes).
-telemetry::MetricId encode_values_metric() {
-  switch (active_kernel_kind()) {
-    case KernelKind::kSse:
-      return telemetry::kWireEncodeValuesSse;
-    case KernelKind::kAvx2:
-      return telemetry::kWireEncodeValuesAvx2;
-    case KernelKind::kPortable:
-      break;
-  }
-  return telemetry::kWireEncodeValuesPortable;
-}
-
-telemetry::MetricId decode_values_metric() {
-  switch (active_kernel_kind()) {
-    case KernelKind::kSse:
-      return telemetry::kWireDecodeValuesSse;
-    case KernelKind::kAvx2:
-      return telemetry::kWireDecodeValuesAvx2;
-    case KernelKind::kPortable:
-      break;
-  }
-  return telemetry::kWireDecodeValuesPortable;
-}
-
-}  // namespace
 
 namespace {
 
@@ -152,17 +119,87 @@ void put_bitmap(std::vector<uint8_t>& out, const BitMask& m) {
   });
 }
 
-/// Decodes a ValueBlock of n values into out (resized). The per-chunk
-/// unpack + dequantize runs on the dispatched kernel (kernels.h); levels
-/// are masked to `bits` bits while unpacking, so they cannot exceed the
-/// 2^bits - 1 grid by construction and need no per-level range check.
+// ---- the quantized ValueBlock transform (DESIGN.md §7) ----
+
+/// LSB-first bit-packer over int32 levels (chunk-local accumulator).
+void pack_levels(const int32_t* levels, size_t n, int bits, uint8_t* out) {
+  uint64_t acc = 0;
+  int filled = 0;
+  for (size_t i = 0; i < n; ++i) {
+    acc |= static_cast<uint64_t>(static_cast<uint32_t>(levels[i])) << filled;
+    filled += bits;
+    while (filled >= 8) {
+      *out++ = static_cast<uint8_t>(acc);
+      acc >>= 8;
+      filled -= 8;
+    }
+  }
+  if (filled > 0) *out = static_cast<uint8_t>(acc);
+}
+
+/// Quantizes one chunk of n <= kValueChunk values onto the symmetric
+/// 2^bits-1 level grid with stochastic rounding and returns the chunk's
+/// max-abs scale. Draws exactly n rng.uniform() doubles in index order
+/// when max_abs > 0 and none otherwise. When `packed` is non-null the
+/// bit-packed levels (ceil(n*bits/8) bytes) are written there; when
+/// `dequant` is non-null (may alias x) the dequantized values
+/// level*scale - max_abs are written there.
+float encode_chunk(const float* x, size_t n, int bits, Rng& rng,
+                   uint8_t* packed, float* dequant) {
+  float max_abs = 0.0f;
+  for (size_t i = 0; i < n; ++i) max_abs = std::max(max_abs, std::fabs(x[i]));
+  const int nlevels = (1 << bits) - 1;
+  if (max_abs == 0.0f) {
+    // An all-zero chunk encodes to level 0 everywhere and draws NOTHING
+    // from the rng — part of the draw-sequence contract.
+    if (packed != nullptr) {
+      std::memset(packed, 0, (n * static_cast<size_t>(bits) + 7) / 8);
+    }
+    if (dequant != nullptr) std::fill_n(dequant, n, 0.0f);
+    return 0.0f;
+  }
+  const float scale = 2.0f * max_abs / static_cast<float>(nlevels);
+  int32_t levels[kValueChunk];
+  for (size_t i = 0; i < n; ++i) {
+    const float t = (x[i] + max_abs) / scale;  // in [0, nlevels]
+    const float lo = std::floor(t);
+    const float frac = t - lo;
+    const float q = std::clamp(lo + (rng.uniform() < frac ? 1.0f : 0.0f),
+                               0.0f, static_cast<float>(nlevels));
+    levels[i] = static_cast<int32_t>(q);
+    if (dequant != nullptr) dequant[i] = q * scale - max_abs;
+  }
+  if (packed != nullptr) pack_levels(levels, n, bits, packed);
+  return max_abs;
+}
+
+/// Unpacks n levels of `bits` each and dequantizes them into out. The
+/// mask bounds every level to the 2^bits - 1 grid by construction, so no
+/// per-level range check is needed.
+void decode_chunk(const uint8_t* packed, size_t n, int bits, float max_abs,
+                  float* out) {
+  const int nlevels = (1 << bits) - 1;
+  const float scale = 2.0f * max_abs / static_cast<float>(nlevels);
+  uint64_t acc = 0;
+  int avail = 0;
+  const uint32_t mask = (1u << bits) - 1u;
+  for (size_t i = 0; i < n; ++i) {
+    while (avail < bits) {
+      acc |= static_cast<uint64_t>(*packed++) << avail;
+      avail += 8;
+    }
+    const uint32_t level = static_cast<uint32_t>(acc) & mask;
+    acc >>= bits;
+    avail -= bits;
+    out[i] = static_cast<float>(level) * scale - max_abs;
+  }
+}
+
+/// Decodes a ValueBlock of n values into out (resized).
 void read_value_block(Cursor& c, size_t n, std::vector<float>& out) {
   const int bits = c.u8();
   GLUEFL_CHECK_MSG(bits == 32 || (bits >= 1 && bits <= 16),
                    "wire: bad ValueBlock bit width");
-  if (telemetry::enabled() && bits != 32) {
-    telemetry::count(decode_values_metric(), n);
-  }
   out.resize(n);
   if (n == 0) return;  // an empty vector's data() may be nullptr
   if (bits == 32) {
@@ -170,14 +207,13 @@ void read_value_block(Cursor& c, size_t n, std::vector<float>& out) {
     std::memcpy(out.data(), raw, n * 4);
     return;
   }
-  const CodecKernel& kernel = active_kernel();
   for (size_t base = 0; base < n; base += kValueChunk) {
     const size_t cn = std::min(kValueChunk, n - base);
     const float max_abs = c.f32();
     GLUEFL_CHECK_MSG(std::isfinite(max_abs) && max_abs >= 0.0f,
                      "wire: bad chunk scale");
     const uint8_t* packed = c.bytes((cn * static_cast<size_t>(bits) + 7) / 8);
-    kernel.decode_chunk(packed, cn, bits, max_abs, out.data() + base);
+    decode_chunk(packed, cn, bits, max_abs, out.data() + base);
   }
 }
 
@@ -285,10 +321,9 @@ uint32_t support_id(const std::vector<uint32_t>& idx) {
 void quantize_values(float* x, size_t n, int bits, Rng& rng) {
   GLUEFL_CHECK(bits == 32 || (bits >= 1 && bits <= 16));
   if (bits == 32) return;
-  const CodecKernel& kernel = active_kernel();
   for (size_t base = 0; base < n; base += kValueChunk) {
     const size_t cn = std::min(kValueChunk, n - base);
-    kernel.encode_chunk(x + base, cn, bits, rng, nullptr, x + base);
+    encode_chunk(x + base, cn, bits, rng, nullptr, x + base);
   }
 }
 
@@ -447,9 +482,6 @@ WireEncoder::WireEncoder(size_t dim, int value_bits, Rng* rng)
 }
 
 void WireEncoder::value_block(const float* v, size_t n) {
-  if (telemetry::enabled() && value_bits_ != 32) {
-    telemetry::count(encode_values_metric(), n);
-  }
   buf_.push_back(static_cast<uint8_t>(value_bits_));
   if (n == 0) return;  // an empty block may come with v == nullptr
   if (value_bits_ == 32) {
@@ -458,15 +490,14 @@ void WireEncoder::value_block(const float* v, size_t n) {
     std::memcpy(buf_.data() + start, v, n * 4);
     return;
   }
-  // The kernel packs straight into the frame buffer (resized up front per
+  // Each chunk packs straight into the frame buffer (resized up front per
   // chunk) — no chunk copy, no per-byte push_back.
-  const CodecKernel& kernel = active_kernel();
   for (size_t base = 0; base < n; base += kValueChunk) {
     const size_t cn = std::min(kValueChunk, n - base);
     const size_t nb = (cn * static_cast<size_t>(value_bits_) + 7) / 8;
     const size_t start = buf_.size();
     buf_.resize(start + 4 + nb);
-    const float max_abs = kernel.encode_chunk(
+    const float max_abs = encode_chunk(
         v + base, cn, value_bits_, *rng_, buf_.data() + start + 4, nullptr);
     uint32_t bits;
     std::memcpy(&bits, &max_abs, 4);

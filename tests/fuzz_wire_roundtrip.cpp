@@ -26,7 +26,6 @@
 #include "scenario/scenario.h"
 #include "test_util.h"
 #include "wire/codec.h"
-#include "wire/kernels.h"
 
 using namespace gluefl;
 
@@ -235,17 +234,6 @@ int run_iteration(uint64_t seed) {
 }  // namespace
 
 int main() {
-  // Forced-kernel legs (CTest: wire_fuzz_smoke_{portable,sse,avx2}) set
-  // GLUEFL_WIRE_KERNEL; when this build/CPU lacks the named kernel the
-  // leg SKIPs (exit 77, CTest SKIP_RETURN_CODE) instead of failing.
-  if (std::getenv("GLUEFL_WIRE_KERNEL") != nullptr) {
-    try {
-      std::printf("forced codec kernel: %s\n", wire::active_kernel().name);
-    } catch (const CheckError& e) {
-      std::fprintf(stderr, "skipping: %s\n", e.what());
-      return 77;
-    }
-  }
   const size_t iters = env_or("GLUEFL_FUZZ_ITERS", 300);
   const uint64_t seed0 = env_or("GLUEFL_FUZZ_SEED", 20260731);
   for (size_t i = 0; i < iters; ++i) {

@@ -1,4 +1,4 @@
-#include "nn/gradcheck.h"
+#include "gradcheck.h"
 
 #include <algorithm>
 #include <cmath>

@@ -1,7 +1,6 @@
 // Finite-difference gradient checking for FlatModel.
 //
-// Used by the test suite to validate every layer's backward pass; exposed
-// as library code so downstream users adding custom layers can reuse it.
+// tests/test_nn.cpp validates every layer's backward pass with it.
 #pragma once
 
 #include "common/rng.h"

@@ -1,9 +1,8 @@
-// The sharded sparse aggregation subsystem (src/agg/):
+// The sparse aggregation subsystem (src/agg/):
 //   * SparseDelta construction and validation,
-//   * DenseAggregator / ShardedAggregator bit-identity for every shard and
-//     thread count (the subsystem's core contract),
-//   * strategy-level equivalence — a full run with --agg=sharded must end
-//     at a bit-identical model to --agg=dense on every strategy,
+//   * reduce_deltas against hand-rolled and per-delta scalar sums,
+//   * thread-count equivalence — a full run must end at a bit-identical
+//     model at 1, 4 and 8 training threads on every strategy,
 //   * hierarchical (edge -> cloud) topology pricing.
 #include <cstdint>
 #include <memory>
@@ -95,13 +94,16 @@ TEST(SparseDelta, ConstructionRejectsUnsortedOrMisalignedSupports) {
   EXPECT_THROW(SparseDelta::on_shared(short_idx, {1.0f, 2.0f}), CheckError);
 }
 
-// ---------------------------------------------------------- aggregators
+// ------------------------------------------------------- reduce_deltas
 
 /// Random batch mixing dense, per-delta sparse and cohort-shared deltas.
-std::vector<SparseDelta> random_batch(size_t dim, int n_deltas, Rng& rng) {
+/// The shared support keeps `shared_p` of the positions, so a high value
+/// gives the consecutive runs the positional fast paths take.
+std::vector<SparseDelta> random_batch(size_t dim, int n_deltas, Rng& rng,
+                                      double shared_p) {
   std::vector<uint32_t> shared;
   for (size_t j = 0; j < dim; ++j) {
-    if (rng.uniform() < 0.15) shared.push_back(static_cast<uint32_t>(j));
+    if (rng.uniform() < shared_p) shared.push_back(static_cast<uint32_t>(j));
   }
   const auto shared_idx = SparseDelta::make_support(std::move(shared));
 
@@ -144,72 +146,46 @@ TEST(Aggregator, DenseReferenceMatchesHandRolledSum) {
       SparseDelta::dense({1, 1, 1, 1, 1, 1, 1, 1}, 0.5f),
       SparseDelta::from_sparse(std::move(sv), 3.0f)};
   std::vector<float> out(dim, 0.0f);
-  DenseAggregator().reduce(batch, out.data(), dim);
+  reduce_deltas(batch, out.data(), dim);
   EXPECT_FLOAT_EQ(out[0], 0.5f);
   EXPECT_FLOAT_EQ(out[1], 0.5f + 6.0f);
   EXPECT_FLOAT_EQ(out[6], 0.5f - 3.0f);
 }
 
-TEST(Aggregator, ShardedBitIdenticalToDenseForAnyShardsAndThreads) {
+TEST(Aggregator, MatchesPerDeltaScalarSum) {
+  // The cohort-run and consecutive-run fast paths must add exactly what a
+  // plain per-delta, per-position loop adds, in the same order.
   Rng rng(123);
-  for (const size_t dim : {size_t{1}, size_t{63}, size_t{1037}}) {
-    const auto batch = random_batch(dim, 13, rng);
-    std::vector<float> ref(dim, 0.0f);
-    DenseAggregator().reduce(batch, ref.data(), dim);
-    for (const int shards : {1, 3, 8, 64}) {
-      for (const int threads : {1, 4, 8}) {
-        std::vector<float> out(dim, 0.0f);
-        ShardedAggregator(shards, threads).reduce(batch, out.data(), dim);
-        for (size_t j = 0; j < dim; ++j) {
-          ASSERT_EQ(out[j], ref[j])
-              << "dim=" << dim << " shards=" << shards
-              << " threads=" << threads << " j=" << j;
+  for (const double shared_p : {0.15, 0.95}) {
+    for (const size_t dim : {size_t{1}, size_t{63}, size_t{1037}}) {
+      const auto batch = random_batch(dim, 13, rng, shared_p);
+      std::vector<float> ref(dim, 0.0f);
+      for (const SparseDelta& d : batch) {
+        for (size_t k = 0; k < d.nnz(); ++k) {
+          ref[d.is_dense() ? k : (*d.idx)[k]] += d.weight * d.val[k];
         }
       }
+      std::vector<float> out(dim, 0.0f);
+      reduce_deltas(batch, out.data(), dim);
+      ASSERT_EQ(out, ref) << "dim=" << dim << " shared_p=" << shared_p;
     }
-  }
-}
-
-TEST(Aggregator, AutoShardCountBitIdenticalToo) {
-  Rng rng(321);
-  const size_t dim = 513;
-  const auto batch = random_batch(dim, 9, rng);
-  std::vector<float> ref(dim, 0.0f);
-  DenseAggregator().reduce(batch, ref.data(), dim);
-  for (const int threads : {1, 2, 8}) {
-    std::vector<float> out(dim, 0.0f);
-    ShardedAggregator(/*shards=*/0, threads).reduce(batch, out.data(), dim);
-    for (size_t j = 0; j < dim; ++j) ASSERT_EQ(out[j], ref[j]);
   }
 }
 
 TEST(Aggregator, EmptyBatchAndEmptyDeltasAreNoOps) {
   std::vector<float> out(16, 1.0f);
-  DenseAggregator().reduce({}, out.data(), 16);
-  ShardedAggregator(4, 4).reduce({}, out.data(), 16);
+  reduce_deltas({}, out.data(), 16);
   std::vector<SparseDelta> empties{SparseDelta::from_sparse(SparseVec{})};
-  ShardedAggregator(4, 4).reduce(empties, out.data(), 16);
+  reduce_deltas(empties, out.data(), 16);
   for (const float v : out) EXPECT_FLOAT_EQ(v, 1.0f);
 }
 
-TEST(Aggregator, FactoryHonorsConfig) {
-  AggConfig cfg;
-  EXPECT_EQ(make_aggregator(cfg, 4)->name(), "dense");
-  cfg.kind = AggKind::kSharded;
-  cfg.shards = 7;
-  const auto agg = make_aggregator(cfg, 4);
-  EXPECT_EQ(agg->name(), "sharded");
-  EXPECT_EQ(static_cast<const ShardedAggregator&>(*agg).shards(), 7);
-}
+// ------------------------------------------- strategy-level thread count
 
-// ------------------------------------- strategy-level dense <-> sharded
-
-SimEngine make_engine_with(AggKind kind, int threads, uint64_t seed,
-                           int rounds = 6, int k = 6) {
+SimEngine make_engine_with(int threads, uint64_t seed, int rounds = 6,
+                           int k = 6) {
   RunConfig rc = tiny_run_config(rounds, k, seed);
   rc.num_threads = threads;
-  rc.agg.kind = kind;
-  rc.agg.shards = kind == AggKind::kSharded ? 5 : 0;
   return SimEngine(make_synthetic_dataset(tiny_spec()), tiny_proxy(),
                    make_datacenter_env(), tiny_train_config(), rc);
 }
@@ -231,17 +207,20 @@ std::unique_ptr<Strategy> tiny_strategy(const std::string& name) {
   return std::make_unique<FedAvgStrategy>();
 }
 
-TEST(AggEquivalence, SyncStrategiesBitIdenticalAcrossBackendsAndThreads) {
+// Training fans out over the engine's worker threads; everything after it
+// (encode, decode, reduce, server update) is serial, so the thread count
+// must not reach the model.
+TEST(ThreadEquivalence, SyncStrategiesBitIdenticalAcrossThreads) {
   for (const char* name : {"gluefl", "stc", "fedavg"}) {
     for (const uint64_t seed : {uint64_t{7}, uint64_t{42}}) {
-      auto ref_engine = make_engine_with(AggKind::kDense, 1, seed);
+      auto ref_engine = make_engine_with(1, seed);
       auto ref_strategy = tiny_strategy(name);
       ref_engine.run(*ref_strategy);
       const std::vector<float> ref = ref_engine.params();
       const std::vector<float> ref_stats = ref_engine.stats();
 
-      for (const int threads : {1, 4, 8}) {
-        auto engine = make_engine_with(AggKind::kSharded, threads, seed);
+      for (const int threads : {4, 8}) {
+        auto engine = make_engine_with(threads, seed);
         auto strategy = tiny_strategy(name);
         engine.run(*strategy);
         ASSERT_EQ(engine.params(), ref)
@@ -253,7 +232,7 @@ TEST(AggEquivalence, SyncStrategiesBitIdenticalAcrossBackendsAndThreads) {
   }
 }
 
-TEST(AggEquivalence, AsyncFedBuffBitIdenticalAcrossBackendsAndThreads) {
+TEST(ThreadEquivalence, AsyncFedBuffBitIdenticalAcrossThreads) {
   AsyncConfig acfg;
   acfg.buffer_size = 4;
   acfg.concurrency = 12;
@@ -261,14 +240,14 @@ TEST(AggEquivalence, AsyncFedBuffBitIdenticalAcrossBackendsAndThreads) {
   fcfg.discount = StalenessDiscount::kPolynomial;
 
   for (const uint64_t seed : {uint64_t{7}, uint64_t{42}}) {
-    auto ref_engine = make_engine_with(AggKind::kDense, 1, seed);
+    auto ref_engine = make_engine_with(1, seed);
     AsyncSimEngine ref_async(ref_engine, acfg);
     AsyncFedBuffStrategy ref_strategy(fcfg);
     ref_async.run(ref_strategy);
     const std::vector<float> ref = ref_engine.params();
 
-    for (const int threads : {1, 4, 8}) {
-      auto engine = make_engine_with(AggKind::kSharded, threads, seed);
+    for (const int threads : {4, 8}) {
+      auto engine = make_engine_with(threads, seed);
       AsyncSimEngine async_engine(engine, acfg);
       AsyncFedBuffStrategy strategy(fcfg);
       async_engine.run(strategy);

@@ -140,17 +140,17 @@ TEST(CkptIo, Crc32KnownVector) {
     }
   }
 
-  // A whole encoded snapshot, pinned to the bytes format 6 has always
+  // A whole encoded snapshot, pinned to the bytes format 7 has always
   // written: its size, the payload CRC in the header and the file's CRC.
   const std::vector<uint8_t> bytes = ckpt::encode_snapshot(tiny_snapshot());
-  ASSERT_EQ(bytes.size(), 1064u);
+  ASSERT_EQ(bytes.size(), 1016u);
   uint32_t header_crc = 0;
   for (int i = 0; i < 4; ++i) {
     header_crc |= static_cast<uint32_t>(bytes[6 + static_cast<size_t>(i)])
                   << (8 * i);
   }
-  EXPECT_EQ(header_crc, 0xE7A7AA59u);
-  EXPECT_EQ(ckpt::crc32(bytes.data(), bytes.size()), 0xE663C88Eu);
+  EXPECT_EQ(header_crc, 0xFF6F1E88u);
+  EXPECT_EQ(ckpt::crc32(bytes.data(), bytes.size()), 0x4AA31FB6u);
 }
 
 TEST(CkptIo, Crc32ContinuesAcrossSplits) {
@@ -453,9 +453,12 @@ TEST(CkptFile, MissingFileIsACleanError) {
 struct MatrixConfig {
   uint64_t seed = 42;
   int threads = 1;
-  bool sharded = false;
   int edges = 0;  // 0 = flat
 };
+
+/// Both seeds at 1 and 4 threads, each flat and hierarchical.
+constexpr MatrixConfig kCombos[] = {
+    {42, 1, 0}, {7, 4, 0}, {42, 1, 3}, {7, 4, 3}};
 
 constexpr int kRounds = 6;
 constexpr int kBoundary = 3;
@@ -464,7 +467,6 @@ SimEngine make_matrix_engine(const MatrixConfig& c) {
   RunConfig rc = tiny_run_config(kRounds, 6, c.seed);
   rc.eval_every = 2;
   rc.num_threads = c.threads;
-  rc.agg.kind = c.sharded ? AggKind::kSharded : AggKind::kDense;
   rc.topology.num_edges = c.edges;
   return SimEngine(make_synthetic_dataset(tiny_spec()), tiny_proxy(),
                    make_datacenter_env(), tiny_train_config(), rc);
@@ -557,15 +559,10 @@ void expect_identical_runs(const RunResult& ref, const RunResult& res,
 /// boundary, so the heads sit on base+delta journal chains; resuming from
 /// an early and from the newest head must reproduce the same run.
 void run_sync_matrix(const std::string& strategy_name) {
-  const MatrixConfig combos[] = {
-      {42, 1, false, 0}, {7, 4, false, 0}, {42, 1, true, 0}, {7, 4, true, 0},
-      {42, 1, false, 3}, {7, 4, false, 3}, {42, 1, true, 3}, {7, 4, true, 3},
-  };
-  for (const MatrixConfig& c : combos) {
+  for (const MatrixConfig& c : kCombos) {
     const std::string label =
         strategy_name + " seed=" + std::to_string(c.seed) +
         " threads=" + std::to_string(c.threads) +
-        (c.sharded ? " sharded" : " dense") +
         (c.edges > 0 ? " hier" : " flat");
 
     ScratchDir dir("ckpt_matrix_" + strategy_name);
@@ -613,15 +610,10 @@ TEST(CkptResume, ApfMatrix) { run_sync_matrix("apf"); }
 TEST(CkptResume, GlueFlMatrix) { run_sync_matrix("gluefl"); }
 
 TEST(CkptResume, AsyncFedBuffMatrix) {
-  const MatrixConfig combos[] = {
-      {42, 1, false, 0}, {7, 4, false, 0}, {42, 1, true, 0}, {7, 4, true, 0},
-      {42, 1, false, 3}, {7, 4, false, 3}, {42, 1, true, 3}, {7, 4, true, 3},
-  };
-  for (const MatrixConfig& c : combos) {
+  for (const MatrixConfig& c : kCombos) {
     const std::string label =
         "async-fedbuff seed=" + std::to_string(c.seed) +
         " threads=" + std::to_string(c.threads) +
-        (c.sharded ? " sharded" : " dense") +
         (c.edges > 0 ? " hier" : " flat");
     AsyncConfig acfg;
     acfg.buffer_size = 4;

@@ -182,52 +182,28 @@ TEST(CliRun, JsonFileFlagWritesTheSummary) {
 
 // ------------------------------------------------------ agg / topology
 
-TEST(CliAgg, ShardedRunEchoesSettingsInJson) {
-  const CliResult r =
-      invoke({"run", "--strategy", "fedavg", "--rounds", "1", "--scale",
-              "0.02", "--agg", "sharded", "--agg-shards", "4"});
-  EXPECT_EQ(r.code, 0) << r.err;
-  EXPECT_NE(r.out.find("\"agg\": \"sharded\""), std::string::npos);
-  EXPECT_NE(r.out.find("\"agg_shards\": 4"), std::string::npos);
-  EXPECT_NE(r.out.find("\"topology\": \"flat\""), std::string::npos);
+TEST(CliAgg, RetiredFlagsAreUnknown) {
+  // There is one update reduction; its old selector flags are gone and
+  // fail like any other unknown flag: one line, exit 2.
+  for (const char* cmd : {"run", "sweep"}) {
+    for (const auto& flag : {std::pair{"--agg", "dense"},
+                             std::pair{"--agg", "sharded"},
+                             std::pair{"--agg-shards", "4"}}) {
+      const CliResult r = invoke({cmd, "--rounds", "1", "--scale", "0.02",
+                                  flag.first, flag.second});
+      EXPECT_EQ(r.code, 2) << cmd << " " << flag.first;
+      EXPECT_EQ(r.err, std::string("error: unknown flag ") + flag.first +
+                           "\n");
+    }
+  }
 }
 
-TEST(CliAgg, ShardedIsBitIdenticalToDenseThroughTheCli) {
-  const std::initializer_list<const char*> common = {
-      "run", "--strategy", "gluefl", "--rounds", "2", "--scale", "0.02",
-      "--eval-every", "1"};
-  std::vector<std::string> dense(common.begin(), common.end());
-  std::vector<std::string> sharded = dense;
-  sharded.insert(sharded.end(), {"--agg", "sharded", "--threads", "4"});
-  std::ostringstream dout, derr, sout, serr;
-  ASSERT_EQ(run_cli(dense, dout, derr), 0) << derr.str();
-  ASSERT_EQ(run_cli(sharded, sout, serr), 0) << serr.str();
-  // Identical trajectories / totals; only the echoed settings may differ.
-  const auto traj = [](const std::string& s) {
-    return s.substr(s.find("\"best_accuracy\""));
-  };
-  EXPECT_EQ(traj(dout.str()), traj(sout.str()));
-}
-
-TEST(CliAgg, ShardsBelowOneRejected) {
-  const CliResult r = invoke({"run", "--agg", "sharded", "--agg-shards", "0",
-                              "--rounds", "1", "--scale", "0.02"});
-  EXPECT_EQ(r.code, 2);
-  EXPECT_NE(r.err.find("--agg-shards"), std::string::npos);
-}
-
-TEST(CliAgg, ShardsRequireShardedBackend) {
-  const CliResult r = invoke({"run", "--agg-shards", "4", "--rounds", "1",
+TEST(CliTopology, FlatRunEchoesTopology) {
+  const CliResult r = invoke({"run", "--strategy", "fedavg", "--rounds", "1",
                               "--scale", "0.02"});
-  EXPECT_EQ(r.code, 2);
-  EXPECT_NE(r.err.find("--agg-shards requires --agg=sharded"),
-            std::string::npos);
-}
-
-TEST(CliAgg, UnknownBackendRejected) {
-  const CliResult r = invoke({"run", "--agg", "turbo", "--rounds", "1"});
-  EXPECT_EQ(r.code, 2);
-  EXPECT_NE(r.err.find("turbo"), std::string::npos);
+  EXPECT_EQ(r.code, 0) << r.err;
+  EXPECT_NE(r.out.find("\"topology\": \"flat\""), std::string::npos);
+  EXPECT_EQ(r.out.find("topology: "), std::string::npos);
 }
 
 TEST(CliTopology, HierarchicalRunEchoesTopology) {
@@ -235,7 +211,7 @@ TEST(CliTopology, HierarchicalRunEchoesTopology) {
                               "--scale", "0.02", "--topology", "hier:2"});
   EXPECT_EQ(r.code, 0) << r.err;
   EXPECT_NE(r.out.find("\"topology\": \"hier:2\""), std::string::npos);
-  EXPECT_NE(r.out.find("topology=hier:2"), std::string::npos);
+  EXPECT_NE(r.out.find("topology: hier:2\n"), std::string::npos);
 }
 
 TEST(CliTopology, ZeroEdgesRejected) {
@@ -259,13 +235,11 @@ TEST(CliTopology, MoreEdgesThanClientsRejected) {
   EXPECT_NE(r.err.find("more edges than the population"), std::string::npos);
 }
 
-TEST(CliTopology, SweepAcceptsAggAndTopology) {
+TEST(CliTopology, SweepAcceptsTopology) {
   const CliResult r =
       invoke({"sweep", "--dataset", "femnist", "--rounds", "1", "--scale",
-              "0.02", "--q", "0.2", "--agg", "sharded", "--topology",
-              "hier:2"});
+              "0.02", "--q", "0.2", "--topology", "hier:2"});
   EXPECT_EQ(r.code, 0) << r.err;
-  EXPECT_NE(r.out.find("\"agg\": \"sharded\""), std::string::npos);
   EXPECT_NE(r.out.find("\"topology\": \"hier:2\""), std::string::npos);
 }
 
@@ -572,6 +546,9 @@ TEST(CliCkpt, ResumeTruncatedAndCorruptAndWrongVersionRejected) {
   corrupt[bytes.size() / 2] ^= 0x20;
   std::vector<char> wrong_version = bytes;
   wrong_version[4] = 99;  // format byte
+  // The realistic case: a head written by the previous format.
+  std::vector<char> previous_version = bytes;
+  previous_version[4] = static_cast<char>(ckpt::kFormatVersion - 1);
 
   struct Case {
     std::string path;
@@ -581,6 +558,7 @@ TEST(CliCkpt, ResumeTruncatedAndCorruptAndWrongVersionRejected) {
       {write_variant("trunc.gfc", truncated), "truncated"},
       {write_variant("corrupt.gfc", corrupt), "CRC"},
       {write_variant("version.gfc", wrong_version), "version"},
+      {write_variant("previous.gfc", previous_version), "version"},
   };
   for (const Case& c : cases) {
     const CliResult r = invoke({"resume", c.path.c_str()});
@@ -750,8 +728,8 @@ TEST(CliCkpt, AnyLegalRunConfigurationIsResumable) {
 }
 
 TEST(CliCkpt, TamperedRegistryNameIsACleanError) {
-  // Unknown agg/wire names must reject as CkptError (exit 1), never fall
-  // back to a silent default backend.
+  // An unknown population mode must reject as CkptError (exit 1), never
+  // fall back to a silent default layout.
   ScratchDir dir("cli_ckpt_registry");
   const CliResult w =
       invoke({"run", "--strategy", "fedavg", "--rounds", "4", "--scale",
@@ -760,12 +738,14 @@ TEST(CliCkpt, TamperedRegistryNameIsACleanError) {
   ASSERT_EQ(w.code, 0) << w.err;
   ckpt::Snapshot snap =
       ckpt::load_checkpoint((dir.path / "ckpt-00000002.gfc").string());
-  snap.meta["agg"] = "bogus";
-  const std::string bad = (dir.path / "bad-agg.gfc").string();
+  snap.meta["population_mode"] = "bogus";
+  const std::string bad = (dir.path / "bad-mode.gfc").string();
   ckpt::save_checkpoint(bad, snap);
   const CliResult r = invoke({"resume", bad.c_str()});
   EXPECT_EQ(r.code, 1);
+  EXPECT_NE(r.err.find("'population_mode'"), std::string::npos) << r.err;
   EXPECT_NE(r.err.find("bogus"), std::string::npos) << r.err;
+  EXPECT_EQ(r.err.find('\n'), r.err.size() - 1) << r.err;
 }
 
 TEST(CliCkpt, AnalyticWireSnapshotIsACleanError) {

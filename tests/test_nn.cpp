@@ -6,6 +6,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -13,9 +14,9 @@
 #include "common/check.h"
 #include "common/rng.h"
 #include "gemm_tier_test.h"
+#include "gradcheck.h"
 #include "nn/activation.h"
 #include "nn/batchnorm.h"
-#include "nn/gradcheck.h"
 #include "nn/linear.h"
 #include "nn/loss.h"
 #include "nn/model.h"
@@ -552,6 +553,129 @@ TEST(NnOracles, ReluMatchesOutputMask) {
   }
   EXPECT_TRUE(same_bits(out, ref_out));
   EXPECT_TRUE(same_bits(gin, ref_gin));
+}
+
+// ResidualBlock with its old final ReLU: forward copies the block output,
+// and backward masks by that copy with a per-element branch. The inner
+// chain is the same five layers, bound to the same flat slices.
+class RefResidual {
+ public:
+  explicit RefResidual(int dim) : dim_(dim) {
+    inner_.push_back(std::make_unique<Linear>(dim, dim));
+    inner_.push_back(std::make_unique<BatchNorm1d>(dim));
+    inner_.push_back(std::make_unique<ReLU>(dim));
+    inner_.push_back(std::make_unique<Linear>(dim, dim));
+    inner_.push_back(std::make_unique<BatchNorm1d>(dim));
+    size_t po = 0, so = 0;
+    for (auto& l : inner_) {
+      l->bind({po, l->param_count()}, {so, l->stat_count()});
+      po += l->param_count();
+      so += l->stat_count();
+    }
+  }
+
+  void forward(const float* params, float* stats, const float* in,
+               float* out, int bs) {
+    const size_t n = static_cast<size_t>(bs) * dim_;
+    act_.resize(inner_.size());
+    const float* cur = in;
+    for (size_t i = 0; i < inner_.size(); ++i) {
+      act_[i].resize(n);
+      inner_[i]->forward(params, stats, cur, act_[i].data(), bs, true);
+      cur = act_[i].data();
+    }
+    for (size_t i = 0; i < n; ++i) {
+      const float v = in[i] + act_.back()[i];
+      out[i] = v > 0.0f ? v : 0.0f;
+    }
+    final_out_.assign(out, out + n);
+  }
+
+  void backward(const float* params, const float* gout, float* gin,
+                float* grads, int bs) {
+    const size_t n = static_cast<size_t>(bs) * dim_;
+    std::vector<float> a(n), b(n);
+    for (size_t i = 0; i < n; ++i) {
+      if (final_out_[i] > 0.0f) {
+        a[i] = gout[i];
+      } else {
+        a[i] = 0.0f;
+      }
+    }
+    for (size_t i = 0; i < n; ++i) gin[i] = a[i];
+    float* g = a.data();
+    float* gnext = b.data();
+    for (size_t i = inner_.size(); i-- > 0;) {
+      inner_[i]->backward(params, g, gnext, grads, bs);
+      std::swap(g, gnext);
+    }
+    for (size_t i = 0; i < n; ++i) gin[i] += g[i];
+  }
+
+ private:
+  int dim_;
+  std::vector<std::unique_ptr<Layer>> inner_;
+  std::vector<std::vector<float>> act_;
+  std::vector<float> final_out_;
+};
+
+TEST(NnOracles, ResidualBlockMatchesOutputCopy) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const std::vector<float> specials{0.0f, -0.0f, nan, -nan, inf, -inf,
+                                    1.5f, -2.5f};
+  const int dim = static_cast<int>(specials.size());
+  Rng rng(23);
+  // Finite inputs keep F(in) finite, so the last BatchNorm's gamma = ±0
+  // and beta = one special per column make F(in) ±0, ±inf or NaN column
+  // by column, and zero inputs then put ±0 into in + F(in) as well. The
+  // second pass feeds the specials straight in.
+  for (const bool special_in : {false, true}) {
+    for (const int bs : {2, 3, 16, 17}) {
+      const size_t n = static_cast<size_t>(bs) * dim;
+      ResidualBlock block(dim);
+      block.bind({0, block.param_count()}, {0, block.stat_count()});
+      block.bind_children();
+      RefResidual ref(dim);
+      std::vector<float> params =
+          normal_vec(block.param_count(), rng, 0.0, 0.5);
+      float* gamma = params.data() + params.size() - 2 * dim;
+      for (int j = 0; j < dim; ++j) {
+        gamma[j] = j % 2 == 0 ? 0.0f : -0.0f;
+        gamma[dim + j] = specials[static_cast<size_t>(j)];
+      }
+      std::vector<float> in = normal_vec(n, rng, 0.0, 1.0);
+      std::vector<float> gout = normal_vec(n, rng, 0.0, 1.0);
+      for (size_t i = 0; i < n; ++i) {
+        if (special_in) {
+          in[i] = specials[i % specials.size()];
+        } else if (i % 3 == 0) {
+          in[i] = i % 2 == 0 ? 0.0f : -0.0f;
+        }
+        if (i % 3 == 1) gout[i] = specials[(i / 3) % specials.size()];
+      }
+      std::vector<float> stats(block.stat_count());
+      block.init_stats(stats.data());
+      std::vector<float> ref_stats = stats;
+      std::vector<float> out(n), ref_out(n), gin(n), ref_gin(n);
+      std::vector<float> grads(params.size(), 0.0f), ref_grads = grads;
+
+      block.forward(params.data(), stats.data(), in.data(), out.data(), bs,
+                    true);
+      ref.forward(params.data(), ref_stats.data(), in.data(), ref_out.data(),
+                  bs);
+      block.backward(params.data(), gout.data(), gin.data(), grads.data(),
+                     bs);
+      ref.backward(params.data(), gout.data(), ref_gin.data(),
+                   ref_grads.data(), bs);
+      const std::string shape = "bs=" + std::to_string(bs) +
+                                " special_in=" + std::to_string(special_in);
+      EXPECT_TRUE(same_bits(out, ref_out)) << shape;
+      EXPECT_TRUE(same_bits(stats, ref_stats)) << shape;
+      EXPECT_TRUE(same_bits(gin, ref_gin)) << shape;
+      EXPECT_TRUE(same_bits(grads, ref_grads)) << shape;
+    }
+  }
 }
 
 // softmax_xent with its per-call probability buffer.

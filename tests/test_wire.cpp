@@ -105,6 +105,27 @@ TEST(WireGolden, MaskFrames) {
   EXPECT_EQ(wire::encode_mask(alt), from_hex("00285555555555"));
 }
 
+TEST(WireQuantize, AllZeroChunkDrawsNothing) {
+  // An all-zero chunk quantizes to level 0 everywhere and draws NOTHING
+  // from the rng: the draw-sequence contract (DESIGN.md §7).
+  std::vector<float> x(wire::kValueChunk, 0.0f);
+  Rng rng(9), untouched(9);
+  wire::quantize_values(x.data(), x.size(), 4, rng);
+  for (const float v : x) ASSERT_EQ(v, 0.0f);
+  EXPECT_EQ(rng.uniform(), untouched.uniform());
+
+  // Through the encoder: a zero scale, then all-zero packed levels.
+  wire::WireEncoder we(x.size(), 4, &rng);
+  we.add_dense(x.data(), x.size());
+  const auto buf = we.finish();
+  const size_t levels = wire::kValueChunk * 4 / 8;
+  ASSERT_GE(buf.size(), levels + 4);
+  for (size_t i = buf.size() - levels - 4; i < buf.size(); ++i) {
+    ASSERT_EQ(buf[i], 0u) << i;
+  }
+  EXPECT_EQ(rng.uniform(), untouched.uniform());
+}
+
 // ---- round-trip identity: decode(encode(x)) == quantized x, bit-exact ----
 
 class WireRoundTrip : public ::testing::TestWithParam<int> {};
