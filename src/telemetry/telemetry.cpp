@@ -93,7 +93,7 @@ const char* digest_name(int d) { return kDefs[kNumScalarMetrics + 1 + d].name; }
 
 struct TraceEvent {
   const char* name;
-  char ph;          // 'X' complete, 'i' instant, 'M' metadata
+  char ph;          // 'X' complete
   int pid;
   int tid;
   double ts_us;
@@ -203,16 +203,6 @@ void span_emit(const char* name, double t0_us) {
 const MetricDef* metric_defs() { return kDefs; }
 int num_metric_defs() { return kNumDefs; }
 
-void instant(const char* name, const std::string& arg) {
-  detail::State* s = detail::g_state;
-  if (s == nullptr || !s->trace_on) return;
-  std::string args;
-  if (!arg.empty()) args = "{\"detail\": \"" + arg + "\"}";
-  std::lock_guard<std::mutex> lock(s->trace_mu);
-  s->events.push_back(
-      TraceEvent{name, 'i', 1, 1, detail::now_us(), 0.0, std::move(args)});
-}
-
 void reset() {
   detail::g_state = nullptr;
   detail::g_storage.clear();
@@ -304,7 +294,6 @@ void finalize() {
       << ", \"tid\": " << e.tid << ", \"name\": \"" << e.name << "\""
       << ", \"ts\": " << fmt_seconds(e.ts_us);
     if (e.ph == 'X') f << ", \"dur\": " << fmt_seconds(e.dur_us);
-    if (e.ph == 'i') f << ", \"s\": \"t\"";
     if (!e.args.empty()) f << ", \"args\": " << e.args;
     f << "}";
     if (i + 1 < s->events.size()) f << ",";

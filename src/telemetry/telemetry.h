@@ -195,10 +195,6 @@ inline void span_end(const char* name, double t0_us) {
   if (detail::g_state != nullptr) detail::span_emit(name, t0_us);
 }
 
-/// Emits an instant ("i") event on the wall track, e.g. kernel dispatch.
-/// `arg` is attached as args.detail when non-empty.
-void instant(const char* name, const std::string& arg = std::string());
-
 // ---- lifecycle (driven by the CLI; see run_cli) ----
 
 struct Options {
