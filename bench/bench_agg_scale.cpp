@@ -297,8 +297,8 @@ int main() {
   std::cout << "\nShape: the sparse representation stores ~"
             << fmt_double(mem_ratio * 100.0, 0)
             << "% of the dense update bytes (values plus index encodings;\n"
-               "sticky cohorts share one index set), and reduces to the\n"
-               "same bits.\n";
+               "sticky cohorts share one index set) and reduces to the same "
+               "bits.\n";
 
   if (const char* path = std::getenv("GLUEFL_BENCH_JSON")) {
     std::ostringstream json;

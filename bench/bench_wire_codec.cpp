@@ -71,7 +71,7 @@ int main() {
 
   bench::print_header(
       "Wire-codec throughput (encode + decode) and byte accounting",
-      "per-client upload serialization",
+      "codec cost beyond the paper: per-client upload serialization",
       "GlueFL-shaped upload at dim=" + std::to_string(dim) +
           " (16% shared + 4% unique + stats), single core");
 
