@@ -89,7 +89,7 @@ uint64_t file_hash(const fs::path& p) {
 }
 
 struct Row {
-  const char* name;
+  const char* name = "";
   std::vector<const char*> flags;  // beyond the shared ones below
   bool crash = false;  // crash at boundary 2, then resume into the same dir
   bool tiers = false;  // run the 4-thread variant under each GEMM tier
@@ -101,87 +101,80 @@ struct Row {
 // log and a head at every boundary.
 const std::vector<Row>& rows() {
   static const std::vector<Row> table = {
-      {"gluefl",
-       {"--strategy", "gluefl"},
-       false, true,
-       {{"summary", 0xa8c64ce10ebeeb73ull},
-        {"events", 0xef60c59547988603ull},
-        {"ckpt-00000001.gfc", 0xd34b9cfb59389c60ull},
-        {"ckpt-00000002.gfc", 0x8b866a2b69145067ull},
-        {"residuals.gfj", 0xe197d7ce69e5b080ull}}},
-      {"fedavg",
-       {"--strategy", "fedavg"},
-       false, true,
-       {{"summary", 0xcb2b4aa970b7a9d2ull},
-        {"events", 0x7753abcf7a697042ull},
-        {"ckpt-00000001.gfc", 0x9669d5c13a5faf10ull},
-        {"ckpt-00000002.gfc", 0x2090e69538d4afefull}}},
-      {"stc",
-       {"--strategy", "stc"},
-       false, false,
-       {{"summary", 0xf382cb886a10eadaull},
-        {"events", 0x1a23ab084876db65ull},
-        {"ckpt-00000001.gfc", 0x53be90cae0c6cf65ull},
-        {"ckpt-00000002.gfc", 0x487cb7a2462153b0ull},
-        {"residuals.gfj", 0x693c2530a7052829ull}}},
-      {"apf",
-       {"--strategy", "apf"},
-       false, false,
-       {{"summary", 0x802a3a685c09f916ull},
-        {"events", 0x64cc7fa67b70ed84ull},
-        {"ckpt-00000001.gfc", 0x1cd1f6a0a5a63224ull},
-        {"ckpt-00000002.gfc", 0x464aaa4f56de639full}}},
-      {"async",
-       {"--exec", "async"},
-       false, false,
-       {{"summary", 0x20e178eae8bf5163ull},
-        {"events", 0x0585e3e99baf1a7eull},
-        {"ckpt-00000001.gfc", 0x5c963cd8ffc3a6e8ull},
-        {"ckpt-00000002.gfc", 0xa2e941bab8d122ecull}}},
-      {"hostile",
-       {"--strategy", "gluefl", "--scenario", "hostile"},
-       false, false,
-       {{"summary", 0xfbb3715c3d28677cull},
-        {"events", 0x5272d349e6f5e52aull},
-        {"ckpt-00000001.gfc", 0x48cc8e90120e59ceull},
-        {"ckpt-00000002.gfc", 0xb8d7f4eaa2e8203dull},
-        {"residuals.gfj", 0x7fb8feec0eda76f5ull}}},
-      {"hier",
-       {"--strategy", "gluefl", "--topology", "hier:3"},
-       false, false,
-       {{"summary", 0x7258282904e01431ull},
-        {"events", 0x8ac0ccb16ab3cddbull},
-        {"ckpt-00000001.gfc", 0x0ec981505a5a690full},
-        {"ckpt-00000002.gfc", 0x39bb1a8558f62f01ull},
-        {"residuals.gfj", 0xe197d7ce69e5b080ull}}},
-      {"virtual",
-       {"--strategy", "gluefl", "--population-mode", "virtual"},
-       false, false,
-       {{"summary", 0xd7d10fde5ea93fe2ull},
-        {"events", 0xef60c59547988603ull},
-        {"ckpt-00000001.gfc", 0x9c90201339528d3dull},
-        {"ckpt-00000002.gfc", 0xe58959c77224f8f9ull},
-        {"residuals.gfj", 0xe197d7ce69e5b080ull}}},
-      {"crash_sync",
-       {"--strategy", "gluefl"},
-       true, false,
-       {{"summary", 0xf998cbc1b6841f1full},
-        {"events", 0x6d57af7ab6035930ull},
-        {"events-resume", 0x27b62533510253e7ull},
-        {"ckpt-00000001.gfc", 0x6dd92e98e7a1afbbull},
-        {"ckpt-00000002.gfc", 0xe4bcb17dc108e8d7ull},
-        {"ckpt-00000003.gfc", 0x15970f47bfa5a15cull},
-        {"residuals.gfj", 0xda898f7ea2b00a47ull}}},
-      {"crash_async",
-       {"--exec", "async"},
-       true, false,
-       {{"summary", 0x46e988eba84d2593ull},
-        {"events", 0xdbea0b197e81ea3bull},
-        {"events-resume", 0xadf2f324311a001dull},
-        {"ckpt-00000001.gfc", 0x99ff6da268b20ebaull},
-        {"ckpt-00000002.gfc", 0x8d872d349375cf7cull},
-        {"ckpt-00000003.gfc", 0x907552bd2febd5bfull}}},
-
+      {.name = "gluefl",
+       .flags = {"--strategy", "gluefl"},
+       .tiers = true,
+       .pins = {{"summary", 0xa8c64ce10ebeeb73ull},
+                {"events", 0xef60c59547988603ull},
+                {"ckpt-00000001.gfc", 0xd34b9cfb59389c60ull},
+                {"ckpt-00000002.gfc", 0x8b866a2b69145067ull},
+                {"residuals.gfj", 0xe197d7ce69e5b080ull}}},
+      {.name = "fedavg",
+       .flags = {"--strategy", "fedavg"},
+       .tiers = true,
+       .pins = {{"summary", 0xcb2b4aa970b7a9d2ull},
+                {"events", 0x7753abcf7a697042ull},
+                {"ckpt-00000001.gfc", 0x9669d5c13a5faf10ull},
+                {"ckpt-00000002.gfc", 0x2090e69538d4afefull}}},
+      {.name = "stc",
+       .flags = {"--strategy", "stc"},
+       .pins = {{"summary", 0xf382cb886a10eadaull},
+                {"events", 0x1a23ab084876db65ull},
+                {"ckpt-00000001.gfc", 0x53be90cae0c6cf65ull},
+                {"ckpt-00000002.gfc", 0x487cb7a2462153b0ull},
+                {"residuals.gfj", 0x693c2530a7052829ull}}},
+      {.name = "apf",
+       .flags = {"--strategy", "apf"},
+       .pins = {{"summary", 0x802a3a685c09f916ull},
+                {"events", 0x64cc7fa67b70ed84ull},
+                {"ckpt-00000001.gfc", 0x1cd1f6a0a5a63224ull},
+                {"ckpt-00000002.gfc", 0x464aaa4f56de639full}}},
+      {.name = "async",
+       .flags = {"--exec", "async"},
+       .pins = {{"summary", 0x20e178eae8bf5163ull},
+                {"events", 0x0585e3e99baf1a7eull},
+                {"ckpt-00000001.gfc", 0x5c963cd8ffc3a6e8ull},
+                {"ckpt-00000002.gfc", 0xa2e941bab8d122ecull}}},
+      {.name = "hostile",
+       .flags = {"--strategy", "gluefl", "--scenario", "hostile"},
+       .pins = {{"summary", 0xfbb3715c3d28677cull},
+                {"events", 0x5272d349e6f5e52aull},
+                {"ckpt-00000001.gfc", 0x48cc8e90120e59ceull},
+                {"ckpt-00000002.gfc", 0xb8d7f4eaa2e8203dull},
+                {"residuals.gfj", 0x7fb8feec0eda76f5ull}}},
+      {.name = "hier",
+       .flags = {"--strategy", "gluefl", "--topology", "hier:3"},
+       .pins = {{"summary", 0x7258282904e01431ull},
+                {"events", 0x8ac0ccb16ab3cddbull},
+                {"ckpt-00000001.gfc", 0x0ec981505a5a690full},
+                {"ckpt-00000002.gfc", 0x39bb1a8558f62f01ull},
+                {"residuals.gfj", 0xe197d7ce69e5b080ull}}},
+      {.name = "virtual",
+       .flags = {"--strategy", "gluefl", "--population-mode", "virtual"},
+       .pins = {{"summary", 0xd7d10fde5ea93fe2ull},
+                {"events", 0xef60c59547988603ull},
+                {"ckpt-00000001.gfc", 0x9c90201339528d3dull},
+                {"ckpt-00000002.gfc", 0xe58959c77224f8f9ull},
+                {"residuals.gfj", 0xe197d7ce69e5b080ull}}},
+      {.name = "crash_sync",
+       .flags = {"--strategy", "gluefl"},
+       .crash = true,
+       .pins = {{"summary", 0xf998cbc1b6841f1full},
+                {"events", 0x6d57af7ab6035930ull},
+                {"events-resume", 0x27b62533510253e7ull},
+                {"ckpt-00000001.gfc", 0x6dd92e98e7a1afbbull},
+                {"ckpt-00000002.gfc", 0xe4bcb17dc108e8d7ull},
+                {"ckpt-00000003.gfc", 0x15970f47bfa5a15cull},
+                {"residuals.gfj", 0xda898f7ea2b00a47ull}}},
+      {.name = "crash_async",
+       .flags = {"--exec", "async"},
+       .crash = true,
+       .pins = {{"summary", 0x46e988eba84d2593ull},
+                {"events", 0xdbea0b197e81ea3bull},
+                {"events-resume", 0xadf2f324311a001dull},
+                {"ckpt-00000001.gfc", 0x99ff6da268b20ebaull},
+                {"ckpt-00000002.gfc", 0x8d872d349375cf7cull},
+                {"ckpt-00000003.gfc", 0x907552bd2febd5bfull}}},
   };
   return table;
 }
