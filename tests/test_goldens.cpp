@@ -175,6 +175,35 @@ const std::vector<Row>& rows() {
                 {"ckpt-00000001.gfc", 0x99ff6da268b20ebaull},
                 {"ckpt-00000002.gfc", 0x8d872d349375cf7cull},
                 {"ckpt-00000003.gfc", 0x907552bd2febd5bfull}}},
+      // The two knobs rows move every run setting off its default, so a
+      // resume that drops or misreads any one of them moves a pin.
+      {.name = "crash_sync_knobs",
+       .flags = {"--strategy", "stc", "--model", "mobilenet", "--env",
+                 "datacenter", "--overcommit", "1.5", "--topology", "hier:2",
+                 "--population", "700", "--population-mode", "virtual",
+                 "--scenario", "diurnal", "--eval-every", "2", "--seed",
+                 "11"},
+       .crash = true,
+       .pins = {{"summary", 0xf010a3203cafcc6dull},
+                {"events", 0x0556c54a5bb35e7bull},
+                {"events-resume", 0xbef2384e5ecb28c5ull},
+                {"ckpt-00000001.gfc", 0xc9c48527c13ba6ebull},
+                {"ckpt-00000002.gfc", 0x60067759f510fe39ull},
+                {"ckpt-00000003.gfc", 0x635f24207adf2d74ull},
+                {"residuals.gfj", 0x04a0e14cbad6f1d4ull}}},
+      {.name = "crash_async_knobs",
+       .flags = {"--exec", "async", "--model", "resnet34", "--env", "5g",
+                 "--async-buffer", "6", "--async-conc", "24", "--staleness",
+                 "const", "--staleness-alpha", "0.25", "--server-lr", "0.5",
+                 "--max-staleness", "3", "--population", "600",
+                 "--eval-every", "2", "--seed", "7"},
+       .crash = true,
+       .pins = {{"summary", 0x2052d2bbc97d0d98ull},
+                {"events", 0x1c59c232620112dcull},
+                {"events-resume", 0xfb674d5b2a77c7d1ull},
+                {"ckpt-00000001.gfc", 0xdd94be74c55d4975ull},
+                {"ckpt-00000002.gfc", 0xc2fd9a01919c6b5cull},
+                {"ckpt-00000003.gfc", 0xe96cee7baaf30d8aull}}},
   };
   return table;
 }
