@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <set>
@@ -52,7 +53,7 @@ commands:
   sweep   grid-search GlueFL's q / q_shr / sticky parameters
   resume  continue an interrupted run from a checkpoint:
             gluefl resume CKPT [--threads N] [--json FILE]
-                   [--trace FILE] [--metrics FILE]
+                   [--trace FILE] [--metrics FILE] [--events FILE]
                    [--checkpoint-every N --checkpoint-dir D]
                    [--crash-at-round K]
           the final report/JSON is byte-identical to the uninterrupted run
@@ -138,122 +139,171 @@ sweep flags (plus --dataset/--model/--env/--rounds/--scale/--seed/
   with --exec=async the grid is --async-buffer LIST x --staleness-alpha LIST
 )";
 
-double parse_double(const std::string& key, const std::string& s) {
+/// strtol over the whole of `s`: false on junk, an empty string or
+/// overflow.
+bool parse_long(const std::string& s, long* v) {
   errno = 0;
   char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  if (end == s.c_str() || *end != '\0' || errno != 0 || !std::isfinite(v)) {
-    throw UsageError("--" + key + " expects a number, got '" + s + "'");
-  }
-  return v;
+  *v = std::strtol(s.c_str(), &end, 10);
+  return end != s.c_str() && *end == '\0' && errno == 0;
 }
 
-long parse_long(const std::string& key, const std::string& s) {
-  errno = 0;
-  char* end = nullptr;
-  const long v = std::strtol(s.c_str(), &end, 10);
-  if (end == s.c_str() || *end != '\0' || errno != 0) {
-    throw UsageError("--" + key + " expects an integer, got '" + s + "'");
-  }
-  return v;
-}
-
-std::vector<double> parse_double_list(const std::string& key,
-                                      const std::string& s) {
-  std::vector<double> out;
-  std::stringstream ss(s);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (!item.empty()) out.push_back(parse_double(key, item));
-  }
-  if (out.empty()) throw UsageError("--" + key + " expects a non-empty list");
-  return out;
-}
-
-/// Topology spec: "flat" -> 0 edges, "hier:<E>" -> E edge aggregators.
-/// Anything else — including hier with E < 1 — is rejected loudly rather
-/// than silently misconfiguring the run.
-int parse_topology(const std::string& spec) {
-  if (spec == "flat") return 0;
-  if (spec.rfind("hier:", 0) == 0) {
-    const std::string e = spec.substr(5);
-    const long v = parse_long("topology", e);
-    if (v < 1 || v > 1000000) {
-      throw UsageError("--topology hier:<E> needs E in [1, 1000000], got '" +
-                       e + "'");
-    }
-    return static_cast<int>(v);
-  }
-  throw UsageError("--topology expects 'flat' or 'hier:<E>', got '" + spec +
-                   "'");
-}
-
-/// Flag accessor that tracks which keys were consumed so unknown flags can
-/// be rejected afterwards.
+/// Typed reads of one run's settings, from a command line or (for
+/// `resume`) from a head's meta, tracking which keys were consumed so
+/// unknown ones can be rejected afterwards. A meta key is the flag's name
+/// with `_` for `-`, and its value is the resolved setting in round-trip-
+/// exact text. In checkpoint mode every key that is read must be present,
+/// every failure is one CkptError line naming the meta key (exit 1, where
+/// a command line's is a usage error, exit 2), and provided() is false:
+/// the "this flag has no effect here" checks guard what a user typed.
 class Flags {
  public:
-  explicit Flags(const std::map<std::string, std::string>& flags)
-      : flags_(flags) {}
+  explicit Flags(const std::map<std::string, std::string>& flags,
+                 bool checkpoint = false)
+      : flags_(flags), checkpoint_(checkpoint) {}
+
+  bool checkpoint() const { return checkpoint_; }
 
   std::string str(const std::string& key, const std::string& def) {
-    used_.insert(key);
-    const auto it = flags_.find(key);
-    return it == flags_.end() ? def : it->second;
+    const std::string* v = find(key);
+    return v == nullptr ? def : *v;
   }
   double num(const std::string& key, double def) {
-    used_.insert(key);
-    const auto it = flags_.find(key);
-    return it == flags_.end() ? def : parse_double(key, it->second);
+    const std::string* v = find(key);
+    return v == nullptr ? def : to_double(key, *v);
   }
   long integer(const std::string& key, long def, long lo, long hi) {
-    used_.insert(key);
-    const auto it = flags_.find(key);
-    if (it == flags_.end()) return def;
-    const long v = parse_long(key, it->second);
-    if (v < lo || v > hi) {
-      throw UsageError("--" + key + " must be in [" + std::to_string(lo) +
-                       ", " + std::to_string(hi) + "], got '" + it->second +
-                       "'");
+    const std::string* v = find(key);
+    if (v == nullptr) return def;
+    long n = 0;
+    if (!parse_long(*v, &n)) {
+      fail(key, "--" + key + " expects an integer, got '" + *v + "'");
     }
-    return v;
+    if (n < lo || n > hi) {
+      fail(key,
+           "--" + key + " must be in [" + std::to_string(lo) + ", " +
+               std::to_string(hi) + "], got '" + *v + "'",
+           "is out of range");
+    }
+    return n;
   }
   std::vector<double> list(const std::string& key, std::vector<double> def) {
-    used_.insert(key);
-    const auto it = flags_.find(key);
-    return it == flags_.end() ? std::move(def)
-                              : parse_double_list(key, it->second);
+    const std::string* v = find(key);
+    if (v == nullptr) return def;
+    std::vector<double> out;
+    std::stringstream ss(*v);
+    std::string item;
+    while (std::getline(ss, item, ',')) {
+      if (!item.empty()) out.push_back(to_double(key, item));
+    }
+    if (out.empty()) fail(key, "--" + key + " expects a non-empty list");
+    return out;
+  }
+  /// A registry name: the value of `key` (or `def`), one of `known`.
+  std::string name(const std::string& key, const std::string& def,
+                   const std::string& kind,
+                   const std::vector<std::string>& known) {
+    std::string v = str(key, def);
+    if (std::find(known.begin(), known.end(), v) == known.end()) {
+      std::string msg = "unknown " + kind + " '" + v + "'; choose one of:";
+      for (const auto& k : known) msg += " " + k;
+      fail(key, msg);
+    }
+    return v;
   }
 
   /// Boolean (presence) flag. parse_args stores "1" for the bare form;
   /// an explicit value is a usage error because none is meaningful.
   bool flag(const std::string& key) {
-    used_.insert(key);
-    const auto it = flags_.find(key);
-    if (it == flags_.end()) return false;
-    if (it->second != "1") {
-      throw UsageError("--" + key + " takes no value");
-    }
+    const std::string* v = find(key);
+    if (v == nullptr) return false;
+    if (*v != "1") fail(key, "--" + key + " takes no value");
     return true;
   }
 
-  /// True if the flag appeared on the command line. Does NOT mark the flag
-  /// consumed — use it to reject flags that are invalid in this mode.
+  /// True if the user typed the flag. Does NOT mark the flag consumed —
+  /// use it to reject flags that are invalid in this mode.
   bool provided(const std::string& key) const {
-    return flags_.count(key) != 0;
+    return !checkpoint_ && flags_.count(key) != 0;
   }
 
-  /// Throws if any provided flag was never consumed by the command.
+  /// Rejects the value of `key`; `msg` is worded for the command line.
+  [[noreturn]] void fail(const std::string& key, const std::string& msg,
+                         const char* what = "is invalid") const {
+    if (!checkpoint_) throw UsageError(msg);
+    std::string line = "checkpoint meta key '";
+    line += meta_key(key);
+    line += "' ";
+    line += what;
+    line += ": ";
+    line += msg;
+    throw ckpt::CkptError(line);
+  }
+
+  /// Throws if any key was never consumed by the command.
   void reject_unknown() const {
     for (const auto& [key, value] : flags_) {
       (void)value;
-      if (used_.count(key) == 0) throw UsageError("unknown flag --" + key);
+      if (used_.count(key) != 0) continue;
+      if (checkpoint_) {
+        throw ckpt::CkptError("checkpoint meta key '" + key +
+                              "' is not a setting this binary knows");
+      }
+      throw UsageError("unknown flag --" + key);
     }
   }
 
  private:
+  std::string meta_key(std::string key) const {
+    if (checkpoint_) std::replace(key.begin(), key.end(), '-', '_');
+    return key;
+  }
+  /// Marks `key` consumed; its value, or null if it is absent.
+  const std::string* find(const std::string& key) {
+    const std::string k = meta_key(key);
+    used_.insert(k);
+    const auto it = flags_.find(k);
+    if (it != flags_.end()) return &it->second;
+    if (checkpoint_) {
+      throw ckpt::CkptError("checkpoint is missing meta key '" + k + "'");
+    }
+    return nullptr;
+  }
+  double to_double(const std::string& key, const std::string& s) const {
+    errno = 0;
+    char* end = nullptr;
+    const double v = std::strtod(s.c_str(), &end);
+    if (end == s.c_str() || *end != '\0' || errno != 0 || !std::isfinite(v)) {
+      fail(key, "--" + key + " expects a number, got '" + s + "'");
+    }
+    return v;
+  }
+
   const std::map<std::string, std::string>& flags_;
+  const bool checkpoint_;
   std::set<std::string> used_;
 };
+
+/// Topology spec: "flat" -> 0 edges, "hier:<E>" -> E edge aggregators.
+/// Anything else — including hier with E < 1 — is rejected loudly rather
+/// than silently misconfiguring the run.
+int parse_topology(const Flags& flags, const std::string& spec) {
+  if (spec == "flat") return 0;
+  if (spec.rfind("hier:", 0) != 0) {
+    flags.fail("topology",
+               "--topology expects 'flat' or 'hier:<E>', got '" + spec + "'");
+  }
+  const std::string e = spec.substr(5);
+  long v = 0;
+  if (!parse_long(e, &v)) {
+    flags.fail("topology", "--topology expects an integer, got '" + e + "'");
+  }
+  if (v < 1 || v > 1000000) {
+    flags.fail("topology",
+               "--topology hier:<E> needs E in [1, 1000000], got '" + e + "'");
+  }
+  return static_cast<int>(v);
+}
 
 /// Only `resume` consumes positionals; everywhere else they are mistakes.
 void reject_positionals(const ParsedArgs& args) {
@@ -261,14 +311,6 @@ void reject_positionals(const ParsedArgs& args) {
     throw UsageError("unexpected positional argument '" +
                      args.positionals.front() + "'");
   }
-}
-
-void require_name(const std::string& kind, const std::string& name,
-                  const std::vector<std::string>& known) {
-  if (std::find(known.begin(), known.end(), name) != known.end()) return;
-  std::string msg = "unknown " + kind + " '" + name + "'; choose one of:";
-  for (const auto& k : known) msg += " " + k;
-  throw UsageError(msg);
 }
 
 SyntheticSpec make_spec(const std::string& dataset, double scale) {
@@ -300,18 +342,23 @@ std::unique_ptr<Strategy> make_strategy_for(const std::string& name, int k,
   return make_strategy(name, k, model);
 }
 
+/// The settings `run`, `sweep` and `resume` share. Output files and
+/// checkpointing are not settings: they come from the command line alone.
 RunOptions resolve_common(Flags& flags) {
   RunOptions opt;
-  opt.dataset = flags.str("dataset", opt.dataset);
-  opt.model = flags.str("model", opt.model);
-  opt.env = flags.str("env", opt.env);
-  opt.exec = flags.str("exec", opt.exec);
+  opt.dataset = flags.name("dataset", opt.dataset, "dataset", dataset_names());
+  opt.model = flags.name("model", opt.model, "model", model_names());
+  opt.env = flags.name("env", opt.env, "network env", env_names());
+  opt.exec = flags.name("exec", opt.exec, "exec mode", {"sync", "async"});
   opt.rounds = static_cast<int>(flags.integer("rounds", opt.rounds, 1, 1000000));
   opt.scale = flags.num("scale", opt.scale);
   // [1, 10^8]: zero/negative populations are nonsense and anything past
-  // 10^8 exceeds the engine's supported maximum; absent = preset count.
-  opt.population = flags.integer("population", 0, 1, 100000000);
-  opt.population_mode = flags.str("population-mode", opt.population_mode);
+  // 10^8 exceeds the engine's supported maximum; absent = preset count,
+  // which checkpoint meta spells 0.
+  opt.population = flags.integer("population", 0, flags.checkpoint() ? 0 : 1,
+                                 100000000);
+  opt.population_mode = flags.name("population-mode", opt.population_mode,
+                                   "population mode", {"dense", "virtual"});
   opt.overcommit = flags.num("overcommit", opt.overcommit);
   opt.eval_every =
       static_cast<int>(flags.integer("eval-every", opt.eval_every, 1, 1000000));
@@ -319,20 +366,9 @@ RunOptions resolve_common(Flags& flags) {
       flags.integer("seed", 42, 0, std::numeric_limits<long>::max()));
   opt.threads = static_cast<int>(flags.integer("threads", 0, 0, 1024));
   opt.topology = flags.str("topology", opt.topology);
-  opt.wire = flags.str("wire", opt.wire);
+  opt.num_edges = parse_topology(flags, opt.topology);
+  opt.wire = flags.name("wire", opt.wire, "wire mode", {"encoded"});
   opt.scenario = flags.str("scenario", "");
-  opt.json_path = flags.str("json", "");
-  opt.trace_path = flags.str("trace", "");
-  opt.metrics_path = flags.str("metrics", "");
-  opt.events_path = flags.str("events", "");
-
-  require_name("dataset", opt.dataset, dataset_names());
-  require_name("model", opt.model, model_names());
-  require_name("network env", opt.env, env_names());
-  require_name("exec mode", opt.exec, {"sync", "async"});
-  require_name("population mode", opt.population_mode, {"dense", "virtual"});
-  require_name("wire mode", opt.wire, {"encoded"});
-  opt.num_edges = parse_topology(opt.topology);
   // Async execution has no invitation barrier, so over-commitment cannot
   // shape the run; reject it rather than silently ignore it.
   if (opt.exec == "async" && flags.provided("overcommit")) {
@@ -340,16 +376,35 @@ RunOptions resolve_common(Flags& flags) {
                      "has no straggler barrier to over-commit against)");
   }
   if (opt.scale <= 0.0 || opt.scale > 1.0) {
-    throw UsageError("--scale must be in (0, 1]");
+    flags.fail("scale", "--scale must be in (0, 1]");
   }
-  if (opt.overcommit < 1.0) throw UsageError("--overcommit must be >= 1.0");
+  if (opt.overcommit < 1.0) {
+    flags.fail("overcommit", "--overcommit must be >= 1.0");
+  }
   // Eager even under --dry-run: a misspelled scenario file must fail when
   // the command line is vetted, not hundreds of rounds into a campaign.
   // ScenarioError propagates to run_cli (one clean line, exit code 1).
+  // Meta holds the canonical spec itself, never a name or a file path
+  // (the file may be gone or edited by resume time).
   if (!opt.scenario.empty()) {
-    opt.scenario_spec = scenario::load_scenario(opt.scenario);
+    try {
+      opt.scenario_spec = flags.checkpoint()
+                              ? scenario::parse_scenario_json(opt.scenario)
+                              : scenario::load_scenario(opt.scenario);
+    } catch (const scenario::ScenarioError& e) {
+      if (!flags.checkpoint()) throw;
+      flags.fail("scenario", e.what());
+    }
   }
   return opt;
+}
+
+/// The output-file flags of run, sweep and resume.
+void resolve_outputs(Flags& flags, RunOptions& opt) {
+  opt.json_path = flags.str("json", "");
+  opt.trace_path = flags.str("trace", "");
+  opt.metrics_path = flags.str("metrics", "");
+  opt.events_path = flags.str("events", "");
 }
 
 /// The run/sweep/resume JSON "scenario" value: the canonical single-line
@@ -394,18 +449,18 @@ AsyncOptions resolve_async_shared(Flags& flags, int k, int num_clients) {
   a.engine.concurrency = static_cast<int>(
       flags.integer("async-conc", default_conc, 1, 1000000));
   if (a.engine.concurrency > num_clients) {
-    throw UsageError("--async-conc exceeds the client population (" +
-                     std::to_string(num_clients) + ")");
+    flags.fail("async-conc", "--async-conc exceeds the client population (" +
+                                 std::to_string(num_clients) + ")");
   }
-  a.staleness = flags.str("staleness", a.staleness);
-  require_name("staleness mode", a.staleness, {"const", "poly"});
+  a.staleness = flags.name("staleness", a.staleness, "staleness mode",
+                           {"const", "poly"});
   a.fedbuff.discount = a.staleness == "const" ? StalenessDiscount::kConstant
                                               : StalenessDiscount::kPolynomial;
   a.fedbuff.server_lr = flags.num("server-lr", a.fedbuff.server_lr);
   a.fedbuff.max_staleness = static_cast<int>(
       flags.integer("max-staleness", 0, 0, 1000000));
   if (a.fedbuff.server_lr <= 0.0) {
-    throw UsageError("--server-lr must be > 0");
+    flags.fail("server-lr", "--server-lr must be > 0");
   }
   return a;
 }
@@ -416,12 +471,14 @@ AsyncOptions resolve_async_shared(Flags& flags, int k, int num_clients) {
 /// Explicitly-requested values are rejected loudly; the buffer DEFAULT
 /// clamps to the concurrency instead (see resolve_async), so lowering
 /// --async-conc alone never errors about a flag the user did not set.
-void require_buffer_fits_concurrency(int buffer_size, int concurrency) {
+void require_buffer_fits_concurrency(const Flags& flags, int buffer_size,
+                                     int concurrency) {
   if (buffer_size > concurrency) {
-    throw UsageError("--async-buffer (K=" + std::to_string(buffer_size) +
-                     ") must not exceed --async-conc (N=" +
-                     std::to_string(concurrency) +
-                     "): a K-of-N trigger needs K <= N");
+    flags.fail("async-buffer", "--async-buffer (K=" +
+                                   std::to_string(buffer_size) +
+                                   ") must not exceed --async-conc (N=" +
+                                   std::to_string(concurrency) +
+                                   "): a K-of-N trigger needs K <= N");
   }
 }
 
@@ -431,33 +488,67 @@ AsyncOptions resolve_async(Flags& flags, int k, int num_clients) {
       std::min(static_cast<long>(k), static_cast<long>(a.engine.concurrency));
   a.engine.buffer_size = static_cast<int>(
       flags.integer("async-buffer", default_buffer, 1, 100000));
-  require_buffer_fits_concurrency(a.engine.buffer_size, a.engine.concurrency);
+  require_buffer_fits_concurrency(flags, a.engine.buffer_size,
+                                  a.engine.concurrency);
   a.fedbuff.alpha = flags.num("staleness-alpha", a.fedbuff.alpha);
   if (a.fedbuff.alpha < 0.0) {
-    throw UsageError("--staleness-alpha must be >= 0");
+    flags.fail("staleness-alpha", "--staleness-alpha must be >= 0");
   }
   return a;
 }
 
-/// Population/topology consistency checks shared by the real engine
-/// construction and --dry-run (which must report the same errors without
-/// paying for the engine).
-void validate_population_topology(const RunOptions& opt, long pop, int k) {
+/// Population/topology consistency checks shared by run, resume and both
+/// sweeps, all before any engine is built (so --dry-run reports them too).
+void validate_population_topology(const Flags& flags, const RunOptions& opt,
+                                  long pop, int k) {
   if (pop < k) {
-    throw UsageError("--population " + std::to_string(pop) +
-                     " is smaller than the preset cohort K=" +
-                     std::to_string(k));
+    flags.fail("population", "--population " + std::to_string(pop) +
+                                 " is smaller than the preset cohort K=" +
+                                 std::to_string(k));
   }
   if (opt.num_edges > pop) {
-    throw UsageError("--topology hier:" + std::to_string(opt.num_edges) +
-                     " has more edges than the population (" +
-                     std::to_string(pop) + " clients)");
+    flags.fail("topology", "--topology hier:" +
+                               std::to_string(opt.num_edges) +
+                               " has more edges than the population (" +
+                               std::to_string(pop) + " clients)");
   }
+}
+
+/// One run as `run` resolves it from its flags and `resume` from a head's
+/// meta: the settings, plus what the dataset preset derives from them.
+struct ResolvedRun {
+  RunOptions opt;
+  std::string strategy;
+  SyntheticSpec spec;
+  int k = 0;     // preset clients per round
+  int topk = 0;  // preset top-k accuracy
+  long pop = 0;  // simulated population
+  bool async = false;
+  AsyncOptions aopt;  // async only
+};
+
+/// The one resolver of `run` and `resume`: every check applies to a head's
+/// meta exactly as to a command line, so a head `run` could not have
+/// written does not resume.
+ResolvedRun resolve_run(Flags& flags) {
+  ResolvedRun r;
+  r.opt = resolve_common(flags);
+  r.async = r.opt.exec == "async";
+  reject_async_flags_in_sync_mode(flags, r.opt.exec);
+  r.strategy = flags.name("strategy", r.async ? "async-fedbuff" : "gluefl",
+                          "strategy",
+                          r.async ? async_strategy_names() : strategy_names());
+  r.spec = make_spec(r.opt.dataset, r.opt.scale);
+  r.k = preset_clients_per_round(r.spec);
+  r.topk = preset_topk(r.spec);
+  r.pop = effective_population(r.opt, r.spec);
+  if (r.async) r.aopt = resolve_async(flags, r.k, static_cast<int>(r.pop));
+  validate_population_topology(flags, r.opt, r.pop, r.k);
+  return r;
 }
 
 SimEngine make_cli_engine(const RunOptions& opt, const SyntheticSpec& spec,
                           int k, int topk) {
-  validate_population_topology(opt, effective_population(opt, spec), k);
   TrainConfig train;
   train.lr0 = 0.05;
   RunConfig run;
@@ -524,13 +615,15 @@ std::string meta_double_str(double v) {
   return os.str();
 }
 
-/// Everything `gluefl resume` needs to reconstruct the engine + strategy,
-/// plus the provenance of the binary that wrote the snapshot.
-std::map<std::string, std::string> ckpt_meta(const RunOptions& opt,
-                                             const std::string& strategy,
-                                             const AsyncOptions* aopt) {
+/// The head's meta: every run setting under its flag's name with `_` for
+/// `-`, in the text resolve_run reads back, plus the provenance of the
+/// binary that wrote the snapshot. `resume` fails on a key it does not
+/// read and on one it reads but finds missing, so this list and the
+/// resolver cannot drift apart silently.
+std::map<std::string, std::string> ckpt_meta(const ResolvedRun& r) {
+  const RunOptions& opt = r.opt;
   std::map<std::string, std::string> m;
-  m["strategy"] = strategy;
+  m["strategy"] = r.strategy;
   m["exec"] = opt.exec;
   m["dataset"] = opt.dataset;
   m["model"] = opt.model;
@@ -549,100 +642,32 @@ std::map<std::string, std::string> ckpt_meta(const RunOptions& opt,
   // may be gone or edited by resume time, and the run's exact fleet shape
   // must ride the snapshot. Empty = no scenario.
   m["scenario"] = opt.scenario.empty() ? "" : scenario::to_json(opt.scenario_spec);
-  if (aopt != nullptr) {
-    m["async_buffer"] = std::to_string(aopt->engine.buffer_size);
-    m["async_conc"] = std::to_string(aopt->engine.concurrency);
-    m["staleness"] = aopt->staleness;
-    m["staleness_alpha"] = meta_double_str(aopt->fedbuff.alpha);
-    m["server_lr"] = meta_double_str(aopt->fedbuff.server_lr);
-    m["max_staleness"] = std::to_string(aopt->fedbuff.max_staleness);
+  if (r.async) {
+    m["async_buffer"] = std::to_string(r.aopt.engine.buffer_size);
+    m["async_conc"] = std::to_string(r.aopt.engine.concurrency);
+    m["staleness"] = r.aopt.staleness;
+    m["staleness_alpha"] = meta_double_str(r.aopt.fedbuff.alpha);
+    m["server_lr"] = meta_double_str(r.aopt.fedbuff.server_lr);
+    m["max_staleness"] = std::to_string(r.aopt.fedbuff.max_staleness);
   }
   m["git_hash"] = build_git_hash();
   m["build_type"] = build_type();
   return m;
 }
 
-/// One hook-construction point for all four run/resume x sync/async
-/// sites. Returns null when neither checkpointing nor crash injection is
-/// requested; `resumed_from` (resume only) seeds the crash report's
-/// "newest checkpoint" with the source snapshot.
+/// The run's checkpoint hook, or null when neither checkpointing nor crash
+/// injection is requested; `resumed_from` (resume only) seeds the crash
+/// report's "newest checkpoint" with the source snapshot.
 std::unique_ptr<ckpt::CheckpointHook> make_ckpt_hook(
-    const ckpt::CkptOptions& copts, const RunOptions& opt,
-    const std::string& strategy_name, const AsyncOptions* aopt,
-    const ckpt::Checkpointable& strategy,
-    const std::string& resumed_from = "") {
+    const ResolvedRun& r, const ckpt::Checkpointable& strategy,
+    const std::string& resumed_from) {
+  const ckpt::CkptOptions copts{r.opt.checkpoint_every, r.opt.checkpoint_dir,
+                                r.opt.crash_at_round};
   if (copts.every <= 0 && copts.crash_at <= 0) return nullptr;
-  auto hook = std::make_unique<ckpt::CheckpointHook>(
-      copts, ckpt_meta(opt, strategy_name, aopt), strategy_name, strategy);
+  auto hook = std::make_unique<ckpt::CheckpointHook>(copts, ckpt_meta(r),
+                                                     r.strategy, strategy);
   if (!resumed_from.empty()) hook->set_last_checkpoint(resumed_from);
   return hook;
-}
-
-const std::string& meta_get(const ckpt::Snapshot& snap,
-                            const std::string& key) {
-  const auto it = snap.meta.find(key);
-  if (it == snap.meta.end()) {
-    throw ckpt::CkptError("checkpoint is missing meta key '" + key + "'");
-  }
-  return it->second;
-}
-
-long meta_long(const ckpt::Snapshot& snap, const std::string& key) {
-  const std::string& s = meta_get(snap, key);
-  errno = 0;
-  char* end = nullptr;
-  const long v = std::strtol(s.c_str(), &end, 10);
-  if (end == s.c_str() || *end != '\0' || errno != 0) {
-    throw ckpt::CkptError("checkpoint meta key '" + key +
-                          "' is not an integer: '" + s + "'");
-  }
-  return v;
-}
-
-double meta_double(const ckpt::Snapshot& snap, const std::string& key) {
-  const std::string& s = meta_get(snap, key);
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  if (end == s.c_str() || *end != '\0' || errno != 0 || !std::isfinite(v)) {
-    throw ckpt::CkptError("checkpoint meta key '" + key +
-                          "' is not a number: '" + s + "'");
-  }
-  return v;
-}
-
-/// Range-checked meta reads: a tampered-but-CRC-resealed checkpoint must
-/// fail as a clean CkptError, never reach the engine as a nonsense value
-/// (eval_every=0 would divide by zero in the round loop).
-long meta_long_range(const ckpt::Snapshot& snap, const std::string& key,
-                     long lo, long hi) {
-  const long v = meta_long(snap, key);
-  if (v < lo || v > hi) {
-    throw ckpt::CkptError("checkpoint meta key '" + key +
-                          "' is out of range: " + std::to_string(v));
-  }
-  return v;
-}
-
-/// Rejects a meta value that violates the SAME acceptance condition the
-/// run command's flag validation applies — a checkpoint any legal run
-/// could write must never be unresumable, and anything tighter or looser
-/// here would break that symmetry.
-[[noreturn]] void meta_range_fail(const ckpt::Snapshot& snap,
-                                  const std::string& key,
-                                  const char* constraint) {
-  throw ckpt::CkptError("checkpoint meta key '" + key + "' violates " +
-                        constraint + ": '" + meta_get(snap, key) + "'");
-}
-
-/// Registry-name meta check: unknown values must fail as CkptError (the
-/// bad-checkpoint exit path), not fall through to a silent default.
-void require_meta_name(const ckpt::Snapshot& snap, const std::string& key,
-                       const std::vector<std::string>& known) {
-  const std::string& name = meta_get(snap, key);
-  if (std::find(known.begin(), known.end(), name) != known.end()) return;
-  throw ckpt::CkptError("checkpoint meta key '" + key + "' names '" + name +
-                        "', which this binary does not know");
 }
 
 // ---- JSON emission (common/json.h formatters) ----
@@ -748,26 +773,25 @@ std::string telemetry_json(const std::vector<LabeledRun>& runs) {
   return telemetry_block_json(down, compute, up, wall);
 }
 
-std::string run_json(const RunOptions& opt, const std::string& strategy,
-                     const SyntheticSpec& spec, int k, long population,
-                     double peak_rss_est_mb, const RunResult& res,
-                     const std::string& async_block = "") {
+std::string run_json(const ResolvedRun& r, double peak_rss_est_mb,
+                     const RunResult& res) {
+  const RunOptions& opt = r.opt;
   const RunTotals totals = res.totals();
   std::ostringstream os;
-  os << "{\"schema\": \"gluefl.run.v1\", \"strategy\": " << jstr(strategy)
+  os << "{\"schema\": \"gluefl.run.v1\", \"strategy\": " << jstr(r.strategy)
      << ", \"exec\": " << jstr(opt.exec)
      << ", \"dataset\": " << jstr(opt.dataset)
      << ", \"model\": " << jstr(opt.model) << ", \"env\": " << jstr(opt.env)
-     << ", \"rounds\": " << opt.rounds << ", \"clients\": " << spec.num_clients
-     << ", \"clients_per_round\": " << k << ", \"scale\": " << jnum(opt.scale)
+     << ", \"rounds\": " << opt.rounds << ", \"clients\": " << r.spec.num_clients
+     << ", \"clients_per_round\": " << r.k << ", \"scale\": " << jnum(opt.scale)
      << ", \"seed\": " << opt.seed << ", \"topology\": " << jstr(opt.topology)
      << ", \"wire\": " << jstr(opt.wire)
      << ", \"scenario\": " << scenario_json(opt)
-     << ", \"population\": " << population
+     << ", \"population\": " << r.pop
      << ", \"population_mode\": " << jstr(opt.population_mode)
      << ", \"peak_rss_est_mb\": " << jnum(peak_rss_est_mb)
      << ", \"provenance\": " << provenance_json();
-  if (!async_block.empty()) os << ", \"async\": " << async_block;
+  if (r.async) os << ", \"async\": " << async_json(r.aopt);
   os << ", \"telemetry\": " << telemetry_json(res)
      << ", \"best_accuracy\": " << jnum(res.best_accuracy())
      << ", \"totals\": " << totals_json(totals)
@@ -816,6 +840,17 @@ void validate_output_path(const std::string& key, const std::string& path) {
   if (!existed) std::remove(path.c_str());
 }
 
+/// Probes every output file before any round runs, then starts the
+/// telemetry sinks and the flight recorder (run, resume and both sweeps).
+void open_outputs(const RunOptions& opt) {
+  validate_output_path("json", opt.json_path);
+  validate_output_path("trace", opt.trace_path);
+  validate_output_path("metrics", opt.metrics_path);
+  validate_output_path("events", opt.events_path);
+  telemetry::configure({opt.trace_path, opt.metrics_path});
+  if (!opt.events_path.empty()) events::configure(opt.events_path);
+}
+
 /// Whole-file read for `gluefl profile` inputs.
 std::string read_text_file(const std::string& path) {
   errno = 0;
@@ -828,32 +863,28 @@ std::string read_text_file(const std::string& path) {
   return ss.str();
 }
 
-/// Shared tail of `run` and `resume`: the per-eval report table, the
-/// totals line and the JSON summary. Byte-identical output between the
-/// two commands is the resume correctness contract, so both MUST go
-/// through here.
-void emit_run_report(const RunOptions& opt, const std::string& strategy_name,
-                     const SyntheticSpec& spec, int k, long population,
-                     double peak_rss_est_mb, const RunResult& res,
-                     const AsyncOptions* aopt, std::ostream& out) {
-  const bool async = aopt != nullptr;
+/// The per-eval report table, the totals line and the JSON summary.
+/// Byte-identical output between `run` and `resume` is the resume
+/// correctness contract, so both MUST go through here.
+void emit_run_report(const ResolvedRun& r, double peak_rss_est_mb,
+                     const RunResult& res, std::ostream& out) {
   TablePrinter t;
-  if (async) {
+  if (r.async) {
     t.set_headers({"round", "acc", "cum down", "cum up", "cum wall",
                    "staleness"});
   } else {
     t.set_headers({"round", "acc", "cum down", "cum up", "cum wall"});
   }
   double cum_down = 0.0, cum_up = 0.0, cum_wall = 0.0;
-  for (const auto& r : res.rounds) {
-    cum_down += r.down_bytes;
-    cum_up += r.up_bytes;
-    cum_wall += r.wall_time_s;
-    if (std::isnan(r.test_acc)) continue;
-    std::vector<std::string> row{std::to_string(r.round),
-                                 fmt_percent(r.test_acc), fmt_bytes(cum_down),
+  for (const auto& rr : res.rounds) {
+    cum_down += rr.down_bytes;
+    cum_up += rr.up_bytes;
+    cum_wall += rr.wall_time_s;
+    if (std::isnan(rr.test_acc)) continue;
+    std::vector<std::string> row{std::to_string(rr.round),
+                                 fmt_percent(rr.test_acc), fmt_bytes(cum_down),
                                  fmt_bytes(cum_up), fmt_seconds(cum_wall)};
-    if (async) row.push_back(fmt_double(r.mean_staleness, 2));
+    if (r.async) row.push_back(fmt_double(rr.mean_staleness, 2));
     t.add_row(row);
   }
   out << t.to_string();
@@ -865,22 +896,116 @@ void emit_run_report(const RunOptions& opt, const std::string& strategy_name,
       << " h  TT=" << fmt_double(totals.wall_hours, 2)
       << " h  best-acc=" << fmt_percent(res.best_accuracy()) << "\n";
 
-  emit_json(run_json(opt, strategy_name, spec, k, population, peak_rss_est_mb,
-                     res, async ? async_json(*aopt) : ""),
-            opt.json_path, out);
+  emit_json(run_json(r, peak_rss_est_mb, res), r.opt.json_path, out);
 }
 
-/// The crash-injection exit path shared by run/resume (exit code 3).
-int report_simulated_crash(const ckpt::SimulatedCrash& crash,
-                           std::ostream& out) {
-  out << "\nsimulated crash after round boundary " << crash.boundary()
-      << "\n";
-  if (crash.last_checkpoint().empty()) {
-    out << "no checkpoint was written before the crash\n";
-  } else {
-    out << "resume with: gluefl resume " << crash.last_checkpoint() << "\n";
+/// The shared tail of `run` and `resume`: builds the engine, prints
+/// `header`, runs the strategy (from `snap`'s boundary when resuming, with
+/// `snap_path` as the crash report's fallback) and reports the result, or
+/// the simulated crash (exit code 3).
+int execute_run(const ResolvedRun& r, const std::string& header,
+                const ckpt::Snapshot* snap, const std::string& snap_path,
+                std::ostream& out) {
+  SimEngine engine = make_cli_engine(r.opt, r.spec, r.k, r.topk);
+  const double rss_mb =
+      static_cast<double>(engine.memory_estimate_bytes()) / (1024.0 * 1024.0);
+  out << header;
+  RunResult res;
+  try {
+    if (r.async) {
+      AsyncSimEngine async_engine(engine, r.aopt.engine);
+      auto strategy = make_async_strategy(r.strategy, r.aopt.fedbuff);
+      const auto hook = make_ckpt_hook(r, *strategy, snap_path);
+      if (snap == nullptr) {
+        res = async_engine.run(*strategy, hook.get());
+      } else {
+        AsyncRunState state = ckpt::restore_async_run(*snap, engine, *strategy);
+        res = async_engine.resume(*strategy, std::move(state),
+                                  ckpt::history_result(*snap), hook.get());
+      }
+    } else {
+      auto strategy = make_strategy_for(r.strategy, r.k, r.opt.model,
+                                        static_cast<int>(r.pop));
+      const auto hook = make_ckpt_hook(r, *strategy, snap_path);
+      if (snap == nullptr) {
+        res = engine.run(*strategy, hook.get());
+      } else {
+        ckpt::restore_sync_run(*snap, engine, *strategy);
+        res = engine.run_from(*strategy, snap->next_round,
+                              ckpt::history_result(*snap), hook.get());
+      }
+    }
+  } catch (const ckpt::SimulatedCrash& crash) {
+    // Drop the recorder's uncommitted rounds: the log must end at the
+    // last checkpoint, where the resumed run's log picks up.
+    events::abandon();
+    telemetry::finalize();
+    out << "\nsimulated crash after round boundary " << crash.boundary()
+        << "\n";
+    if (crash.last_checkpoint().empty()) {
+      out << "no checkpoint was written before the crash\n";
+    } else {
+      out << "resume with: gluefl resume " << crash.last_checkpoint() << "\n";
+    }
+    return 3;
   }
-  return 3;
+
+  events::finalize();
+  telemetry::finalize();
+  emit_run_report(r, rss_mb, res, out);
+  return 0;
+}
+
+/// One labelled sweep arm: runs on the sweep's shared engine.
+using SweepArm = std::pair<std::string, std::function<RunResult()>>;
+
+/// The shared tail of both sweeps: runs every arm with a progress line
+/// each, then prints the cost table at the common target accuracy and the
+/// JSON summary. `exec_keys` are the exec-specific JSON keys that follow
+/// "rounds".
+void run_sweep_arms(const RunOptions& opt, long pop, double rss_mb,
+                    const std::vector<SweepArm>& arms,
+                    const std::string& exec_keys, std::ostream& out) {
+  std::vector<LabeledRun> runs;
+  for (const auto& [label, run] : arms) {
+    runs.push_back({label, run()});
+    const RunTotals t = runs.back().result.totals();
+    out << "  " << label << ": best-acc "
+        << fmt_percent(runs.back().result.best_accuracy()) << ", DV "
+        << fmt_double(t.down_gb, 2) << " GB, TT "
+        << fmt_double(t.wall_hours, 2) << " h\n";
+  }
+
+  const double target = common_target_accuracy(runs, 0.01);
+  out << "\ncosts to reach the common target accuracy (" << fmt_percent(target)
+      << "):\n"
+      << make_cost_table(runs, target).to_string();
+
+  telemetry::finalize();
+  std::ostringstream json;
+  json << "{\"schema\": \"gluefl.sweep.v1\", \"exec\": " << jstr(opt.exec)
+       << ", \"dataset\": " << jstr(opt.dataset)
+       << ", \"model\": " << jstr(opt.model) << ", \"env\": " << jstr(opt.env)
+       << ", \"topology\": " << jstr(opt.topology)
+       << ", \"wire\": " << jstr(opt.wire)
+       << ", \"scenario\": " << scenario_json(opt)
+       << ", \"population\": " << pop
+       << ", \"population_mode\": " << jstr(opt.population_mode)
+       << ", \"peak_rss_est_mb\": " << jnum(rss_mb)
+       << ", \"provenance\": " << provenance_json()
+       << ", \"telemetry\": " << telemetry_json(runs)
+       << ", \"rounds\": " << opt.rounds << exec_keys
+       << ", \"target_accuracy\": " << jnum(target) << ", \"arms\": [";
+  for (size_t i = 0; i < runs.size(); ++i) {
+    if (i > 0) json << ", ";
+    json << "{\"label\": " << jstr(runs[i].label)
+         << ", \"best_accuracy\": " << jnum(runs[i].result.best_accuracy())
+         << ", \"totals\": " << totals_json(runs[i].result.totals())
+         << ", \"totals_to_target\": "
+         << totals_json(runs[i].result.totals_to_accuracy(target)) << "}";
+  }
+  json << "]}";
+  emit_json(json.str(), opt.json_path, out);
 }
 
 }  // namespace
@@ -1067,91 +1192,42 @@ int cmd_run(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
   reject_positionals(args);
   Flags flags(args.flags);
   const bool dry_run = flags.flag("dry-run");
-  RunOptions opt = resolve_common(flags);
-  resolve_checkpoint_flags(flags, opt, /*probe_dir=*/!dry_run);
-  const bool async = opt.exec == "async";
-  const std::string strategy_name =
-      flags.str("strategy", async ? "async-fedbuff" : "gluefl");
-  reject_async_flags_in_sync_mode(flags, opt.exec);
-  require_name("strategy", strategy_name,
-               async ? async_strategy_names() : strategy_names());
-
-  const SyntheticSpec spec = make_spec(opt.dataset, opt.scale);
-  const int k = preset_clients_per_round(spec);
-  const int topk = preset_topk(spec);
-  const long pop = effective_population(opt, spec);
-  AsyncOptions aopt;
-  if (async) aopt = resolve_async(flags, k, static_cast<int>(pop));
+  ResolvedRun r = resolve_run(flags);
+  resolve_outputs(flags, r.opt);
+  resolve_checkpoint_flags(flags, r.opt, /*probe_dir=*/!dry_run);
   flags.reject_unknown();
-  validate_population_topology(opt, pop, k);
+  const RunOptions& opt = r.opt;
   if (dry_run) {
-    out << "dry-run: " << strategy_name << " on " << opt.dataset << " x "
+    out << "dry-run: " << r.strategy << " on " << opt.dataset << " x "
         << opt.model << " — flags OK\n";
     return 0;
   }
-  validate_output_path("json", opt.json_path);
-  validate_output_path("trace", opt.trace_path);
-  validate_output_path("metrics", opt.metrics_path);
-  validate_output_path("events", opt.events_path);
-  telemetry::configure({opt.trace_path, opt.metrics_path});
-  if (!opt.events_path.empty()) events::configure(opt.events_path);
-  SimEngine engine = make_cli_engine(opt, spec, k, topk);
-  const double rss_mb =
-      static_cast<double>(engine.memory_estimate_bytes()) / (1024.0 * 1024.0);
+  open_outputs(opt);
 
-  const ckpt::CkptOptions copts{opt.checkpoint_every, opt.checkpoint_dir,
-                                opt.crash_at_round};
-
-  out << "run: " << strategy_name << " on " << opt.dataset << " x " << opt.model
-      << " over " << opt.env << " (N=" << pop;
-  if (opt.population_mode == "virtual") out << " virtual";
-  out << ", K=" << k;
-  if (!async) out << ", OC=" << fmt_double(opt.overcommit, 2);
-  out << ", " << opt.rounds << " rounds, seed=" << opt.seed << ")\n";
-  if (async) {
-    out << "async: buffer=" << aopt.engine.buffer_size
-        << " concurrency=" << aopt.engine.concurrency << " staleness="
-        << aopt.staleness << " alpha=" << fmt_double(aopt.fedbuff.alpha, 2)
-        << " server-lr=" << fmt_double(aopt.fedbuff.server_lr, 2) << "\n";
+  std::ostringstream header;
+  header << "run: " << r.strategy << " on " << opt.dataset << " x "
+         << opt.model << " over " << opt.env << " (N=" << r.pop;
+  if (opt.population_mode == "virtual") header << " virtual";
+  header << ", K=" << r.k;
+  if (!r.async) header << ", OC=" << fmt_double(opt.overcommit, 2);
+  header << ", " << opt.rounds << " rounds, seed=" << opt.seed << ")\n";
+  if (r.async) {
+    header << "async: buffer=" << r.aopt.engine.buffer_size
+           << " concurrency=" << r.aopt.engine.concurrency
+           << " staleness=" << r.aopt.staleness
+           << " alpha=" << fmt_double(r.aopt.fedbuff.alpha, 2)
+           << " server-lr=" << fmt_double(r.aopt.fedbuff.server_lr, 2) << "\n";
   }
-  if (opt.num_edges > 0) out << "topology: " << opt.topology << "\n";
+  if (opt.num_edges > 0) header << "topology: " << opt.topology << "\n";
   if (!opt.scenario.empty()) {
     const scenario::ScenarioSpec& s = opt.scenario_spec;
-    out << "scenario: " << s.name << " (classes=" << s.device_classes.size()
-        << " deadline=" << fmt_double(s.deadline_s, 1)
-        << "s dropout=" << fmt_percent(s.dropout_rate)
-        << " byzantine=" << fmt_percent(s.byzantine_rate) << ")\n";
+    header << "scenario: " << s.name << " (classes=" << s.device_classes.size()
+           << " deadline=" << fmt_double(s.deadline_s, 1)
+           << "s dropout=" << fmt_percent(s.dropout_rate)
+           << " byzantine=" << fmt_percent(s.byzantine_rate) << ")\n";
   }
-  out << "\n";
-
-  RunResult res;
-  try {
-    if (async) {
-      AsyncSimEngine async_engine(engine, aopt.engine);
-      auto strategy = make_async_strategy(strategy_name, aopt.fedbuff);
-      const auto hook =
-          make_ckpt_hook(copts, opt, strategy_name, &aopt, *strategy);
-      res = async_engine.run(*strategy, hook.get());
-    } else {
-      auto strategy = make_strategy_for(strategy_name, k, opt.model,
-                                        static_cast<int>(pop));
-      const auto hook =
-          make_ckpt_hook(copts, opt, strategy_name, nullptr, *strategy);
-      res = engine.run(*strategy, hook.get());
-    }
-  } catch (const ckpt::SimulatedCrash& crash) {
-    // Drop the recorder's uncommitted rounds: the log must end at the
-    // last checkpoint, where the resumed run's log picks up.
-    events::abandon();
-    telemetry::finalize();
-    return report_simulated_crash(crash, out);
-  }
-
-  events::finalize();
-  telemetry::finalize();
-  emit_run_report(opt, strategy_name, spec, k, pop, rss_mb, res,
-                  async ? &aopt : nullptr, out);
-  return 0;
+  header << "\n";
+  return execute_run(r, header.str(), nullptr, "", out);
 }
 
 int cmd_resume(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
@@ -1162,94 +1238,44 @@ int cmd_resume(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
         "resume expects exactly one checkpoint path: gluefl resume CKPT");
   }
   const std::string path = args.positionals.front();
-  const long threads_override = flags.integer("threads", -1, 0, 1024);
-  const std::string json_path = flags.str("json", "");
-  const std::string trace_path = flags.str("trace", "");
-  const std::string metrics_path = flags.str("metrics", "");
-  const std::string events_path = flags.str("events", "");
+  const long threads = flags.integer("threads", -1, 0, 1024);
+  RunOptions own;  // resume's own flags; the settings come from the head
+  resolve_outputs(flags, own);
   if (dry_run) {
     // Validate resume's own flags without touching the snapshot (which
     // need not exist yet when a command line is being vetted).
-    RunOptions scratch;
-    scratch.rounds = 1000000;  // --crash-at-round bound without a snapshot
-    resolve_checkpoint_flags(flags, scratch, /*probe_dir=*/false);
+    own.rounds = 1000000;  // --crash-at-round bound without a snapshot
+    resolve_checkpoint_flags(flags, own, /*probe_dir=*/false);
     flags.reject_unknown();
     out << "dry-run: resume from " << path << " — flags OK\n";
     return 0;
   }
-
-  validate_output_path("json", json_path);
-  validate_output_path("trace", trace_path);
-  validate_output_path("metrics", metrics_path);
-  validate_output_path("events", events_path);
-  telemetry::configure({trace_path, metrics_path});
-  // The resumed segment records to its OWN file: concatenating the
+  // The resumed segment records to its OWN event log: concatenating the
   // crashed run's log with this one reproduces the uninterrupted log.
-  if (!events_path.empty()) events::configure(events_path);
+  open_outputs(own);
 
   const ckpt::Snapshot snap = ckpt::load_checkpoint(path);
   // Restore the sim-class counters to the boundary so the resumed run's
   // "telemetry" block comes out byte-identical to the uninterrupted one.
   telemetry::set_sim_values(snap.telemetry);
 
-  // Reconstruct the resolved options of the original run from the
-  // checkpoint meta; the echoed JSON must come out byte-identical.
-  RunOptions opt;
-  opt.dataset = meta_get(snap, "dataset");
-  opt.model = meta_get(snap, "model");
-  opt.env = meta_get(snap, "env");
-  opt.exec = meta_get(snap, "exec");
-  opt.rounds = static_cast<int>(meta_long_range(snap, "rounds", 1, 1000000));
-  opt.scale = meta_double(snap, "scale");
-  if (opt.scale <= 0.0 || opt.scale > 1.0) {
-    meta_range_fail(snap, "scale", "scale in (0, 1]");
-  }
-  opt.population = meta_long_range(snap, "population", 0, 100000000);
-  opt.population_mode = meta_get(snap, "population_mode");
-  require_meta_name(snap, "population_mode", {"dense", "virtual"});
-  opt.overcommit = meta_double(snap, "overcommit");
-  if (opt.overcommit < 1.0) {
-    meta_range_fail(snap, "overcommit", "overcommit >= 1");
-  }
-  opt.eval_every =
-      static_cast<int>(meta_long_range(snap, "eval_every", 1, 1000000));
-  opt.seed = static_cast<uint64_t>(meta_long_range(
-      snap, "seed", 0, std::numeric_limits<long>::max()));
-  opt.threads = threads_override >= 0
-                    ? static_cast<int>(threads_override)
-                    : static_cast<int>(
-                          meta_long_range(snap, "threads", 0, 1024));
-  opt.topology = meta_get(snap, "topology");
-  try {
-    opt.num_edges = parse_topology(opt.topology);
-  } catch (const UsageError&) {
-    meta_range_fail(snap, "topology", "'flat' or 'hier:<E>'");
-  }
-  opt.wire = meta_get(snap, "wire");
-  require_meta_name(snap, "wire", {"encoded"});
-  // The scenario rides the checkpoint as its canonical JSON (never a file
-  // path): re-parsing it through the same validator rejects a tampered
-  // spec and reproduces the exact fleet shape mid-scenario.
-  const std::string& scen_meta = meta_get(snap, "scenario");
-  if (!scen_meta.empty()) {
-    try {
-      opt.scenario_spec = scenario::parse_scenario_json(scen_meta);
-    } catch (const scenario::ScenarioError& e) {
-      throw ckpt::CkptError("checkpoint meta key 'scenario' is invalid: " +
-                            std::string(e.what()));
-    }
-    opt.scenario = opt.scenario_spec.name;
-  }
-  opt.json_path = json_path;
-  opt.trace_path = trace_path;
-  opt.metrics_path = metrics_path;
-  opt.events_path = events_path;
-  resolve_checkpoint_flags(flags, opt);
+  // The head's meta goes through run's own resolver and checks; a given
+  // --threads replaces the recorded count (output is thread-count exact).
+  std::map<std::string, std::string> meta = snap.meta;
+  if (threads >= 0) meta["threads"] = std::to_string(threads);
+  Flags recorded(meta, /*checkpoint=*/true);
+  ResolvedRun r = resolve_run(recorded);
+  const std::string ck_hash = recorded.str("git_hash", "");
+  const std::string ck_build = recorded.str("build_type", "");
+  recorded.reject_unknown();
+  r.opt.json_path = own.json_path;
+  resolve_checkpoint_flags(flags, r.opt);
   flags.reject_unknown();
   // A crash boundary the resumed run will never reach is a silent no-op
   // the user almost certainly did not intend.
-  if (opt.crash_at_round > 0 && opt.crash_at_round <= snap.next_round) {
-    throw UsageError("--crash-at-round " + std::to_string(opt.crash_at_round) +
+  if (r.opt.crash_at_round > 0 && r.opt.crash_at_round <= snap.next_round) {
+    throw UsageError("--crash-at-round " +
+                     std::to_string(r.opt.crash_at_round) +
                      " is at or before the checkpoint boundary " +
                      std::to_string(snap.next_round) +
                      "; the resumed run only executes later rounds");
@@ -1258,90 +1284,17 @@ int cmd_resume(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
   // Binary mismatch is survivable (the format is versioned) but breaks
   // the bit-identity guarantee: floating-point round-off may differ
   // between builds. Warn rather than refuse.
-  const std::string& ck_hash = meta_get(snap, "git_hash");
-  const std::string& ck_build = meta_get(snap, "build_type");
   if (ck_hash != build_git_hash() || ck_build != build_type()) {
     err << "warning: checkpoint was written by build " << ck_hash << " ("
         << ck_build << "); this binary is " << build_git_hash() << " ("
         << build_type() << ") — resumed results may not be bit-identical\n";
   }
 
-  const bool async = opt.exec == "async";
-  const std::string strategy_name = meta_get(snap, "strategy");
-  // The CRC already guards integrity; these reject checkpoints written by
-  // a future binary whose registries this one does not know.
-  require_meta_name(snap, "dataset", dataset_names());
-  require_meta_name(snap, "model", model_names());
-  require_meta_name(snap, "env", env_names());
-  require_meta_name(snap, "exec", {"sync", "async"});
-  require_meta_name(snap, "strategy",
-                    async ? async_strategy_names() : strategy_names());
-  const SyntheticSpec spec = make_spec(opt.dataset, opt.scale);
-  const int k = preset_clients_per_round(spec);
-  const int topk = preset_topk(spec);
-  const long pop = effective_population(opt, spec);
-  AsyncOptions aopt;
-  if (async) {
-    aopt.engine.buffer_size =
-        static_cast<int>(meta_long_range(snap, "async_buffer", 1, 100000));
-    aopt.engine.concurrency =
-        static_cast<int>(meta_long_range(snap, "async_conc", 1, 1000000));
-    aopt.staleness = meta_get(snap, "staleness");
-    require_meta_name(snap, "staleness", {"const", "poly"});
-    aopt.fedbuff.discount = aopt.staleness == "const"
-                                ? StalenessDiscount::kConstant
-                                : StalenessDiscount::kPolynomial;
-    aopt.fedbuff.alpha = meta_double(snap, "staleness_alpha");
-    if (aopt.fedbuff.alpha < 0.0) {
-      meta_range_fail(snap, "staleness_alpha", "alpha >= 0");
-    }
-    aopt.fedbuff.server_lr = meta_double(snap, "server_lr");
-    if (aopt.fedbuff.server_lr <= 0.0) {
-      meta_range_fail(snap, "server_lr", "server_lr > 0");
-    }
-    aopt.fedbuff.max_staleness =
-        static_cast<int>(meta_long_range(snap, "max_staleness", 0, 1000000));
-  }
-  SimEngine engine = make_cli_engine(opt, spec, k, topk);
-  const double rss_mb =
-      static_cast<double>(engine.memory_estimate_bytes()) / (1024.0 * 1024.0);
-
-  out << "resume: " << strategy_name << " on " << opt.dataset << " x "
-      << opt.model << " from round " << snap.next_round << "/" << opt.rounds
-      << " (" << path << ")\n\n";
-
-  const ckpt::CkptOptions copts{opt.checkpoint_every, opt.checkpoint_dir,
-                                opt.crash_at_round};
-  RunResult res;
-  try {
-    if (async) {
-      AsyncSimEngine async_engine(engine, aopt.engine);
-      auto strategy = make_async_strategy(strategy_name, aopt.fedbuff);
-      const auto hook =
-          make_ckpt_hook(copts, opt, strategy_name, &aopt, *strategy, path);
-      AsyncRunState state = ckpt::restore_async_run(snap, engine, *strategy);
-      res = async_engine.resume(*strategy, std::move(state),
-                                ckpt::history_result(snap), hook.get());
-    } else {
-      auto strategy = make_strategy_for(strategy_name, k, opt.model,
-                                        static_cast<int>(pop));
-      const auto hook = make_ckpt_hook(copts, opt, strategy_name, nullptr,
-                                       *strategy, path);
-      ckpt::restore_sync_run(snap, engine, *strategy);
-      res = engine.run_from(*strategy, snap.next_round,
-                            ckpt::history_result(snap), hook.get());
-    }
-  } catch (const ckpt::SimulatedCrash& crash) {
-    events::abandon();  // log ends at the last checkpoint, like cmd_run
-    telemetry::finalize();
-    return report_simulated_crash(crash, out);
-  }
-
-  events::finalize();
-  telemetry::finalize();
-  emit_run_report(opt, strategy_name, spec, k, pop, rss_mb, res,
-                  async ? &aopt : nullptr, out);
-  return 0;
+  std::ostringstream header;
+  header << "resume: " << r.strategy << " on " << r.opt.dataset << " x "
+         << r.opt.model << " from round " << snap.next_round << "/"
+         << r.opt.rounds << " (" << path << ")\n\n";
+  return execute_run(r, header.str(), &snap, path, out);
 }
 
 /// Async sweep: grid over --async-buffer x --staleness-alpha with a fixed
@@ -1374,7 +1327,7 @@ int cmd_sweep_async(Flags& flags, const RunOptions& opt, bool dry_run,
       throw UsageError("--async-buffer values must be integers in "
                        "[1, 100000]");
     }
-    require_buffer_fits_concurrency(static_cast<int>(b), conc);
+    require_buffer_fits_concurrency(flags, static_cast<int>(b), conc);
   }
   for (const double a : alphas) {
     if (a < 0.0) throw UsageError("--staleness-alpha values must be >= 0");
@@ -1384,15 +1337,12 @@ int cmd_sweep_async(Flags& flags, const RunOptions& opt, bool dry_run,
     throw UsageError("sweep grid has " + std::to_string(arms) +
                      " arms; keep it <= 64");
   }
-  validate_population_topology(opt, pop, k);
+  validate_population_topology(flags, opt, pop, k);
   if (dry_run) {
     out << "dry-run: async sweep (" << arms << " arms) — flags OK\n";
     return 0;
   }
-  validate_output_path("json", opt.json_path);
-  validate_output_path("trace", opt.trace_path);
-  validate_output_path("metrics", opt.metrics_path);
-  telemetry::configure({opt.trace_path, opt.metrics_path});
+  open_outputs(opt);
 
   out << "sweep: async-fedbuff on " << opt.dataset << " x " << opt.model
       << " over " << opt.env << " (N=" << pop << ", conc=" << conc
@@ -1401,7 +1351,7 @@ int cmd_sweep_async(Flags& flags, const RunOptions& opt, bool dry_run,
   SimEngine engine = make_cli_engine(opt, spec, k, topk);
   const double rss_mb =
       static_cast<double>(engine.memory_estimate_bytes()) / (1024.0 * 1024.0);
-  std::vector<LabeledRun> runs;
+  std::vector<SweepArm> grid;
   for (const double b : buffers) {
     for (const double a : alphas) {
       AsyncConfig acfg = base.engine;
@@ -1410,48 +1360,17 @@ int cmd_sweep_async(Flags& flags, const RunOptions& opt, bool dry_run,
       fcfg.alpha = a;
       std::ostringstream label;
       label << "K=" << acfg.buffer_size << " alpha=" << fmt_double(a, 2);
-      AsyncSimEngine async_engine(engine, acfg);
-      AsyncFedBuffStrategy strategy(fcfg);
-      runs.push_back({label.str(), async_engine.run(strategy)});
-      const RunTotals t = runs.back().result.totals();
-      out << "  " << label.str() << ": best-acc "
-          << fmt_percent(runs.back().result.best_accuracy()) << ", DV "
-          << fmt_double(t.down_gb, 2) << " GB, TT "
-          << fmt_double(t.wall_hours, 2) << " h\n";
+      grid.emplace_back(label.str(), [&engine, acfg, fcfg] {
+        AsyncSimEngine async_engine(engine, acfg);
+        AsyncFedBuffStrategy strategy(fcfg);
+        return async_engine.run(strategy);
+      });
     }
   }
-
-  const double target = common_target_accuracy(runs, 0.01);
-  out << "\ncosts to reach the common target accuracy (" << fmt_percent(target)
-      << "):\n"
-      << make_cost_table(runs, target).to_string();
-
-  telemetry::finalize();
-  std::ostringstream json;
-  json << "{\"schema\": \"gluefl.sweep.v1\", \"exec\": \"async\""
-       << ", \"dataset\": " << jstr(opt.dataset)
-       << ", \"model\": " << jstr(opt.model) << ", \"env\": " << jstr(opt.env)
-       << ", \"topology\": " << jstr(opt.topology)
-       << ", \"wire\": " << jstr(opt.wire)
-       << ", \"scenario\": " << scenario_json(opt)
-       << ", \"population\": " << pop
-       << ", \"population_mode\": " << jstr(opt.population_mode)
-       << ", \"peak_rss_est_mb\": " << jnum(rss_mb)
-       << ", \"provenance\": " << provenance_json()
-       << ", \"telemetry\": " << telemetry_json(runs)
-       << ", \"rounds\": " << opt.rounds << ", \"concurrency\": " << conc
-       << ", \"staleness\": " << jstr(base.staleness)
-       << ", \"target_accuracy\": " << jnum(target) << ", \"arms\": [";
-  for (size_t i = 0; i < runs.size(); ++i) {
-    if (i > 0) json << ", ";
-    json << "{\"label\": " << jstr(runs[i].label)
-         << ", \"best_accuracy\": " << jnum(runs[i].result.best_accuracy())
-         << ", \"totals\": " << totals_json(runs[i].result.totals())
-         << ", \"totals_to_target\": "
-         << totals_json(runs[i].result.totals_to_accuracy(target)) << "}";
-  }
-  json << "]}";
-  emit_json(json.str(), opt.json_path, out);
+  run_sweep_arms(opt, pop, rss_mb, grid,
+                 ", \"concurrency\": " + std::to_string(conc) +
+                     ", \"staleness\": " + jstr(base.staleness),
+                 out);
   return 0;
 }
 
@@ -1461,6 +1380,7 @@ int cmd_sweep(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
   Flags flags(args.flags);
   const bool dry_run = flags.flag("dry-run");
   RunOptions opt = resolve_common(flags);
+  resolve_outputs(flags, opt);
   // One event log per run is the attribution contract: a sweep's arms
   // would interleave rounds from different configurations in one file.
   if (!opt.events_path.empty()) {
@@ -1509,15 +1429,12 @@ int cmd_sweep(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
   for (const double c : sticky_cs) {
     if (c < 1.0) throw UsageError("--sticky-c values must be positive");
   }
-  validate_population_topology(opt, pop, k);
+  validate_population_topology(flags, opt, pop, k);
   if (dry_run) {
     out << "dry-run: sweep (" << arms << " arms) — flags OK\n";
     return 0;
   }
-  validate_output_path("json", opt.json_path);
-  validate_output_path("trace", opt.trace_path);
-  validate_output_path("metrics", opt.metrics_path);
-  telemetry::configure({opt.trace_path, opt.metrics_path});
+  open_outputs(opt);
 
   out << "sweep: gluefl on " << opt.dataset << " x " << opt.model << " over "
       << opt.env << " (N=" << pop << ", K=" << k << ", "
@@ -1526,7 +1443,7 @@ int cmd_sweep(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
   SimEngine engine = make_cli_engine(opt, spec, k, topk);
   const double rss_mb =
       static_cast<double>(engine.memory_estimate_bytes()) / (1024.0 * 1024.0);
-  std::vector<LabeledRun> runs;
+  std::vector<SweepArm> grid;
   for (const double q : qs) {
     for (const double q_shr : q_shrs) {
       for (const double s : sticky_ss) {
@@ -1541,48 +1458,15 @@ int cmd_sweep(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
           label << "q=" << fmt_percent(q) << " q_shr=" << fmt_percent(q_shr)
                 << " S=" << cfg.sticky_group_size
                 << " C=" << cfg.sticky_per_round;
-          GlueFlStrategy strategy(cfg);
-          runs.push_back({label.str(), engine.run(strategy)});
-          const RunTotals t = runs.back().result.totals();
-          out << "  " << label.str() << ": best-acc "
-              << fmt_percent(runs.back().result.best_accuracy()) << ", DV "
-              << fmt_double(t.down_gb, 2) << " GB, TT "
-              << fmt_double(t.wall_hours, 2) << " h\n";
+          grid.emplace_back(label.str(), [&engine, cfg] {
+            GlueFlStrategy strategy(cfg);
+            return engine.run(strategy);
+          });
         }
       }
     }
   }
-
-  const double target = common_target_accuracy(runs, 0.01);
-  out << "\ncosts to reach the common target accuracy (" << fmt_percent(target)
-      << "):\n"
-      << make_cost_table(runs, target).to_string();
-
-  telemetry::finalize();
-  std::ostringstream json;
-  json << "{\"schema\": \"gluefl.sweep.v1\", \"exec\": \"sync\""
-       << ", \"dataset\": " << jstr(opt.dataset)
-       << ", \"model\": " << jstr(opt.model) << ", \"env\": " << jstr(opt.env)
-       << ", \"topology\": " << jstr(opt.topology)
-       << ", \"wire\": " << jstr(opt.wire)
-       << ", \"scenario\": " << scenario_json(opt)
-       << ", \"population\": " << pop
-       << ", \"population_mode\": " << jstr(opt.population_mode)
-       << ", \"peak_rss_est_mb\": " << jnum(rss_mb)
-       << ", \"provenance\": " << provenance_json()
-       << ", \"telemetry\": " << telemetry_json(runs)
-       << ", \"rounds\": " << opt.rounds
-       << ", \"target_accuracy\": " << jnum(target) << ", \"arms\": [";
-  for (size_t i = 0; i < runs.size(); ++i) {
-    if (i > 0) json << ", ";
-    json << "{\"label\": " << jstr(runs[i].label)
-         << ", \"best_accuracy\": " << jnum(runs[i].result.best_accuracy())
-         << ", \"totals\": " << totals_json(runs[i].result.totals())
-         << ", \"totals_to_target\": "
-         << totals_json(runs[i].result.totals_to_accuracy(target)) << "}";
-  }
-  json << "]}";
-  emit_json(json.str(), opt.json_path, out);
+  run_sweep_arms(opt, pop, rss_mb, grid, "", out);
   return 0;
 }
 

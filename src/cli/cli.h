@@ -1,6 +1,6 @@
 // Unified command-line front end for the GlueFL simulator.
 //
-// One binary, three subcommands, consolidating the driver logic that was
+// One binary, six subcommands, consolidating the driver logic that was
 // previously duplicated across examples/*.cpp:
 //
 //   gluefl list                  enumerate strategies, dataset presets,
@@ -18,9 +18,14 @@
 //   gluefl resume CKPT           continue a crashed / interrupted run from
 //                                a checkpoint written by
 //                                `run --checkpoint-every=N
-//                                --checkpoint-dir=D`; the final report and
-//                                JSON summary are byte-identical to the
-//                                uninterrupted run's
+//                                --checkpoint-dir=D`; the head's meta goes
+//                                through run's own checks, and the final
+//                                report and JSON summary are byte-identical
+//                                to the uninterrupted run's
+//   gluefl profile A.json B.json compare the telemetry blocks of two JSON
+//                                summaries
+//   gluefl report EVENTS         attribute cost and faults from a
+//                                flight-recorder event log
 //
 // Everything below is a library (linked into both the `gluefl` binary and
 // tests/test_cli.cpp) so argument parsing and command behaviour are unit
@@ -50,7 +55,9 @@ struct ParsedArgs {
 /// checkpoint path this way — every other command rejects them).
 ParsedArgs parse_args(const std::vector<std::string>& args);
 
-/// Options shared by `run` and `sweep`, resolved from flags + defaults.
+/// Options of `run`, `sweep` and `resume`: the run settings, resolved from
+/// flags + defaults (on resume, from the head's meta), plus the output
+/// files and checkpointing, which always come from the command line.
 struct RunOptions {
   std::string dataset = "femnist";
   std::string model = "shufflenet";

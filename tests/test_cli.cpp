@@ -689,27 +689,116 @@ TEST(CliCkpt, ResumeAcceptsThreadOverrideWithIdenticalJson) {
   EXPECT_EQ(sa.str(), sb.str());
 }
 
-TEST(CliCkpt, TamperedMetaOutOfRangeIsACleanError) {
-  // A checkpoint whose CRC has been re-sealed around a nonsense meta
-  // value (eval_every=0 would divide by zero in the round loop) must die
-  // as one clean CkptError line, never as UB.
+TEST(CliCkpt, TamperedMetaIsOneCleanLine) {
+  // A head whose meta was edited and its CRC re-sealed resolves through
+  // run's own checks. Erasing any key, adding one, or giving a setting a
+  // value `run` rejects must fail as one CkptError line naming the key
+  // (exit 1): never resume (exit 0), never a usage error (exit 2), never
+  // a GLUEFL_CHECK.
   ScratchDir dir("cli_ckpt_tamper");
-  const CliResult w =
+  const std::string sync_dir = (dir.path / "sync").string();
+  const std::string async_dir = (dir.path / "async").string();
+  fs::create_directories(sync_dir);
+  fs::create_directories(async_dir);
+  const CliResult ws =
       invoke({"run", "--strategy", "fedavg", "--rounds", "4", "--scale",
               "0.02", "--checkpoint-every", "2", "--checkpoint-dir",
-              dir.str().c_str()});
-  ASSERT_EQ(w.code, 0) << w.err;
-  const std::string good = (dir.path / "ckpt-00000002.gfc").string();
+              sync_dir.c_str()});
+  ASSERT_EQ(ws.code, 0) << ws.err;
+  const CliResult wa =
+      invoke({"run", "--exec", "async", "--rounds", "4", "--scale", "0.02",
+              "--checkpoint-every", "2", "--checkpoint-dir",
+              async_dir.c_str()});
+  ASSERT_EQ(wa.code, 0) << wa.err;
+  const ckpt::Snapshot heads[] = {
+      ckpt::load_checkpoint(ckpt::checkpoint_path(sync_dir, 2)),
+      ckpt::load_checkpoint(ckpt::checkpoint_path(async_dir, 2))};
+  ASSERT_EQ(heads[0].meta.at("wire"), "encoded");
 
-  ckpt::Snapshot snap = ckpt::load_checkpoint(good);
-  snap.meta["eval_every"] = "0";
   const std::string bad = (dir.path / "tampered.gfc").string();
-  ckpt::save_checkpoint(bad, snap);  // re-seals the CRC
+  const auto expect_clean = [&](const ckpt::Snapshot& snap,
+                                const std::string& key,
+                                const std::vector<std::string>& also,
+                                const std::string& what) {
+    ckpt::save_checkpoint(bad, snap);  // re-seals the CRC
+    const CliResult r = invoke({"resume", bad.c_str()});
+    EXPECT_EQ(r.code, 1) << what << ": " << r.err;
+    EXPECT_NE(r.err.find("'" + key + "'"), std::string::npos)
+        << what << ": " << r.err;
+    EXPECT_EQ(r.err.find('\n'), r.err.size() - 1) << what << ": " << r.err;
+    EXPECT_EQ(r.err.find("GLUEFL_CHECK"), std::string::npos)
+        << what << ": " << r.err;
+    for (const std::string& s : also) {
+      EXPECT_NE(r.err.find(s), std::string::npos) << what << ": " << r.err;
+    }
+  };
 
-  const CliResult r = invoke({"resume", bad.c_str()});
-  EXPECT_EQ(r.code, 1);
-  EXPECT_NE(r.err.find("eval_every"), std::string::npos) << r.err;
-  EXPECT_NE(r.err.find("out of range"), std::string::npos) << r.err;
+  for (const ckpt::Snapshot& head : heads) {
+    for (const auto& [key, value] : head.meta) {
+      ckpt::Snapshot snap = head;
+      snap.meta.erase(key);
+      expect_clean(snap, key, {"missing"}, "erased " + key);
+    }
+  }
+
+  struct Row {
+    bool async;  // tamper the async head, else the sync (fedavg) one
+    std::vector<std::pair<std::string, std::string>> set;
+    std::string key;                // the key the error line must name
+    std::vector<std::string> also;  // further text the line must hold
+  };
+  const Row rows[] = {
+      // eval_every=0 would divide by zero in the round loop.
+      {false, {{"eval_every", "0"}}, "eval_every", {"out of range"}},
+      // Never a silent default layout.
+      {false, {{"population_mode", "bogus"}}, "population_mode", {"bogus"}},
+      // A run mode this binary no longer has.
+      {false, {{"wire", "analytic"}}, "wire", {"analytic"}},
+      {false, {{"strategy", "bogus"}}, "strategy", {}},
+      {false, {{"strategy", "async-fedbuff"}}, "strategy", {}},
+      {true, {{"exec", "sync"}}, "strategy", {}},
+      {false, {{"exec", "bogus"}}, "exec", {}},
+      {false, {{"dataset", "bogus"}}, "dataset", {}},
+      {false, {{"model", "bogus"}}, "model", {}},
+      {false, {{"env", "bogus"}}, "env", {}},
+      {false, {{"rounds", "0"}}, "rounds", {}},
+      {false, {{"rounds", "four"}}, "rounds", {}},
+      {false, {{"scale", "0"}}, "scale", {}},
+      {false, {{"scale", "1.5"}}, "scale", {}},
+      {false, {{"scale", "nan"}}, "scale", {}},
+      {false, {{"population", "-1"}}, "population", {}},
+      {false, {{"population", "100000001"}}, "population", {}},
+      {false, {{"population", "10"}}, "population", {"K=30"}},
+      {false, {{"overcommit", "0.5"}}, "overcommit", {}},
+      {true, {{"overcommit", "0.5"}}, "overcommit", {}},
+      {false, {{"seed", "-1"}}, "seed", {}},
+      {false, {{"threads", "2000"}}, "threads", {}},
+      {false, {{"topology", "bogus"}}, "topology", {}},
+      {false, {{"topology", "hier:0"}}, "topology", {}},
+      {false, {{"topology", "hier:999"}}, "topology", {"more edges"}},
+      {false, {{"scenario", "{"}}, "scenario", {}},
+      {true, {{"async_buffer", "50"}, {"async_conc", "9"}}, "async_buffer",
+       {"K=50", "N=9"}},
+      {true, {{"async_conc", "100000"}}, "async_conc", {"population"}},
+      {true, {{"async_buffer", "0"}}, "async_buffer", {}},
+      {true, {{"async_conc", "0"}}, "async_conc", {}},
+      {true, {{"staleness", "bogus"}}, "staleness", {}},
+      {true, {{"staleness_alpha", "-1"}}, "staleness_alpha", {}},
+      {true, {{"server_lr", "0"}}, "server_lr", {}},
+      {true, {{"max_staleness", "-1"}}, "max_staleness", {}},
+      // A setting this binary does not know must not be dropped silently.
+      {false, {{"extra_key", "1"}}, "extra_key", {}},
+      {true, {{"extra_key", "1"}}, "extra_key", {}},
+  };
+  for (const Row& row : rows) {
+    ckpt::Snapshot snap = heads[row.async ? 1 : 0];
+    std::string what = row.async ? "async head:" : "sync head:";
+    for (const auto& [key, value] : row.set) {
+      snap.meta[key] = value;
+      what += " " + key + "=" + value;
+    }
+    expect_clean(snap, row.key, row.also, what);
+  }
 }
 
 TEST(CliCkpt, AnyLegalRunConfigurationIsResumable) {
@@ -725,49 +814,6 @@ TEST(CliCkpt, AnyLegalRunConfigurationIsResumable) {
   const std::string ckpt = (dir.path / "ckpt-00000002.gfc").string();
   const CliResult r = invoke({"resume", ckpt.c_str()});
   EXPECT_EQ(r.code, 0) << r.err;
-}
-
-TEST(CliCkpt, TamperedRegistryNameIsACleanError) {
-  // An unknown population mode must reject as CkptError (exit 1), never
-  // fall back to a silent default layout.
-  ScratchDir dir("cli_ckpt_registry");
-  const CliResult w =
-      invoke({"run", "--strategy", "fedavg", "--rounds", "4", "--scale",
-              "0.02", "--checkpoint-every", "2", "--checkpoint-dir",
-              dir.str().c_str()});
-  ASSERT_EQ(w.code, 0) << w.err;
-  ckpt::Snapshot snap =
-      ckpt::load_checkpoint((dir.path / "ckpt-00000002.gfc").string());
-  snap.meta["population_mode"] = "bogus";
-  const std::string bad = (dir.path / "bad-mode.gfc").string();
-  ckpt::save_checkpoint(bad, snap);
-  const CliResult r = invoke({"resume", bad.c_str()});
-  EXPECT_EQ(r.code, 1);
-  EXPECT_NE(r.err.find("'population_mode'"), std::string::npos) << r.err;
-  EXPECT_NE(r.err.find("bogus"), std::string::npos) << r.err;
-  EXPECT_EQ(r.err.find('\n'), r.err.size() - 1) << r.err;
-}
-
-TEST(CliCkpt, AnalyticWireSnapshotIsACleanError) {
-  // A snapshot whose meta says wire=analytic describes a run mode this
-  // binary no longer has: resume must refuse it with one CkptError line.
-  ScratchDir dir("cli_ckpt_analytic");
-  const CliResult w =
-      invoke({"run", "--strategy", "fedavg", "--rounds", "4", "--scale",
-              "0.02", "--checkpoint-every", "2", "--checkpoint-dir",
-              dir.str().c_str()});
-  ASSERT_EQ(w.code, 0) << w.err;
-  ckpt::Snapshot snap =
-      ckpt::load_checkpoint((dir.path / "ckpt-00000002.gfc").string());
-  ASSERT_EQ(snap.meta["wire"], "encoded");
-  snap.meta["wire"] = "analytic";
-  const std::string bad = (dir.path / "analytic.gfc").string();
-  ckpt::save_checkpoint(bad, snap);
-  const CliResult r = invoke({"resume", bad.c_str()});
-  EXPECT_EQ(r.code, 1);
-  EXPECT_NE(r.err.find("'wire'"), std::string::npos) << r.err;
-  EXPECT_NE(r.err.find("analytic"), std::string::npos) << r.err;
-  EXPECT_EQ(r.err.find('\n'), r.err.size() - 1) << r.err;
 }
 
 TEST(CliCkpt, ResumeRejectsCrashRoundAtOrBeforeTheBoundary) {
