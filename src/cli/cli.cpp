@@ -1268,7 +1268,7 @@ int cmd_resume(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
   const std::string ck_hash = recorded.str("git_hash", "");
   const std::string ck_build = recorded.str("build_type", "");
   recorded.reject_unknown();
-  r.opt.json_path = own.json_path;
+  r.opt.json_path = own.json_path;  // the other outputs are open already
   resolve_checkpoint_flags(flags, r.opt);
   flags.reject_unknown();
   // A crash boundary the resumed run will never reach is a silent no-op
