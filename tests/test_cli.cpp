@@ -689,6 +689,29 @@ TEST(CliCkpt, ResumeAcceptsThreadOverrideWithIdenticalJson) {
   EXPECT_EQ(sa.str(), sb.str());
 }
 
+TEST(CliCkpt, TamperedMetaOutOfRangeIsACleanError) {
+  // A checkpoint whose CRC has been re-sealed around a nonsense meta
+  // value (eval_every=0 would divide by zero in the round loop) must die
+  // as one clean CkptError line, never as UB.
+  ScratchDir dir("cli_ckpt_tamper_range");
+  const CliResult w =
+      invoke({"run", "--strategy", "fedavg", "--rounds", "4", "--scale",
+              "0.02", "--checkpoint-every", "2", "--checkpoint-dir",
+              dir.str().c_str()});
+  ASSERT_EQ(w.code, 0) << w.err;
+  const std::string good = (dir.path / "ckpt-00000002.gfc").string();
+
+  ckpt::Snapshot snap = ckpt::load_checkpoint(good);
+  snap.meta["eval_every"] = "0";
+  const std::string bad = (dir.path / "tampered.gfc").string();
+  ckpt::save_checkpoint(bad, snap);  // re-seals the CRC
+
+  const CliResult r = invoke({"resume", bad.c_str()});
+  EXPECT_EQ(r.code, 1);
+  EXPECT_NE(r.err.find("eval_every"), std::string::npos) << r.err;
+  EXPECT_NE(r.err.find("out of range"), std::string::npos) << r.err;
+}
+
 TEST(CliCkpt, TamperedMetaIsOneCleanLine) {
   // A head whose meta was edited and its CRC re-sealed resolves through
   // run's own checks. Erasing any key, adding one, or giving a setting a
@@ -747,13 +770,9 @@ TEST(CliCkpt, TamperedMetaIsOneCleanLine) {
     std::string key;                // the key the error line must name
     std::vector<std::string> also;  // further text the line must hold
   };
+  // eval_every=0, population_mode=bogus and wire=analytic have tests of
+  // their own.
   const Row rows[] = {
-      // eval_every=0 would divide by zero in the round loop.
-      {false, {{"eval_every", "0"}}, "eval_every", {"out of range"}},
-      // Never a silent default layout.
-      {false, {{"population_mode", "bogus"}}, "population_mode", {"bogus"}},
-      // A run mode this binary no longer has.
-      {false, {{"wire", "analytic"}}, "wire", {"analytic"}},
       {false, {{"strategy", "bogus"}}, "strategy", {}},
       {false, {{"strategy", "async-fedbuff"}}, "strategy", {}},
       {true, {{"exec", "sync"}}, "strategy", {}},
@@ -814,6 +833,49 @@ TEST(CliCkpt, AnyLegalRunConfigurationIsResumable) {
   const std::string ckpt = (dir.path / "ckpt-00000002.gfc").string();
   const CliResult r = invoke({"resume", ckpt.c_str()});
   EXPECT_EQ(r.code, 0) << r.err;
+}
+
+TEST(CliCkpt, TamperedRegistryNameIsACleanError) {
+  // An unknown population mode must reject as CkptError (exit 1), never
+  // fall back to a silent default layout.
+  ScratchDir dir("cli_ckpt_registry");
+  const CliResult w =
+      invoke({"run", "--strategy", "fedavg", "--rounds", "4", "--scale",
+              "0.02", "--checkpoint-every", "2", "--checkpoint-dir",
+              dir.str().c_str()});
+  ASSERT_EQ(w.code, 0) << w.err;
+  ckpt::Snapshot snap =
+      ckpt::load_checkpoint((dir.path / "ckpt-00000002.gfc").string());
+  snap.meta["population_mode"] = "bogus";
+  const std::string bad = (dir.path / "bad-mode.gfc").string();
+  ckpt::save_checkpoint(bad, snap);
+  const CliResult r = invoke({"resume", bad.c_str()});
+  EXPECT_EQ(r.code, 1);
+  EXPECT_NE(r.err.find("'population_mode'"), std::string::npos) << r.err;
+  EXPECT_NE(r.err.find("bogus"), std::string::npos) << r.err;
+  EXPECT_EQ(r.err.find('\n'), r.err.size() - 1) << r.err;
+}
+
+TEST(CliCkpt, AnalyticWireSnapshotIsACleanError) {
+  // A snapshot whose meta says wire=analytic describes a run mode this
+  // binary no longer has: resume must refuse it with one CkptError line.
+  ScratchDir dir("cli_ckpt_analytic");
+  const CliResult w =
+      invoke({"run", "--strategy", "fedavg", "--rounds", "4", "--scale",
+              "0.02", "--checkpoint-every", "2", "--checkpoint-dir",
+              dir.str().c_str()});
+  ASSERT_EQ(w.code, 0) << w.err;
+  ckpt::Snapshot snap =
+      ckpt::load_checkpoint((dir.path / "ckpt-00000002.gfc").string());
+  ASSERT_EQ(snap.meta["wire"], "encoded");
+  snap.meta["wire"] = "analytic";
+  const std::string bad = (dir.path / "analytic.gfc").string();
+  ckpt::save_checkpoint(bad, snap);
+  const CliResult r = invoke({"resume", bad.c_str()});
+  EXPECT_EQ(r.code, 1);
+  EXPECT_NE(r.err.find("'wire'"), std::string::npos) << r.err;
+  EXPECT_NE(r.err.find("analytic"), std::string::npos) << r.err;
+  EXPECT_EQ(r.err.find('\n'), r.err.size() - 1) << r.err;
 }
 
 TEST(CliCkpt, ResumeRejectsCrashRoundAtOrBeforeTheBoundary) {
