@@ -7,6 +7,10 @@
 #include <istream>
 #include <ostream>
 
+#if defined(GLUEFL_CKPT_PCLMUL)
+#include "ckpt/crc32_fold.h"
+#endif
+
 namespace gluefl::ckpt {
 
 namespace {
@@ -38,6 +42,22 @@ uint32_t load_le32(const uint8_t* p) {
          static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
 }
 
+// Slicing-by-8 over the CRC register `c` (between the pre- and
+// post-inversion): eight bytes per step, then a bytewise tail.
+uint32_t slice8(const uint8_t* data, size_t size, uint32_t c) {
+  static const CrcTables t = make_crc_tables();
+  size_t i = 0;
+  for (; i + 8 <= size; i += 8) {
+    const uint32_t lo = c ^ load_le32(data + i);
+    const uint32_t hi = load_le32(data + i + 4);
+    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^ t[5][(lo >> 16) & 0xFFu] ^
+        t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^ t[2][(hi >> 8) & 0xFFu] ^
+        t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; i < size; ++i) c = t[0][(c ^ data[i]) & 0xFFu] ^ (c >> 8);
+  return c;
+}
+
 [[noreturn]] void fail(const std::string& msg) { throw CkptError(msg); }
 
 /// LEB128 decode over any byte source; shared by Reader and CrcIn.
@@ -66,19 +86,33 @@ uint64_t checked_max(uint64_t v, uint64_t max, const char* what) {
 }  // namespace
 
 uint32_t crc32(const uint8_t* data, size_t size, uint32_t crc) {
-  static const CrcTables t = make_crc_tables();
   uint32_t c = crc ^ 0xFFFFFFFFu;
-  size_t i = 0;
-  for (; i + 8 <= size; i += 8) {
-    const uint32_t lo = c ^ load_le32(data + i);
-    const uint32_t hi = load_le32(data + i + 4);
-    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^ t[5][(lo >> 16) & 0xFFu] ^
-        t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^ t[2][(hi >> 8) & 0xFFu] ^
-        t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+#if defined(GLUEFL_CKPT_PCLMUL)
+  // crc32_pclmul.cpp is built with -mpclmul, which adds PCLMULQDQ to the
+  // x86-64 baseline (SSE2), so PCLMULQDQ is the one extension to check.
+  static const bool has_fold = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("pclmul") != 0;
+  }();
+  // The fold takes the whole 16-byte blocks and hands slicing-by-8 the
+  // register and the last 0..15 bytes.
+  if (has_fold && size >= 64) {
+    const size_t n = size & ~size_t{15};
+    c = detail::crc32_fold_pclmul(data, n, c);
+    data += n;
+    size -= n;
   }
-  for (; i < size; ++i) c = t[0][(c ^ data[i]) & 0xFFu] ^ (c >> 8);
-  return c ^ 0xFFFFFFFFu;
+#endif
+  return slice8(data, size, c) ^ 0xFFFFFFFFu;
 }
+
+namespace detail {
+
+uint32_t crc32_portable(const uint8_t* data, size_t size, uint32_t crc) {
+  return slice8(data, size, crc ^ 0xFFFFFFFFu) ^ 0xFFFFFFFFu;
+}
+
+}  // namespace detail
 
 uint64_t regular_file_size(const std::string& path, const std::string& what) {
   namespace fs = std::filesystem;

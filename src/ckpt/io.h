@@ -30,11 +30,19 @@ class CkptError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over `size` bytes,
-/// computed slicing-by-8; the value is the bytewise definition's. Passing
-/// the CRC of the bytes that precede `data` as `crc` continues it, so
+/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over `size` bytes;
+/// the value is the bytewise definition's. On a CPU with PCLMULQDQ a
+/// carry-less-multiply fold takes the whole 16-byte blocks of an input of
+/// 64 bytes or more, and slicing-by-8 the rest (DESIGN.md §8). Passing the
+/// CRC of the bytes that precede `data` as `crc` continues it, so
 /// crc32(b, nb, crc32(a, na)) is the CRC of a followed by b.
 uint32_t crc32(const uint8_t* data, size_t size, uint32_t crc = 0);
+
+namespace detail {
+/// crc32 by slicing-by-8 alone, on every CPU: the tests' oracle for the
+/// fold.
+uint32_t crc32_portable(const uint8_t* data, size_t size, uint32_t crc = 0);
+}  // namespace detail
 
 /// Size of the regular file at `path`. A missing or unreadable path, or
 /// one that is not a regular file (a directory, a FIFO), fails as one

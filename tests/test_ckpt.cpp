@@ -113,32 +113,59 @@ TEST(CkptIo, HostileLengthFailsBeforeAllocation) {
 
 ckpt::Snapshot tiny_snapshot();
 
+// The CRC register after one more byte, by the bytewise definition of
+// CRC-32 over the reflected polynomial 0xEDB88320.
+uint32_t crc_step(uint32_t reg, uint8_t byte) {
+  reg ^= byte;
+  for (int k = 0; k < 8; ++k) {
+    reg = (reg & 1) ? 0xEDB88320u ^ (reg >> 1) : reg >> 1;
+  }
+  return reg;
+}
+
+uint32_t crc32_bytewise(const uint8_t* p, size_t n) {
+  uint32_t reg = 0xFFFFFFFFu;
+  for (size_t i = 0; i < n; ++i) reg = crc_step(reg, p[i]);
+  return reg ^ 0xFFFFFFFFu;
+}
+
+std::vector<uint8_t> random_bytes(size_t n, uint64_t seed) {
+  std::vector<uint8_t> out(n);
+  Rng rng(seed);
+  for (uint8_t& b : out) b = static_cast<uint8_t>(rng.next_u64());
+  return out;
+}
+
 TEST(CkptIo, Crc32KnownVector) {
   // CRC-32 of "123456789" is the classic check value 0xCBF43926.
-  const char* s = "123456789";
-  EXPECT_EQ(ckpt::crc32(reinterpret_cast<const uint8_t*>(s), 9), 0xCBF43926u);
+  const auto* s = reinterpret_cast<const uint8_t*>("123456789");
+  EXPECT_EQ(ckpt::crc32(s, 9), 0xCBF43926u);
+  EXPECT_EQ(ckpt::detail::crc32_portable(s, 9), 0xCBF43926u);
 
-  // crc32 folds eight bytes per step; a bytewise loop over the same
-  // reflected polynomial must agree for every tail length and every
-  // misaligned start.
-  const auto bytewise = [](const uint8_t* p, size_t n) {
-    uint32_t c = 0xFFFFFFFFu;
-    for (size_t i = 0; i < n; ++i) {
-      c ^= p[i];
-      for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-    }
-    return c ^ 0xFFFFFFFFu;
-  };
-  std::vector<uint8_t> buf(8 + 64);
-  Rng rng(86);
-  for (uint8_t& b : buf) b = static_cast<uint8_t>(rng.next_u64());
-  for (size_t offset = 0; offset < 8; ++offset) {
-    for (size_t len = 0; len <= 64; ++len) {
-      EXPECT_EQ(ckpt::crc32(buf.data() + offset, len),
-                bytewise(buf.data() + offset, len))
+  // On a CPU with PCLMULQDQ, crc32 folds the whole 16-byte blocks of an
+  // input of 64 bytes or more and hands the rest to slicing-by-8, the
+  // portable tier. Both must give the bytewise loop's value at every
+  // length through the fold's main loop, its 16-byte steps and every
+  // tail, at every start offset mod 16.
+  const std::vector<uint8_t> buf = random_bytes(16 + 1100, 86);
+  for (size_t offset = 0; offset < 16; ++offset) {
+    const uint8_t* p = buf.data() + offset;
+    uint32_t reg = 0xFFFFFFFFu;  // the bytewise register of p[0, len)
+    for (size_t len = 0; len <= 1100; ++len) {
+      if (len > 0) reg = crc_step(reg, p[len - 1]);
+      const uint32_t want = reg ^ 0xFFFFFFFFu;
+      ASSERT_EQ(ckpt::crc32(p, len), want)
+          << "offset " << offset << " length " << len;
+      ASSERT_EQ(ckpt::detail::crc32_portable(p, len), want)
           << "offset " << offset << " length " << len;
     }
   }
+
+  // One input far longer than a journal row: 1 MiB and 13 bytes.
+  const std::vector<uint8_t> big = random_bytes((size_t{1} << 20) + 13, 87);
+  const uint32_t want = crc32_bytewise(big.data(), big.size());
+  EXPECT_EQ(ckpt::crc32(big.data(), big.size()), want);
+  EXPECT_EQ(ckpt::detail::crc32_portable(big.data(), big.size()), want);
 
   // A whole encoded snapshot, pinned to the bytes format 7 has always
   // written: its size, the payload CRC in the header and the file's CRC.
@@ -154,15 +181,19 @@ TEST(CkptIo, Crc32KnownVector) {
 }
 
 TEST(CkptIo, Crc32ContinuesAcrossSplits) {
-  // The journal checksums a record piecewise as it streams; continuing
-  // the CRC at any split point must give the one-shot value.
-  std::vector<uint8_t> buf(100);
-  Rng rng(17);
-  for (uint8_t& b : buf) b = static_cast<uint8_t>(rng.next_u64());
-  const uint32_t whole = ckpt::crc32(buf.data(), buf.size());
+  // The journal checksums a record piecewise as it streams, row-sized
+  // pieces at arbitrary offsets; continuing the CRC at any split point
+  // must give the one-shot value, whichever tier takes each piece.
+  const std::vector<uint8_t> buf = random_bytes(4099, 17);
+  const uint32_t whole = crc32_bytewise(buf.data(), buf.size());
   for (size_t cut = 0; cut <= buf.size(); ++cut) {
-    const uint32_t head = ckpt::crc32(buf.data(), cut);
-    EXPECT_EQ(ckpt::crc32(buf.data() + cut, buf.size() - cut, head), whole)
+    const uint8_t* rest = buf.data() + cut;
+    const size_t n = buf.size() - cut;
+    ASSERT_EQ(ckpt::crc32(rest, n, ckpt::crc32(buf.data(), cut)), whole)
+        << "split at " << cut;
+    ASSERT_EQ(ckpt::detail::crc32_portable(
+                  rest, n, ckpt::detail::crc32_portable(buf.data(), cut)),
+              whole)
         << "split at " << cut;
   }
 }
