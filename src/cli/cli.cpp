@@ -840,13 +840,19 @@ void validate_output_path(const std::string& key, const std::string& path) {
   if (!existed) std::remove(path.c_str());
 }
 
-/// Probes every output file before any round runs, then starts the
-/// telemetry sinks and the flight recorder (run, resume and both sweeps).
-void open_outputs(const RunOptions& opt) {
+/// Probes every output file, truncating none of them.
+void probe_outputs(const RunOptions& opt) {
   validate_output_path("json", opt.json_path);
   validate_output_path("trace", opt.trace_path);
   validate_output_path("metrics", opt.metrics_path);
   validate_output_path("events", opt.events_path);
+}
+
+/// Probes every output file before any round runs, then starts the
+/// telemetry sinks and the flight recorder (run and both sweeps; resume
+/// starts them around the head's load).
+void open_outputs(const RunOptions& opt) {
+  probe_outputs(opt);
   telemetry::configure({opt.trace_path, opt.metrics_path});
   if (!opt.events_path.empty()) events::configure(opt.events_path);
 }
@@ -899,12 +905,22 @@ void emit_run_report(const ResolvedRun& r, double peak_rss_est_mb,
   emit_json(run_json(r, peak_rss_est_mb, res), r.opt.json_path, out);
 }
 
+/// Frees what a restore copied out of `snap`, so a resumed run holds one
+/// copy of its state: the residual rows, which the strategy's store now
+/// shares (sole ownership lets its first write to a row overwrite it in
+/// place instead of copying it), and the async event-loop bytes. The
+/// history stays for history_result.
+void drop_restored(ckpt::Snapshot& snap) {
+  snap.residuals.reset();
+  snap.async_state = std::vector<uint8_t>();
+}
+
 /// The shared tail of `run` and `resume`: builds the engine, prints
 /// `header`, runs the strategy (from `snap`'s boundary when resuming, with
 /// `snap_path` as the crash report's fallback) and reports the result, or
 /// the simulated crash (exit code 3).
 int execute_run(const ResolvedRun& r, const std::string& header,
-                const ckpt::Snapshot* snap, const std::string& snap_path,
+                ckpt::Snapshot* snap, const std::string& snap_path,
                 std::ostream& out) {
   SimEngine engine = make_cli_engine(r.opt, r.spec, r.k, r.topk);
   const double rss_mb =
@@ -920,6 +936,7 @@ int execute_run(const ResolvedRun& r, const std::string& header,
         res = async_engine.run(*strategy, hook.get());
       } else {
         AsyncRunState state = ckpt::restore_async_run(*snap, engine, *strategy);
+        drop_restored(*snap);
         res = async_engine.resume(*strategy, std::move(state),
                                   ckpt::history_result(*snap), hook.get());
       }
@@ -931,6 +948,7 @@ int execute_run(const ResolvedRun& r, const std::string& header,
         res = engine.run(*strategy, hook.get());
       } else {
         ckpt::restore_sync_run(*snap, engine, *strategy);
+        drop_restored(*snap);
         res = engine.run_from(*strategy, snap->next_round,
                               ckpt::history_result(*snap), hook.get());
       }
@@ -1250,11 +1268,13 @@ int cmd_resume(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
     out << "dry-run: resume from " << path << " — flags OK\n";
     return 0;
   }
-  // The resumed segment records to its OWN event log: concatenating the
-  // crashed run's log with this one reproduces the uninterrupted log.
-  open_outputs(own);
+  // Nothing is truncated until the head is accepted: the output files are
+  // only probed, and telemetry starts with its counters and the tracer
+  // (so the load lands in the trace) but without the metrics stream.
+  probe_outputs(own);
+  telemetry::configure({own.trace_path, ""});
 
-  const ckpt::Snapshot snap = ckpt::load_checkpoint(path);
+  ckpt::Snapshot snap = ckpt::load_checkpoint(path);
   // Restore the sim-class counters to the boundary so the resumed run's
   // "telemetry" block comes out byte-identical to the uninterrupted one.
   telemetry::set_sim_values(snap.telemetry);
@@ -1268,7 +1288,7 @@ int cmd_resume(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
   const std::string ck_hash = recorded.str("git_hash", "");
   const std::string ck_build = recorded.str("build_type", "");
   recorded.reject_unknown();
-  r.opt.json_path = own.json_path;  // the other outputs are open already
+  r.opt.json_path = own.json_path;  // the other outputs open below
   resolve_checkpoint_flags(flags, r.opt);
   flags.reject_unknown();
   // A crash boundary the resumed run will never reach is a silent no-op
@@ -1280,6 +1300,11 @@ int cmd_resume(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
                      std::to_string(snap.next_round) +
                      "; the resumed run only executes later rounds");
   }
+  // The head is accepted. The resumed segment records to its OWN event
+  // log: concatenating the crashed run's log with this one reproduces the
+  // uninterrupted log.
+  telemetry::open_metrics(own.metrics_path);
+  if (!own.events_path.empty()) events::configure(own.events_path);
 
   // Binary mismatch is survivable (the format is versioned) but breaks
   // the bit-identity guarantee: floating-point round-off may differ

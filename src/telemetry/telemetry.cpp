@@ -214,13 +214,17 @@ void configure(const Options& opts) {
   s->t0 = std::chrono::steady_clock::now();
   s->trace_on = !opts.trace_path.empty();
   s->trace_path = opts.trace_path;
-  if (!opts.metrics_path.empty()) {
-    s->metrics_out.open(opts.metrics_path);
-    GLUEFL_CHECK_MSG(s->metrics_out.good(),
-                     "cannot open --metrics file '" + opts.metrics_path + "'");
-    s->metrics_on = true;
-  }
   detail::g_state = s;
+  open_metrics(opts.metrics_path);
+}
+
+void open_metrics(const std::string& path) {
+  detail::State* s = detail::g_state;
+  if (s == nullptr || path.empty()) return;
+  s->metrics_out.open(path);
+  GLUEFL_CHECK_MSG(s->metrics_out.good(),
+                   "cannot open --metrics file '" + path + "'");
+  s->metrics_on = true;
 }
 
 void round_boundary(int round, double down_s, double compute_s, double up_s,

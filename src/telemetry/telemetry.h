@@ -210,6 +210,11 @@ void reset();
 /// immediately (the CLI validates paths eagerly before the run).
 void configure(const Options& opts);
 
+/// Opens (truncating) the per-round JSONL stream at `path` on a configured
+/// registry, as configure does for Options::metrics_path; a no-op for an
+/// empty path. `gluefl resume` opens it once the checkpoint is accepted.
+void open_metrics(const std::string& path);
+
 /// Round boundary: advances the simulated clock, lays the round's
 /// down/compute/up phases on the sim-time track (pid 2), and appends a
 /// cumulative JSONL record when --metrics is active. Coordinator-thread

@@ -594,6 +594,65 @@ TEST(CliCkpt, CorruptResidualJournalIsACleanError) {
   EXPECT_EQ(r.err.find('\n'), r.err.size() - 1) << r.err;
 }
 
+std::string slurp_text(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
+TEST(CliCkpt, RejectedHeadLeavesOutputFilesUntouched) {
+  // Resume truncates its output files only once the head has loaded and
+  // its meta has resolved: a missing head, a CRC-corrupt one and one
+  // whose meta `run` rejects each exit 1 and leave every existing output
+  // file byte-identical.
+  ScratchDir dir("cli_ckpt_keep_outputs");
+  const CliResult w =
+      invoke({"run", "--strategy", "fedavg", "--rounds", "4", "--scale",
+              "0.02", "--checkpoint-every", "2", "--checkpoint-dir",
+              dir.str().c_str()});
+  ASSERT_EQ(w.code, 0) << w.err;
+  const std::string good = (dir.path / "ckpt-00000002.gfc").string();
+
+  std::string bytes = slurp_text(good);
+  bytes[bytes.size() / 2] ^= 0x20;
+  const std::string corrupt = (dir.path / "corrupt.gfc").string();
+  std::ofstream(corrupt, std::ios::binary) << bytes;
+  ckpt::Snapshot snap = ckpt::load_checkpoint(good);
+  snap.meta["eval_every"] = "0";
+  const std::string tampered = (dir.path / "tampered.gfc").string();
+  ckpt::save_checkpoint(tampered, snap);  // re-seals the CRC
+  const std::string missing = (dir.path / "no-such.gfc").string();
+
+  const fs::path outputs[] = {dir.path / "old.bin", dir.path / "old.jsonl",
+                              dir.path / "old.trace", dir.path / "old.json"};
+  const std::string kept[] = {"abcde", "xyz", "trace", "{}"};
+  for (size_t i = 0; i < 4; ++i) std::ofstream(outputs[i]) << kept[i];
+  const auto resume = [&](const std::string& head) {
+    const std::string events = outputs[0].string();
+    const std::string metrics = outputs[1].string();
+    const std::string trace = outputs[2].string();
+    const std::string json = outputs[3].string();
+    return invoke({"resume", head.c_str(), "--events", events.c_str(),
+                   "--metrics", metrics.c_str(), "--trace", trace.c_str(),
+                   "--json", json.c_str()});
+  };
+  for (const std::string& head : {missing, corrupt, tampered}) {
+    const CliResult r = resume(head);
+    EXPECT_EQ(r.code, 1) << head << ": " << r.err;
+    for (size_t i = 0; i < 4; ++i) {
+      EXPECT_EQ(slurp_text(outputs[i]), kept[i]) << head << " " << outputs[i];
+    }
+  }
+
+  // An accepted head rewrites them, and the load is in the trace.
+  const CliResult r = resume(good);
+  ASSERT_EQ(r.code, 0) << r.err;
+  EXPECT_EQ(slurp_text(outputs[1]).rfind("{\"round\": 2,", 0), 0u);
+  EXPECT_NE(slurp_text(outputs[2]).find("\"name\": \"ckpt.load\""),
+            std::string::npos);
+}
+
 TEST(CliCkpt, CrashThenResumeReproducesUninterruptedJsonByteExactly) {
   ScratchDir dir("cli_ckpt_e2e");
   const std::string full_json = (dir.path / "full.json").string();
