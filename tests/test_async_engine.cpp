@@ -1,9 +1,13 @@
 // AsyncSimEngine behaviour: K-of-N buffer trigger, staleness discounting,
-// byte/time accounting, and determinism across thread counts.
+// byte/time accounting, determinism across thread counts, and the dispatch
+// order of a churning population whose pool runs short.
 #include <cmath>
+#include <set>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "ckpt/checkpoint.h"
 #include "common/check.h"
 #include "fl/async_engine.h"
 #include "net/environment.h"
@@ -237,6 +241,159 @@ TEST(AsyncEngine, DifferentDiscountsDiverge) {
   // Heavy polynomial discounting reweights stale updates, so the final
   // models must differ (the dispatch/timing schedule is identical).
   EXPECT_NE(eng.params(), params_const);
+}
+
+// ------------------------------------------------------ short dispatch pool
+//
+// Half the population online, each client changing state with probability
+// 1/2 at every version, and 48 of 60 clients in flight: fills come up short of the free slots, folds hand
+// clients back to the pool within a version, and every version change
+// re-forms the pool while clients are in flight. No golden row reaches
+// these states, so the dispatch order there is pinned here.
+
+constexpr int kPoolRounds = 12;
+constexpr int kPoolBoundary = 6;
+constexpr uint64_t kPoolRecordsHash = 0xcf8eeca6b9ddba3aull;
+constexpr uint64_t kPoolParamsHash = 0x9728c61a0879a479ull;
+
+SimEngine make_churn_engine(int threads) {
+  NetworkEnv env = make_edge_env();
+  env.availability = 0.5;
+  env.mean_on_rounds = 2.0;
+  RunConfig cfg = tiny_run_config(kPoolRounds, 6, 42);
+  cfg.use_availability = true;
+  cfg.num_threads = threads;
+  return SimEngine(make_synthetic_dataset(tiny_spec()), tiny_proxy(), env,
+                   tiny_train_config(), cfg);
+}
+
+AsyncConfig churn_cfg() { return async_cfg(/*buffer=*/4, /*concurrency=*/48); }
+
+struct Fnv1a {
+  uint64_t h = 0xcbf29ce484222325ull;
+  void bytes(const void* p, size_t n) {
+    const auto* b = static_cast<const unsigned char*>(p);
+    for (size_t i = 0; i < n; ++i) {
+      h ^= b[i];
+      h *= 0x100000001b3ull;
+    }
+  }
+  template <typename T>
+  void add(T v) {
+    bytes(&v, sizeof v);
+  }
+};
+
+uint64_t records_hash(const RunResult& res) {
+  Fnv1a f;
+  for (const RoundRecord& r : res.rounds) {
+    f.add(r.round);
+    f.add(r.down_bytes);
+    f.add(r.up_bytes);
+    f.add(r.down_time_s);
+    f.add(r.up_time_s);
+    f.add(r.compute_time_s);
+    f.add(r.wall_time_s);
+    f.add(r.train_loss);
+    f.add(r.test_acc);
+    f.add(r.num_invited);
+    f.add(r.num_included);
+    f.add(r.mean_staleness);
+    f.add(r.changed_frac);
+    f.add(r.mask_overlap);
+  }
+  return f.h;
+}
+
+uint64_t params_hash(const std::vector<float>& params) {
+  Fnv1a f;
+  f.bytes(params.data(), params.size() * sizeof(float));
+  return f.h;
+}
+
+// Counts, at each aggregation boundary, the states the pool upkeep has to
+// get right, and snapshots the run at kPoolBoundary.
+struct PoolProbe final : RoundHook {
+  const ckpt::Checkpointable* strategy = nullptr;
+  // The fill before this boundary left slots free (the fold freed one).
+  int short_fills = 0;
+  // A client in flight at the previous boundary folded in this version
+  // and was dispatched again before it ended.
+  int redispatched = 0;
+  // An in-flight client that the next version's pool must leave out: it
+  // is online at that version.
+  int in_flight_online_next = 0;
+  std::set<int> prev_in_flight;
+  ckpt::Snapshot snap;
+  bool captured = false;
+
+  void on_round_end(SimEngine& engine, int round, const RunResult& partial,
+                    const AsyncRunState* st) override {
+    if (st->free_slots > 1) ++short_fills;
+    std::set<int> in_flight;
+    for (const AsyncInFlight& f : st->events) {
+      in_flight.insert(f.client);
+      if (f.version == round && prev_in_flight.count(f.client) != 0) {
+        ++redispatched;
+      }
+      if (round + 1 < kPoolRounds &&
+          engine.client_available(f.client, round + 1)) {
+        ++in_flight_online_next;
+      }
+    }
+    prev_in_flight = std::move(in_flight);
+    if (round + 1 == kPoolBoundary) {
+      snap = ckpt::snapshot_of(engine, kPoolBoundary, partial, "async-fedbuff",
+                               *strategy, st, {{"origin", "test"}});
+      captured = true;
+    }
+  }
+};
+
+TEST(AsyncEngine, ShortPoolDispatchMatchesPins) {
+  for (const int threads : {1, 4, 8}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    auto eng = make_churn_engine(threads);
+    AsyncSimEngine async_eng(eng, churn_cfg());
+    AsyncFedBuffStrategy strategy(fedbuff_cfg());
+    PoolProbe probe;
+    probe.strategy = &strategy;
+    const RunResult res = async_eng.run(strategy, &probe);
+    ASSERT_EQ(res.rounds.size(), static_cast<size_t>(kPoolRounds));
+    EXPECT_GT(probe.short_fills, 0);
+    EXPECT_GT(probe.redispatched, 0);
+    EXPECT_GT(probe.in_flight_online_next, 0);
+    EXPECT_EQ(records_hash(res), kPoolRecordsHash)
+        << std::hex << records_hash(res);
+    EXPECT_EQ(params_hash(eng.params()), kPoolParamsHash)
+        << std::hex << params_hash(eng.params());
+  }
+}
+
+TEST(AsyncEngine, ShortPoolResumeMatchesUninterruptedRun) {
+  auto ref_eng = make_churn_engine(1);
+  AsyncSimEngine ref_async(ref_eng, churn_cfg());
+  AsyncFedBuffStrategy ref_strategy(fedbuff_cfg());
+  PoolProbe probe;
+  probe.strategy = &ref_strategy;
+  const RunResult ref = ref_async.run(ref_strategy, &probe);
+  ASSERT_TRUE(probe.captured);
+  ASSERT_TRUE(probe.snap.has_async);
+
+  auto res_eng = make_churn_engine(1);
+  AsyncSimEngine res_async(res_eng, churn_cfg());
+  AsyncFedBuffStrategy res_strategy(fedbuff_cfg());
+  AsyncRunState state =
+      ckpt::restore_async_run(probe.snap, res_eng, res_strategy);
+  // The boundary follows a short fill and has clients in flight, so the
+  // resumed run's first fill re-forms a pool that cannot cover its slots.
+  EXPECT_GT(state.free_slots, 1);
+  EXPECT_FALSE(state.events.empty());
+  const RunResult res = res_async.resume(res_strategy, std::move(state),
+                                         ckpt::history_result(probe.snap));
+  EXPECT_EQ(records_hash(res), records_hash(ref));
+  EXPECT_EQ(res_eng.params(), ref_eng.params());
+  EXPECT_EQ(records_hash(res), kPoolRecordsHash);
 }
 
 }  // namespace
