@@ -94,6 +94,20 @@ std::vector<uint32_t> BitMask::to_indices() const {
   return out;
 }
 
+size_t BitMask::select(size_t p) const {
+  for (size_t w = 0; w < words_.size(); ++w) {
+    uint64_t bits = words_[w];
+    const auto c = static_cast<size_t>(__builtin_popcountll(bits));
+    if (p < c) {
+      for (; p > 0; --p) bits &= bits - 1;
+      return w * 64 + static_cast<size_t>(__builtin_ctzll(bits));
+    }
+    p -= c;
+  }
+  GLUEFL_CHECK_MSG(false, "BitMask::select past the last set bit");
+  return n_;
+}
+
 size_t BitMask::intersection_count(const BitMask& a, const BitMask& b) {
   a.check_compatible(b);
   size_t c = 0;

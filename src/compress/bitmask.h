@@ -42,6 +42,9 @@ class BitMask {
 
   static BitMask from_indices(size_t n, const std::vector<uint32_t>& idx);
   std::vector<uint32_t> to_indices() const;
+  /// The p-th set bit in ascending order (to_indices()[p]) by a popcount
+  /// scan over the words; p must be below count().
+  size_t select(size_t p) const;
 
   /// |a & b| without materializing the intersection.
   static size_t intersection_count(const BitMask& a, const BitMask& b);

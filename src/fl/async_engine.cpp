@@ -7,6 +7,7 @@
 #include "ckpt/checkpoint.h"
 #include "ckpt/io.h"
 #include "common/check.h"
+#include "compress/bitmask.h"
 #include "fl/uplink.h"
 #include "net/bandwidth.h"
 #include "sampling/sampler.h"
@@ -217,6 +218,14 @@ RunResult AsyncSimEngine::run_loop(AsyncStrategy& strategy, AsyncRunState st,
   // Per-version downlink sizing (see fill_slots).
   std::function<size_t(int)> down_fn;
   int down_fn_version = -1;
+  // Dense dispatch pool: the clients available at pool_version and not in
+  // flight. Availability only changes with the model version, so the first
+  // fill of each version re-forms the pool and every pick and fold keeps
+  // it current. It is not checkpointed: a resume re-forms it from
+  // in_flight at its first fill.
+  const bool dense = static_cast<int64_t>(n) <= kDenseScanThreshold;
+  BitMask pool(dense ? static_cast<size_t>(n) : 0);
+  int pool_version = -1;
 
   // Dispatches every free slot to an available, not-yet-in-flight client.
   // Invitee downloads are charged immediately (stale diff + BN stats via
@@ -226,7 +235,7 @@ RunResult AsyncSimEngine::run_loop(AsyncStrategy& strategy, AsyncRunState st,
     std::vector<int> picked;
     {
       telemetry::Span span("sample");
-      if (static_cast<int64_t>(n) > kDenseScanThreshold) {
+      if (!dense) {
         // Virtual population: rejection-sample dispatch candidates instead
         // of scanning the whole id space per event.
         picked = sample_virtual(n, st.free_slots, st.pick_rng, [&](int c) {
@@ -234,16 +243,18 @@ RunResult AsyncSimEngine::run_loop(AsyncStrategy& strategy, AsyncRunState st,
                  eng.client_available(c, st.version);
         });
       } else {
-        std::vector<int> pool;
-        for (int c = 0; c < n; ++c) {
-          if (st.in_flight.count(c) == 0 &&
-              eng.client_available(c, st.version)) {
-            pool.push_back(c);
+        if (pool_version != st.version) {
+          pool.clear();
+          for (int c = 0; c < n; ++c) {
+            if (eng.client_available(c, st.version)) pool.set(c);
           }
+          for (const int c : st.in_flight) pool.reset(c);
+          pool_version = st.version;
         }
         const int take =
-            std::min(st.free_slots, static_cast<int>(pool.size()));
-        picked = st.pick_rng.sample_without_replacement(pool, take);
+            std::min(st.free_slots, static_cast<int>(pool.count()));
+        picked = sample_from_mask(pool, take, st.pick_rng);
+        for (const int c : picked) pool.reset(c);
       }
     }
     const int take = static_cast<int>(picked.size());
@@ -373,6 +384,10 @@ RunResult AsyncSimEngine::run_loop(AsyncStrategy& strategy, AsyncRunState st,
     st.events.pop_back();
     st.now = f.finish;
     st.in_flight.erase(f.client);
+    if (pool_version == st.version &&
+        eng.client_available(f.client, st.version)) {
+      pool.set(f.client);
+    }
     ++st.free_slots;
 
     // Scenario fates, recomputed from the seq (pure function — identical

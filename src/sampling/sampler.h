@@ -13,10 +13,13 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
+#include "common/check.h"
 #include "common/rng.h"
+#include "compress/bitmask.h"
 
 namespace gluefl {
 
@@ -47,6 +50,33 @@ inline std::vector<int> sample_virtual(
     if (!seen.insert(c).second) continue;
     if (eligible && !eligible(c)) continue;
     out.push_back(c);
+  }
+  return out;
+}
+
+/// Draws k distinct set bits of `pool` in random order: exactly the ids,
+/// order and uniform_int calls of
+/// rng.sample_without_replacement(pool.to_indices(), k), without building
+/// the id list. The partial Fisher-Yates runs over rank positions, and only
+/// the positions a swap has written (at most k) are stored; every other
+/// position p still holds the p-th set bit.
+inline std::vector<int> sample_from_mask(const BitMask& pool, int k,
+                                         Rng& rng) {
+  const int m = static_cast<int>(pool.count());
+  GLUEFL_CHECK(k >= 0 && k <= m);
+  std::vector<int> out;
+  out.reserve(static_cast<size_t>(k));
+  std::unordered_map<int, int> moved;  // position -> id swapped into it
+  auto at = [&](int p) {
+    const auto it = moved.find(p);
+    return it != moved.end() ? it->second
+                             : static_cast<int>(pool.select(p));
+  };
+  for (int i = 0; i < k; ++i) {
+    const int j = rng.uniform_int(i, m - 1);
+    out.push_back(at(j));
+    // Position i is never read again; j only if a later draw reaches it.
+    if (j != i && i + 1 < k) moved[j] = at(i);
   }
   return out;
 }

@@ -1,15 +1,18 @@
-// Uniform / sticky sampler behaviour, the Appendix A propositions, and
-// Monte-Carlo validation of Proposition 2 against the actual Algorithm 2
-// dynamics implemented by StickySampler.
+// Uniform / sticky sampler behaviour, exact draws from a bitmask pool, the
+// Appendix A propositions, and Monte-Carlo validation of Proposition 2
+// against the actual Algorithm 2 dynamics implemented by StickySampler.
 #include <algorithm>
 #include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/check.h"
 #include "common/rng.h"
+#include "compress/bitmask.h"
 #include "sampling/propositions.h"
+#include "sampling/sampler.h"
 #include "sampling/sticky_sampler.h"
 #include "sampling/uniform_sampler.h"
 
@@ -55,6 +58,70 @@ TEST(UniformSampler, AvailabilityShortfallShrinksInvite) {
   const auto avail = [](int c) { return c < 5; };
   const auto cand = s.invite(0, 10, 1.3, rng, avail);
   EXPECT_EQ(cand.nonsticky.size(), 5u);
+}
+
+// ------------------------------------------------ exact draws from a mask
+
+// Empty, single-bit, sparse (1 in 64), half and full masks over n ids.
+std::vector<BitMask> pool_masks(size_t n) {
+  Rng rng(n);
+  std::vector<BitMask> out(5, BitMask(n));
+  out[1].set(n - 1);
+  for (size_t i = 0; i < n; ++i) {
+    if (rng.uniform() < 1.0 / 64.0) out[2].set(i);
+    if (rng.uniform() < 0.5) out[3].set(i);
+  }
+  out[4].set_all();
+  return out;
+}
+
+constexpr size_t kPoolSizes[] = {1, 63, 64, 65, 10625, 65536};
+
+bool same_state(const Rng& a, const Rng& b) {
+  const Rng::State x = a.state();
+  const Rng::State y = b.state();
+  return std::equal(std::begin(x.s), std::end(x.s), std::begin(y.s)) &&
+         x.cached_normal_bits == y.cached_normal_bits &&
+         x.has_cached_normal == y.has_cached_normal;
+}
+
+TEST(ExactDraw, SelectMatchesToIndices) {
+  for (const size_t n : kPoolSizes) {
+    for (const BitMask& pool : pool_masks(n)) {
+      const std::vector<uint32_t> idx = pool.to_indices();
+      for (size_t p = 0; p < idx.size(); ++p) {
+        ASSERT_EQ(pool.select(p), idx[p]) << "n=" << n << " p=" << p;
+      }
+      // Past the last set bit there is only padding: never returned.
+      EXPECT_THROW(pool.select(idx.size()), CheckError) << "n=" << n;
+    }
+  }
+}
+
+TEST(ExactDraw, SampleFromMaskMatchesSampleWithoutReplacement) {
+  for (const size_t n : kPoolSizes) {
+    const std::vector<BitMask> masks = pool_masks(n);
+    for (size_t mi = 0; mi < masks.size(); ++mi) {
+      const BitMask& pool = masks[mi];
+      const std::vector<uint32_t> idx = pool.to_indices();
+      const std::vector<int> ids(idx.begin(), idx.end());
+      const int m = static_cast<int>(ids.size());
+      for (const int k : {0, 1, m / 2, m}) {
+        if (k > m) continue;
+        const std::string at = "n=" + std::to_string(n) +
+                               " mask=" + std::to_string(mi) +
+                               " k=" + std::to_string(k);
+        Rng ref(n * 31 + static_cast<uint64_t>(k));
+        Rng got(n * 31 + static_cast<uint64_t>(k));
+        ASSERT_EQ(sample_from_mask(pool, k, got),
+                  ref.sample_without_replacement(ids, k))
+            << at;
+        EXPECT_TRUE(same_state(got, ref)) << at;
+      }
+      Rng rng(1);
+      EXPECT_THROW(sample_from_mask(pool, m + 1, rng), CheckError);
+    }
+  }
 }
 
 StickyConfig sticky_cfg(int s, int c) {
