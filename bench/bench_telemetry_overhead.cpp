@@ -1,10 +1,10 @@
-// Telemetry overhead on the PR-7 codec hot paths (PR 8 tentpole gate).
+// Telemetry overhead on the wire codec hot path.
 //
 // The telemetry subsystem promises that the DISABLED path costs one
-// predicted null-check branch per instrumentation site (<1% on quantized
+// predicted null-check branch per instrumentation site (<1% on wire
 // encode/decode, DESIGN.md §10). This bench measures that promise on the
-// hottest instrumented loop — the quantized wire encode+decode of a
-// GlueFL-shaped upload — in four arms:
+// hottest instrumented loop a run takes — the fp32 wire encode+decode of a
+// GlueFL-shaped upload, the encoding every run ships — in these arms:
 //
 //   disabled-a    telemetry off (g_state null): the shipped default
 //   counters      counters enabled, tracing off (what CLI runs pay)
@@ -49,7 +49,7 @@ namespace {
 constexpr double kQShr = 0.16;
 constexpr double kQUni = 0.04;
 constexpr size_t kStatDim = 512;
-constexpr int kBits = 8;  // the quantized arm the <1% budget is pinned on
+constexpr int kBits = 32;  // fp32, the value encoding every run ships
 
 double ms_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(
@@ -68,11 +68,10 @@ struct Payload {
 };
 
 /// One hot-path iteration: encode the payload at kBits, decode it back.
-/// Identical byte streams every call (fixed quantizer RNG), so all four
-/// arms time exactly the same work.
+/// Identical byte streams every call, so all arms time exactly the same
+/// work.
 void encode_decode_once(const Payload& p) {
-  Rng enc_rng(7);
-  wire::WireEncoder we(p.dim, kBits, &enc_rng);
+  wire::WireEncoder we(p.dim, kBits);
   we.add_shared(p.shared_vals.data(), p.shared_vals.size(), p.shared_id);
   we.add_unique(p.uni);
   we.add_stats(p.stats.data(), p.stats.size());
@@ -139,12 +138,12 @@ double time_recorder_arm(const Payload& p, size_t iters, size_t reps) {
 int main() {
   const size_t dim = bench::env_positive("GLUEFL_WIRE_DIM", 2000000);
   const size_t reps = bench::env_positive("GLUEFL_TELEMETRY_REPS", 5, 1000);
-  const size_t iters = bench::env_positive("GLUEFL_TELEMETRY_ITERS", 6, 100000);
+  const size_t iters = bench::env_positive("GLUEFL_TELEMETRY_ITERS", 20, 100000);
 
   bench::print_header(
-      "Telemetry overhead on the quantized wire encode/decode hot path",
-      "PR 8 tentpole: <1% disabled-path budget (DESIGN.md §10)",
-      "8-bit GlueFL-shaped upload at dim=" + std::to_string(dim) + ", " +
+      "Telemetry overhead on the wire encode/decode hot path",
+      "<1% disabled-path budget (DESIGN.md §10)",
+      "fp32 GlueFL-shaped upload at dim=" + std::to_string(dim) + ", " +
           std::to_string(iters) + " iters x " + std::to_string(reps) +
           " reps per arm");
 

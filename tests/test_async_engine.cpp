@@ -17,6 +17,7 @@
 namespace gluefl {
 namespace {
 
+using testing::Fnv1a;
 using testing::tiny_proxy;
 using testing::tiny_run_config;
 using testing::tiny_spec;
@@ -269,21 +270,6 @@ SimEngine make_churn_engine(int threads) {
 
 AsyncConfig churn_cfg() { return async_cfg(/*buffer=*/4, /*concurrency=*/48); }
 
-struct Fnv1a {
-  uint64_t h = 0xcbf29ce484222325ull;
-  void bytes(const void* p, size_t n) {
-    const auto* b = static_cast<const unsigned char*>(p);
-    for (size_t i = 0; i < n; ++i) {
-      h ^= b[i];
-      h *= 0x100000001b3ull;
-    }
-  }
-  template <typename T>
-  void add(T v) {
-    bytes(&v, sizeof v);
-  }
-};
-
 uint64_t records_hash(const RunResult& res) {
   Fnv1a f;
   for (const RoundRecord& r : res.rounds) {
@@ -307,7 +293,7 @@ uint64_t records_hash(const RunResult& res) {
 
 uint64_t params_hash(const std::vector<float>& params) {
   Fnv1a f;
-  f.bytes(params.data(), params.size() * sizeof(float));
+  f.add(params);
   return f.h;
 }
 

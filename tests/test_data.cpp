@@ -12,9 +12,12 @@
 #include "common/lru_cache.h"
 #include "data/presets.h"
 #include "data/shard_cache.h"
+#include "test_util.h"
 
 namespace gluefl {
 namespace {
+
+using testing::Fnv1a;
 
 SyntheticSpec small_spec() {
   SyntheticSpec s;
@@ -162,26 +165,6 @@ TEST(Data, LabelNoiseFlipsSomeLabels) {
   // expect ~40% disagreement.
   EXPECT_GT(static_cast<double>(diffs) / n, 0.25);
 }
-
-// 64-bit FNV-1a over raw bytes.
-struct Fnv1a {
-  uint64_t h = 0xcbf29ce484222325ull;
-  void bytes(const void* p, size_t n) {
-    const auto* b = static_cast<const unsigned char*>(p);
-    for (size_t i = 0; i < n; ++i) {
-      h ^= b[i];
-      h *= 0x100000001b3ull;
-    }
-  }
-  template <typename T>
-  void add(const std::vector<T>& v) {
-    bytes(v.data(), v.size() * sizeof(T));
-  }
-  template <typename T>
-  void add(T v) {
-    bytes(&v, sizeof v);
-  }
-};
 
 // Pins every derived byte across versions, not only within one process:
 // the values were taken from the eager generator that built every shard

@@ -71,6 +71,26 @@ inline RunConfig tiny_run_config(int rounds = 20, int k = 6,
   return r;
 }
 
+/// 64-bit FNV-1a over raw bytes, for pinning hashes of whole outputs.
+struct Fnv1a {
+  uint64_t h = 0xcbf29ce484222325ull;
+  void bytes(const void* p, size_t n) {
+    const auto* b = static_cast<const unsigned char*>(p);
+    for (size_t i = 0; i < n; ++i) {
+      h ^= b[i];
+      h *= 0x100000001b3ull;
+    }
+  }
+  template <typename T>
+  void add(const std::vector<T>& v) {
+    bytes(v.data(), v.size() * sizeof(T));
+  }
+  template <typename T>
+  void add(T v) {
+    bytes(&v, sizeof v);
+  }
+};
+
 /// Random ascending support of exactly min(k, dim) coordinates
 /// (selection sampling), shared by the wire tests and the fuzz smoke.
 inline std::vector<uint32_t> random_support(size_t dim, size_t k, Rng& rng) {
