@@ -138,7 +138,8 @@ double time_recorder_arm(const Payload& p, size_t iters, size_t reps) {
 int main() {
   const size_t dim = bench::env_positive("GLUEFL_WIRE_DIM", 2000000);
   const size_t reps = bench::env_positive("GLUEFL_TELEMETRY_REPS", 5, 1000);
-  const size_t iters = bench::env_positive("GLUEFL_TELEMETRY_ITERS", 20, 100000);
+  const size_t iters =
+      bench::env_positive("GLUEFL_TELEMETRY_ITERS", 20, 100000);
 
   bench::print_header(
       "Telemetry overhead on the wire encode/decode hot path",

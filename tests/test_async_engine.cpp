@@ -247,10 +247,11 @@ TEST(AsyncEngine, DifferentDiscountsDiverge) {
 // ------------------------------------------------------ short dispatch pool
 //
 // Half the population online, each client changing state with probability
-// 1/2 at every version, and 48 of 60 clients in flight: fills come up short of the free slots, folds hand
-// clients back to the pool within a version, and every version change
-// re-forms the pool while clients are in flight. No golden row reaches
-// these states, so the dispatch order there is pinned here.
+// 1/2 at every version, and 48 of 60 clients in flight: fills come up short
+// of the free slots, folds hand clients back to the pool within a version,
+// and every version change re-forms the pool while clients are in flight.
+// The pins hold the dispatch order where the pool, not the free slots,
+// bounds a fill.
 
 constexpr int kPoolRounds = 12;
 constexpr int kPoolBoundary = 6;
@@ -268,7 +269,9 @@ SimEngine make_churn_engine(int threads) {
                    tiny_train_config(), cfg);
 }
 
-AsyncConfig churn_cfg() { return async_cfg(/*buffer=*/4, /*concurrency=*/48); }
+AsyncConfig churn_cfg() {
+  return async_cfg(/*buffer=*/4, /*concurrency=*/48);
+}
 
 uint64_t records_hash(const RunResult& res) {
   Fnv1a f;
