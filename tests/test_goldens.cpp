@@ -149,13 +149,29 @@ const std::vector<Row>& rows() {
                 {"ckpt-00000001.gfc", 0x0ec981505a5a690full},
                 {"ckpt-00000002.gfc", 0x39bb1a8558f62f01ull},
                 {"residuals.gfj", 0xe197d7ce69e5b080ull}}},
+      // The two virtual rows run a population above kDenseScanThreshold,
+      // where the samplers and the async pool draw by rejection over the id
+      // space instead of scanning it.
       {.name = "virtual",
-       .flags = {"--strategy", "gluefl", "--population-mode", "virtual"},
-       .pins = {{"summary", 0xd7d10fde5ea93fe2ull},
-                {"events", 0xef60c59547988603ull},
-                {"ckpt-00000001.gfc", 0x9c90201339528d3dull},
-                {"ckpt-00000002.gfc", 0xe58959c77224f8f9ull},
-                {"residuals.gfj", 0xe197d7ce69e5b080ull}}},
+       .flags = {"--strategy", "gluefl", "--population", "100000"},
+       .crash = true,
+       .pins = {{"summary", 0x8ebc34209c89cd37ull},
+                {"events", 0x63c483dda72e7fbfull},
+                {"events-resume", 0x66de4b19ed48b5efull},
+                {"ckpt-00000001.gfc", 0x56a6b70d03505d82ull},
+                {"ckpt-00000002.gfc", 0x2813919b4e0c18b6ull},
+                {"ckpt-00000003.gfc", 0x944775400b0554acull},
+                {"residuals.gfj", 0x381bb2cefb541797ull}}},
+      {.name = "virtual_async",
+       .flags = {"--exec", "async", "--population", "100000",
+                 "--async-conc", "24", "--async-buffer", "6"},
+       .crash = true,
+       .pins = {{"summary", 0xdd567335e93a9512ull},
+                {"events", 0xbd0c5520c820eec3ull},
+                {"events-resume", 0x00bd57204f9195aeull},
+                {"ckpt-00000001.gfc", 0xb50fba6693eb2b57ull},
+                {"ckpt-00000002.gfc", 0xc541712a72866844ull},
+                {"ckpt-00000003.gfc", 0x1b1e0bad27b741f1ull}}},
       {.name = "crash_sync",
        .flags = {"--strategy", "gluefl"},
        .crash = true,
