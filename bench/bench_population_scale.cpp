@@ -1,8 +1,10 @@
-// Population scaling: per-round cost and peak RSS from 10k to 1M clients
-// (PR 6 tentpole). Dense mode materializes per-client profiles and the
-// availability trace, so its memory grows with N; virtual mode derives
-// client state on demand and must stay O(active cohort) — flat per-round
-// cost and flat RSS as the population grows 100x.
+// Population scaling: per-round cost and peak RSS from 10k to 1M clients.
+// The client directory derives client state on demand, so memory must
+// stay O(active cohort) — flat per-round cost and flat RSS as the
+// population grows 100x. The 10k arm is at most kDenseScanThreshold: its
+// samplers scan every client each round, and its directory caches the
+// whole population (DESIGN.md §8a). The larger arms sample by rejection
+// over the id space with the default 4,096-entry caches.
 //
 // Each arm runs in a forked child so wait4()'s ru_maxrss measures that
 // arm's true peak RSS in isolation (a shared process would report the
@@ -38,14 +40,13 @@ namespace {
 
 struct ArmResult {
   int64_t population = 0;
-  bool virtual_mode = false;
   double per_round_ms = 0.0;
   double peak_rss_mb = 0.0;
 };
 
-/// Runs one (population, mode) arm in a forked child; the parent collects
+/// Runs one population's arm in a forked child; the parent collects
 /// ru_maxrss from wait4 and the per-round milliseconds from a pipe.
-ArmResult run_arm(int64_t population, bool virtual_mode, int rounds) {
+ArmResult run_arm(int64_t population, int rounds) {
   int fds[2];
   GLUEFL_CHECK_MSG(pipe(fds) == 0, "pipe() failed");
   const pid_t pid = fork();
@@ -64,8 +65,6 @@ ArmResult run_arm(int64_t population, bool virtual_mode, int rounds) {
     run.eval_every = rounds;  // this bench times rounds, not evals
     run.use_availability = true;
     run.population = population;
-    run.population_mode =
-        virtual_mode ? PopulationMode::kVirtual : PopulationMode::kDense;
     SimEngine engine(make_synthetic_dataset(spec),
                      make_proxy("shufflenet", spec.feature_dim,
                                 spec.num_classes),
@@ -100,7 +99,6 @@ ArmResult run_arm(int64_t population, bool virtual_mode, int rounds) {
                    "bench arm child failed");
   ArmResult r;
   r.population = population;
-  r.virtual_mode = virtual_mode;
   r.per_round_ms = std::strtod(payload.c_str(), nullptr);
   r.peak_rss_mb = static_cast<double>(ru.ru_maxrss) / 1024.0;  // KB on Linux
   return r;
@@ -122,42 +120,32 @@ int main() {
 
   bench::print_header(
       "Population scaling: per-round cost and peak RSS, 10k -> 1M clients",
-      "PR 6 tentpole: O(active-cohort) memory over virtual populations",
+      "O(active-cohort) memory over large populations",
       "GlueFL on femnist shards, " + std::to_string(rounds) +
           " rounds per arm; each arm is a forked child so ru_maxrss is "
           "per-arm");
 
   std::vector<ArmResult> arms;
-  for (const int64_t pop : ladder) {
-    // Dense materializes O(N) state; past 100k that is the failure mode
-    // this PR removes, so dense arms stop there and virtual carries on.
-    if (pop <= 100000) {
-      arms.push_back(run_arm(pop, /*virtual_mode=*/false, rounds));
-    }
-    arms.push_back(run_arm(pop, /*virtual_mode=*/true, rounds));
-  }
+  for (const int64_t pop : ladder) arms.push_back(run_arm(pop, rounds));
 
   TablePrinter t;
-  t.set_headers({"population", "mode", "per-round (ms)", "peak RSS (MB)"});
+  t.set_headers({"population", "per-round (ms)", "peak RSS (MB)"});
   for (const ArmResult& a : arms) {
-    t.add_row({std::to_string(a.population),
-               a.virtual_mode ? "virtual" : "dense",
-               fmt_double(a.per_round_ms, 1), fmt_double(a.peak_rss_mb, 1)});
+    t.add_row({std::to_string(a.population), fmt_double(a.per_round_ms, 1),
+               fmt_double(a.peak_rss_mb, 1)});
   }
   std::cout << t.to_string();
-  std::cout << "\nShape: virtual-mode RSS and per-round cost stay flat as the"
-               " population grows\n100x; dense-mode RSS grows with N (profile"
-               " vectors + availability trace).\n";
+  std::cout << "\nShape: RSS and per-round cost stay flat as the population"
+               " grows 100x.\n";
 
   if (const char* json_path = std::getenv("GLUEFL_BENCH_JSON")) {
     std::ostringstream json;
-    json << "{\"schema\": \"gluefl.bench_population_scale.v1\", \"rounds\": "
+    json << "{\"schema\": \"gluefl.bench_population_scale.v2\", \"rounds\": "
          << rounds << ", \"arms\": [";
     for (size_t i = 0; i < arms.size(); ++i) {
       if (i > 0) json << ", ";
-      json << "{\"population\": " << arms[i].population << ", \"mode\": \""
-           << (arms[i].virtual_mode ? "virtual" : "dense")
-           << "\", \"per_round_ms\": " << arms[i].per_round_ms
+      json << "{\"population\": " << arms[i].population
+           << ", \"per_round_ms\": " << arms[i].per_round_ms
            << ", \"peak_rss_mb\": " << arms[i].peak_rss_mb << "}";
     }
     json << "]}";

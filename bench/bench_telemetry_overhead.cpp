@@ -13,20 +13,24 @@
 //                 cost every run pays at the engine emission sites
 //   recorder-on   --events sink attached, one 32-client round flushed per
 //                 iteration (what recorded runs pay)
-//   disabled-b    telemetry off again, interleaved AFTER the enabled arms
+//   disabled-b    telemetry off again, a second identical arm
 //
-// The two disabled passes bracket the enabled ones, so their relative
-// delta is the measurement noise floor on this machine; the committed
-// claim is that this bound — which contains the entire disabled-branch
-// cost — stays under 1%. The counters/traced arms are reported against
-// the faster disabled pass.
+// Every repetition times each arm once, starting one arm later than the
+// previous repetition, and each arm keeps its minimum; so drift in the
+// host's speed reaches all arms alike instead of whichever ran last. The
+// two disabled arms time the same code, so their relative delta is the
+// measurement noise floor on this machine; the committed claim is that
+// this bound — which contains the entire disabled-branch cost — stays
+// under 1%. The other arms are reported against the faster disabled arm.
 //
 // Environment knobs:
 //   GLUEFL_WIRE_DIM=n          model dimension override (CI smoke: 65536)
-//   GLUEFL_TELEMETRY_REPS=n    timing repetitions per arm (min is kept)
+//   GLUEFL_TELEMETRY_REPS=n    timing repetitions (each arm's min is kept)
 //   GLUEFL_TELEMETRY_ITERS=n   encode+decode iterations per repetition
 //   GLUEFL_BENCH_JSON=FILE     machine-readable summary (perf trajectory)
+#include <algorithm>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -86,16 +90,6 @@ void encode_decode_once(const Payload& p) {
                stats.size() == p.stats.size());
 }
 
-double time_arm(const Payload& p, size_t iters, size_t reps) {
-  double best_ms = 1e300;
-  for (size_t rep = 0; rep < reps; ++rep) {
-    const auto t0 = std::chrono::steady_clock::now();
-    for (size_t i = 0; i < iters; ++i) encode_decode_once(p);
-    best_ms = std::min(best_ms, ms_since(t0));
-  }
-  return best_ms;
-}
-
 /// The flight-recorder hook pattern one sync round stamps on the engine:
 /// a participation record per client, an uplink back-fill, one flush.
 /// With g_sink null every call is the single predicted branch the <1%
@@ -120,17 +114,58 @@ void recorder_round_once(int round) {
   events::round_flush(s);
 }
 
-double time_recorder_arm(const Payload& p, size_t iters, size_t reps) {
-  double best_ms = 1e300;
-  for (size_t rep = 0; rep < reps; ++rep) {
-    const auto t0 = std::chrono::steady_clock::now();
+enum Arm {
+  kDisabledA,
+  kCounters,
+  kTraced,
+  kRecorderOff,
+  kRecorderOn,
+  kDisabledB,
+  kNumArms
+};
+
+constexpr const char* kRecorderPath = "bench-telemetry-recorder.bin.tmp";
+
+/// One repetition of `arm`: switch its telemetry on, time `iters`
+/// iterations, and switch everything off again, so the next arm starts
+/// from the shipped default. Returns the repetition's milliseconds and
+/// adds the wire frames the counters arm counted to `frames`.
+double time_once(Arm arm, const Payload& p, size_t iters, uint64_t* frames) {
+  if (arm == kCounters) {
+    telemetry::configure({});  // counters only
+  } else if (arm == kTraced) {
+    // Spans buffer in memory; reset() below drops the buffer unwritten
+    // (the trace file is only created at finalize()).
+    telemetry::Options topts;
+    topts.trace_path = "bench-telemetry-unwritten-trace.json";
+    telemetry::configure(topts);
+  } else if (arm == kRecorderOn) {
+    events::configure(kRecorderPath);
+  }
+  // The recorder arms layer the engine's per-round hook pattern on the
+  // same codec loop: recorder-off pays only null-check branches and must
+  // sit inside the same <1% budget; recorder-on buffers and frames real
+  // records (abandon() drops them unwritten).
+  const bool recorder = arm == kRecorderOff || arm == kRecorderOn;
+  const auto t0 = std::chrono::steady_clock::now();
+  if (recorder) {
     for (size_t i = 0; i < iters; ++i) {
       encode_decode_once(p);
       recorder_round_once(static_cast<int>(i));
     }
-    best_ms = std::min(best_ms, ms_since(t0));
+  } else {
+    for (size_t i = 0; i < iters; ++i) encode_decode_once(p);
   }
-  return best_ms;
+  const double ms = ms_since(t0);
+  if (arm == kCounters) {
+    *frames += telemetry::value(telemetry::kWireEncodeFrames);
+  }
+  telemetry::reset();
+  if (arm == kRecorderOn) {
+    events::abandon();
+    std::remove(kRecorderPath);
+  }
+  return ms;
 }
 
 }  // namespace
@@ -165,34 +200,23 @@ int main() {
   for (auto& v : p.stats) v = static_cast<float>(rng.normal());
 
   telemetry::reset();
-  const double disabled_a_ms = time_arm(p, iters, reps);
-
-  telemetry::configure({});  // counters only
-  const double counters_ms = time_arm(p, iters, reps);
-  const uint64_t frames = telemetry::value(telemetry::kWireEncodeFrames);
-  telemetry::reset();
-
-  // Tracing on: spans buffer in memory. reset() afterwards drops the
-  // buffer without writing, so the bench leaves no file behind (the trace
-  // file is only created at finalize()).
-  telemetry::Options topts;
-  topts.trace_path = "bench-telemetry-unwritten-trace.json";
-  telemetry::configure(topts);
-  const double traced_ms = time_arm(p, iters, reps);
-  telemetry::reset();
-
-  // Flight-recorder arms (PR 10): same codec loop with the engine's
-  // per-round hook pattern layered on. recorder-off pays only null-check
-  // branches and must sit inside the same <1% budget; recorder-on buffers
-  // and frames real records (abandon() drops them unwritten afterwards).
   events::reset();
-  const double recorder_off_ms = time_recorder_arm(p, iters, reps);
-  events::configure("bench-telemetry-recorder.bin.tmp");
-  const double recorder_on_ms = time_recorder_arm(p, iters, reps);
-  events::abandon();
-  std::remove("bench-telemetry-recorder.bin.tmp");
-
-  const double disabled_b_ms = time_arm(p, iters, reps);
+  double best_ms[kNumArms];
+  std::fill(best_ms, best_ms + kNumArms, 1e300);
+  uint64_t frames = 0;
+  for (size_t rep = 0; rep < reps; ++rep) {
+    for (int j = 0; j < kNumArms; ++j) {
+      const Arm arm = static_cast<Arm>((rep + static_cast<size_t>(j)) %
+                                       kNumArms);
+      best_ms[arm] = std::min(best_ms[arm], time_once(arm, p, iters, &frames));
+    }
+  }
+  const double disabled_a_ms = best_ms[kDisabledA];
+  const double counters_ms = best_ms[kCounters];
+  const double traced_ms = best_ms[kTraced];
+  const double recorder_off_ms = best_ms[kRecorderOff];
+  const double recorder_on_ms = best_ms[kRecorderOn];
+  const double disabled_b_ms = best_ms[kDisabledB];
 
   const double base_ms = std::min(disabled_a_ms, disabled_b_ms);
   const double disabled_overhead_pct =

@@ -12,7 +12,8 @@
 # fast smoke, the committed repo-root BENCH_10.json is produced with the
 # defaults (the wire bench's default dimension and the checkpoint bench's
 # default population are already OpenImage scale; the population bench
-# climbs to 1M clients; the telemetry bench gates the <1% disabled-path
+# runs one arm per population, 10k, 100k and 1M clients; the telemetry
+# bench gates the <1% disabled-path
 # AND flight-recorder-off overhead budgets from DESIGN.md §10/§12).
 set -eu
 

@@ -96,7 +96,8 @@ inline constexpr uint32_t kMagic = 0x4B434647;  // "GFCK"
 /// directory's journal, and the head gained the journal section.
 /// Format 7: the telemetry section lost the six per-kernel wire value
 /// counters, and the meta no longer carries "agg"/"agg_shards".
-inline constexpr uint8_t kFormatVersion = 7;
+/// Format 8: the meta no longer carries "population_mode".
+inline constexpr uint8_t kFormatVersion = 8;
 inline constexpr size_t kHeaderBytes = 18;
 
 inline constexpr uint32_t kJournalMagic = 0x524A4647;  // "GFJR"

@@ -79,10 +79,6 @@ run flags:
   --population N     simulated client population in
                      [1, 100000000]; omit to use the preset's
                      count at this --scale                       [preset]
-  --population-mode MODE  per-client state layout: dense
-                     (materialized arrays) | virtual (derived on
-                     demand; memory stays O(active cohort) even
-                     at 10^6+ clients)                           [dense]
   --overcommit F     invitation over-commitment factor (sync)    [1.3]
   --eval-every N     evaluate test accuracy every N rounds       [5]
   --seed N           RNG seed                                    [42]
@@ -128,8 +124,7 @@ async run flags (require --exec=async):
   --max-staleness N    weight 0 beyond this staleness; 0 = off   [0]
 
 sweep flags (plus --dataset/--model/--env/--rounds/--scale/--seed/
-             --population/--population-mode/--topology/--wire/
-             --scenario above):
+             --population/--topology/--wire/--scenario above):
   --q LIST           total mask ratios, e.g. 0.1,0.2,0.3
   --q-shr LIST       shared mask ratios, e.g. 0.08,0.16
   --sticky-s LIST    sticky group sizes S (absolute client counts)
@@ -357,8 +352,6 @@ RunOptions resolve_common(Flags& flags) {
   // which checkpoint meta spells 0.
   opt.population = flags.integer("population", 0, flags.checkpoint() ? 0 : 1,
                                  100000000);
-  opt.population_mode = flags.name("population-mode", opt.population_mode,
-                                   "population mode", {"dense", "virtual"});
   opt.overcommit = flags.num("overcommit", opt.overcommit);
   opt.eval_every =
       static_cast<int>(flags.integer("eval-every", opt.eval_every, 1, 1000000));
@@ -561,9 +554,6 @@ SimEngine make_cli_engine(const RunOptions& opt, const SyntheticSpec& spec,
   run.use_availability = true;
   run.num_threads = opt.threads;
   run.population = opt.population;
-  run.population_mode = opt.population_mode == "virtual"
-                            ? PopulationMode::kVirtual
-                            : PopulationMode::kDense;
   run.topology.num_edges = opt.num_edges;
   run.scenario = opt.scenario_spec;
   return SimEngine(make_synthetic_dataset(spec),
@@ -631,7 +621,6 @@ std::map<std::string, std::string> ckpt_meta(const ResolvedRun& r) {
   m["rounds"] = std::to_string(opt.rounds);
   m["scale"] = meta_double_str(opt.scale);
   m["population"] = std::to_string(opt.population);
-  m["population_mode"] = opt.population_mode;
   m["overcommit"] = meta_double_str(opt.overcommit);
   m["eval_every"] = std::to_string(opt.eval_every);
   m["seed"] = std::to_string(opt.seed);
@@ -788,7 +777,6 @@ std::string run_json(const ResolvedRun& r, double peak_rss_est_mb,
      << ", \"wire\": " << jstr(opt.wire)
      << ", \"scenario\": " << scenario_json(opt)
      << ", \"population\": " << r.pop
-     << ", \"population_mode\": " << jstr(opt.population_mode)
      << ", \"peak_rss_est_mb\": " << jnum(peak_rss_est_mb)
      << ", \"provenance\": " << provenance_json();
   if (r.async) os << ", \"async\": " << async_json(r.aopt);
@@ -1008,7 +996,6 @@ void run_sweep_arms(const RunOptions& opt, long pop, double rss_mb,
        << ", \"wire\": " << jstr(opt.wire)
        << ", \"scenario\": " << scenario_json(opt)
        << ", \"population\": " << pop
-       << ", \"population_mode\": " << jstr(opt.population_mode)
        << ", \"peak_rss_est_mb\": " << jnum(rss_mb)
        << ", \"provenance\": " << provenance_json()
        << ", \"telemetry\": " << telemetry_json(runs)
@@ -1225,7 +1212,6 @@ int cmd_run(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
   std::ostringstream header;
   header << "run: " << r.strategy << " on " << opt.dataset << " x "
          << opt.model << " over " << opt.env << " (N=" << r.pop;
-  if (opt.population_mode == "virtual") header << " virtual";
   header << ", K=" << r.k;
   if (!r.async) header << ", OC=" << fmt_double(opt.overcommit, 2);
   header << ", " << opt.rounds << " rounds, seed=" << opt.seed << ")\n";

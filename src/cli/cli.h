@@ -66,10 +66,9 @@ struct RunOptions {
   int rounds = 50;
   double scale = 0.25;     // population scale of the dataset preset
   // Simulated client population; 0 = the dataset preset's client count.
-  // With --population-mode=virtual, per-client state is derived on demand
-  // so populations of 10^6+ stay O(active-cohort) in memory.
+  // Per-client state is derived on demand, so populations of 10^6+ stay
+  // O(active cohort) in memory.
   long population = 0;
-  std::string population_mode = "dense";  // dense | virtual
   double overcommit = 1.3;
   int eval_every = 5;
   uint64_t seed = 42;

@@ -96,10 +96,10 @@ SimEngine::SimEngine(FederatedDataset dataset, ModelProxy proxy,
   directory_ = std::make_unique<ClientDirectory>(
       population_, run_cfg_.rounds, env_, master_rng_.fork(kStreamProfiles),
       master_rng_.fork(kStreamAvailability), run_cfg_.use_availability,
-      /*materialize=*/run_cfg_.population_mode == PopulationMode::kDense);
+      ClientDirectory::cache_capacity(population_));
   // Scenario overlay before any profile/availability query: device-class
   // multipliers and non-stationary availability are derived per entity
-  // from a dedicated stream, keeping dense/virtual mode bit-identical.
+  // from a dedicated stream.
   directory_->set_scenario(run_cfg_.scenario,
                            master_rng_.fork(kStreamScenario));
 
@@ -165,17 +165,8 @@ size_t SimEngine::memory_estimate_bytes() const {
   const size_t sample_bytes =
       static_cast<size_t>(dataset_.spec.feature_dim) * f + sizeof(int);
   bytes += dataset_.total_samples * sample_bytes * resident / num_shards;
-  // Per-client directory state: dense materializes the population,
-  // virtual keeps only the LRU-cached cohort.
-  if (run_cfg_.population_mode == PopulationMode::kDense) {
-    bytes += static_cast<size_t>(population_) * sizeof(ClientProfile);
-    if (!directory_->always_on()) {
-      const size_t words = (static_cast<size_t>(population_) + 63) / 64;
-      bytes += static_cast<size_t>(run_cfg_.rounds) * words * sizeof(uint64_t);
-    }
-  } else {
-    bytes += ClientDirectory::kDefaultCacheCapacity * 192;
-  }
+  // Per-client directory state: the full profile and chain caches.
+  bytes += ClientDirectory::max_resident_bytes(population_);
   return bytes;
 }
 

@@ -97,9 +97,8 @@ class SimEngine {
   const TrainConfig& train_config() const { return train_cfg_; }
   const RunConfig& run_config() const { return run_cfg_; }
   const NetworkEnv& env() const { return env_; }
-  /// Per-client system profile, by value: under --population-mode=virtual
-  /// profiles are derived on demand and cache eviction would invalidate
-  /// references into the directory.
+  /// Per-client system profile, by value: profiles are derived on demand
+  /// and cache eviction would invalidate references into the directory.
   ClientProfile profile(int client) const { return directory_->profile(client); }
   const ClientDirectory& directory() const { return *directory_; }
 

@@ -53,17 +53,6 @@ struct WireConfig {
   WireMode mode = WireMode::kEncoded;
 };
 
-/// Client-population representation (src/net/client_directory.h).
-///   kDense:   per-client state is materialized over the whole population
-///             (profiles vector, availability masks) — the historical
-///             layout, fine up to ~10^5 clients.
-///   kVirtual: client state is derived on demand from per-entity seeded
-///             Rng streams with a small LRU cache; memory is O(active
-///             cohort) so populations of 10^6+ are practical. Both modes
-///             evaluate the same per-entity functions, so results are
-///             bit-identical.
-enum class PopulationMode { kDense, kVirtual };
-
 /// Round-loop / systems configuration.
 struct RunConfig {
   int rounds = 300;
@@ -72,7 +61,6 @@ struct RunConfig {
   /// populations map virtual ids onto dataset shards modulo the shard
   /// count (data weights rescale accordingly).
   int64_t population = 0;
-  PopulationMode population_mode = PopulationMode::kDense;
   double overcommit = 1.3;     // OC factor (§5.1)
   int eval_every = 5;          // evaluate test accuracy every n rounds
   int eval_window = 5;         // paper: accuracy averaged over 5 evals

@@ -2,6 +2,8 @@
 // and offline sojourns following a two-state Markov chain whose mean
 // sojourn lengths come from the NetworkEnv. The whole trace is precomputed
 // for a horizon of rounds so lookups are O(1) and deterministic.
+// ClientDirectory replays the same per-client chains lazily; this eager
+// form is kept as the tests' reference for it.
 #pragma once
 
 #include <vector>

@@ -3,24 +3,33 @@
 #include <algorithm>
 
 #include "common/check.h"
+#include "sampling/sampler.h"
 #include "telemetry/telemetry.h"
 
 namespace gluefl {
 
+size_t ClientDirectory::cache_capacity(int64_t population) {
+  return population <= kDenseScanThreshold ? static_cast<size_t>(population)
+                                           : kDefaultCacheCapacity;
+}
+
+size_t ClientDirectory::max_resident_bytes(int64_t population) {
+  return cache_capacity(population) * (kProfileEntryBytes + kChainEntryBytes);
+}
+
 ClientDirectory::ClientDirectory(int64_t population, int horizon,
                                  const NetworkEnv& env, const Rng& profile_rng,
                                  const Rng& avail_rng, bool use_availability,
-                                 bool materialize, size_t cache_capacity)
+                                 size_t capacity)
     : population_(population),
       horizon_(horizon),
       env_(env),
       profile_rng_(profile_rng),
       avail_rng_(avail_rng),
       always_on_(!use_availability || env.availability >= 1.0),
-      materialize_(materialize),
-      profile_cache_(cache_capacity),
-      chain_cache_(cache_capacity) {
-  GLUEFL_CHECK(population > 0 && horizon > 0 && cache_capacity > 0);
+      profile_cache_(capacity),
+      chain_cache_(capacity) {
+  GLUEFL_CHECK(population > 0 && horizon > 0 && capacity > 0);
   if (!always_on_) {
     // Same geometric-sojourn parameters as AvailabilityTrace: steady-state
     // availability fixes the on/off balance, mean_on fixes the timescale.
@@ -29,13 +38,6 @@ ClientDirectory::ClientDirectory(int64_t population, int horizon,
         std::max(1.0, mean_on * (1.0 - env.availability) / env.availability);
     p_off_ = 1.0 / mean_on;
     p_on_ = 1.0 / mean_off;
-  }
-  if (materialize_) {
-    profiles_ = make_profiles(population_, env_, profile_rng_);
-    if (!always_on_) {
-      trace_ = std::make_unique<AvailabilityTrace>(
-          static_cast<int>(population_), horizon_, env_, avail_rng_);
-    }
   }
 }
 
@@ -59,12 +61,6 @@ void ClientDirectory::set_scenario(const scenario::ScenarioSpec& spec,
   // its availability_fn stays wired in even when env.availability is 1.0.
   if (spec.availability != scenario::AvailabilityMode::kStationary) {
     always_on_ = false;
-  }
-  if (materialize_ && !class_cum_.empty()) {
-    for (int64_t c = 0; c < population_; ++c) {
-      profiles_[static_cast<size_t>(c)] =
-          apply_device_class(c, profiles_[static_cast<size_t>(c)]);
-    }
   }
 }
 
@@ -92,7 +88,6 @@ ClientProfile ClientDirectory::apply_device_class(int64_t client,
 
 ClientProfile ClientDirectory::profile(int64_t client) const {
   GLUEFL_CHECK(client >= 0 && client < population_);
-  if (materialize_) return profiles_[static_cast<size_t>(client)];
   if (const ClientProfile* hit = profile_cache_.find(client)) {
     telemetry::count(telemetry::kDirProfileHits);
     return *hit;
@@ -129,8 +124,8 @@ bool ClientDirectory::available(int64_t client, int round) const {
     // Diurnal/trace mode: a pure per-(client, round) draw against the
     // scenario's online probability. No sojourn correlation across rounds
     // — the population-level online fraction is what these modes model.
-    // Identical in dense and virtual mode by construction, and valid for
-    // any round >= 0 (the async engine queries by aggregation version).
+    // Valid for any round >= 0 (the async engine queries by aggregation
+    // version).
     GLUEFL_CHECK(round >= 0);
     const double p = scenario_.online_probability(round, env_.availability);
     Rng r = avail_rng_.fork(0xD1A3)
@@ -140,9 +135,6 @@ bool ClientDirectory::available(int64_t client, int round) const {
   }
   if (always_on_) return true;
   GLUEFL_CHECK(round >= 0 && round < horizon_);
-  if (materialize_) {
-    return trace_->available(static_cast<int>(client), round);
-  }
   Chain* chain = chain_cache_.find(client);
   if (chain != nullptr && chain->pos <= round) {
     telemetry::count(telemetry::kDirChainHits);
@@ -163,22 +155,8 @@ bool ClientDirectory::available(int64_t client, int round) const {
 }
 
 size_t ClientDirectory::resident_bytes() const {
-  size_t bytes = 0;
-  if (materialize_) {
-    bytes += profiles_.capacity() * sizeof(ClientProfile);
-    if (trace_ != nullptr) {
-      // One bit per client per round, stored in 64-bit words.
-      const size_t words = (static_cast<size_t>(population_) + 63) / 64;
-      bytes += static_cast<size_t>(horizon_) * words * sizeof(uint64_t);
-    }
-    return bytes;
-  }
-  // Hash node + list node bookkeeping dominates the payload for the small
-  // cached structs; 48 bytes is a reasonable per-entry overhead estimate.
-  constexpr size_t kEntryOverhead = 48;
-  bytes += profile_cache_.size() * (sizeof(ClientProfile) + kEntryOverhead);
-  bytes += chain_cache_.size() * (sizeof(Chain) + kEntryOverhead);
-  return bytes;
+  return profile_cache_.size() * kProfileEntryBytes +
+         chain_cache_.size() * kChainEntryBytes;
 }
 
 }  // namespace gluefl

@@ -1,31 +1,25 @@
 // Population-scale client state. A ClientDirectory answers "what is client
-// c's profile?" and "is client c online in round t?" for any virtual client
-// id in [0, population) without necessarily materializing per-client state
-// dense over the population.
+// c's profile?" and "is client c online in round t?" for any client id in
+// [0, population) without materializing per-client state over the
+// population.
 //
-// Two modes share one derivation contract:
-//   - materialized (dense): eager `make_profiles` vector plus a
-//     precomputed AvailabilityTrace, exactly the pre-directory layout.
-//   - lazy (virtual): profiles are rederived on demand via
-//     `derive_profile(c, env, profile_rng)` and availability is replayed
-//     per client from the same two-state Markov chain the trace uses
-//     (fork constant 0xA7A1 + c, stationary start, state-before-flip
-//     recording). A small LRU cache keeps the active cohort resident.
-//
-// Because both modes evaluate the same per-entity functions of the same
-// seeded streams, their answers are bit-identical; the lazy path only
-// changes memory, never results. Queries are not thread-safe: call them
-// from the coordinator thread (the engine's worker pool never touches
-// profiles or availability).
+// Profiles are rederived on demand via `derive_profile(c, env,
+// profile_rng)` and availability is replayed per client from a two-state
+// Markov chain (fork constant 0xA7A1 + c, stationary start, state-before-
+// flip recording). Two LRU caches keep the queried clients resident; each
+// cached value is a pure function of the client id, so an eviction only
+// costs a rederivation and never changes an answer. `make_profiles` and
+// AvailabilityTrace are the eager forms of the same functions, kept as
+// the tests' reference. Queries are not thread-safe: call them from the
+// coordinator thread (the engine's worker pool never touches profiles or
+// availability).
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/lru_cache.h"
 #include "common/rng.h"
-#include "net/availability.h"
 #include "net/client_profile.h"
 #include "net/environment.h"
 #include "scenario/scenario.h"
@@ -34,27 +28,40 @@ namespace gluefl {
 
 class ClientDirectory {
  public:
-  /// Default LRU capacity; comfortably covers an over-committed cohort
-  /// plus async in-flight clients while staying a few hundred KB.
+  /// Cache capacity above kDenseScanThreshold, where the samplers and the
+  /// async dispatch query only the clients they draw: comfortably covers
+  /// an over-committed cohort plus async in-flight clients while staying
+  /// a few hundred KB.
   static constexpr size_t kDefaultCacheCapacity = 4096;
+
+  /// The cache capacity of a directory over `population` clients. Up to
+  /// kDenseScanThreshold the samplers and the async dispatch pool query
+  /// every client in id order every round, so the capacity is the
+  /// population: every chain stays resident and a scan costs N cache hits
+  /// instead of N chain replays from round 0 (DESIGN.md §8a).
+  static size_t cache_capacity(int64_t population);
+
+  /// Upper bound of resident_bytes() for a directory over `population`
+  /// clients: both caches full.
+  static size_t max_resident_bytes(int64_t population);
 
   /// `profile_rng` / `avail_rng` are the dedicated streams (the engine's
   /// kStreamProfiles / kStreamAvailability forks); the directory forks
   /// per entity from them and never advances them. When `use_availability`
   /// is false or the environment is fully available, every client is
-  /// always online and no chain state is kept.
+  /// always online and no chain state is kept. The engine passes
+  /// cache_capacity(population); tests pass tiny caches to force
+  /// evictions.
   ClientDirectory(int64_t population, int horizon, const NetworkEnv& env,
                   const Rng& profile_rng, const Rng& avail_rng,
-                  bool use_availability, bool materialize,
-                  size_t cache_capacity = kDefaultCacheCapacity);
+                  bool use_availability, size_t capacity);
 
   /// Applies a scenario (DESIGN.md §11) on top of the environment. Must be
   /// called before any profile/availability query (the engine does so right
   /// after construction). Device-class membership is a pure function of
   /// (scenario stream, client id) and the class multipliers are applied on
-  /// top of derive_profile's output identically in both modes, so dense and
-  /// virtual populations stay bit-identical. Non-stationary availability
-  /// modes (diurnal/trace) replace the Markov chains with a pure
+  /// top of derive_profile's output. Non-stationary availability modes
+  /// (diurnal/trace) replace the Markov chains with a pure
   /// per-(client, round) draw and force always_on() to false.
   void set_scenario(const scenario::ScenarioSpec& spec,
                     const Rng& scenario_rng);
@@ -65,16 +72,14 @@ class ClientDirectory {
 
   int64_t population() const { return population_; }
   bool always_on() const { return always_on_; }
-  bool materialized() const { return materialize_; }
 
-  /// By value: lazy-mode lookups may evict cache entries, so references
-  /// into the directory would not be stable.
+  /// By value: lookups may evict cache entries, so references into the
+  /// directory would not be stable.
   ClientProfile profile(int64_t client) const;
   bool available(int64_t client, int round) const;
 
-  /// Bytes of per-client state currently resident (profiles, availability
-  /// masks or chains, cache bookkeeping). Dense mode grows with the
-  /// population; lazy mode is bounded by the cache capacity.
+  /// Bytes of per-client state currently resident (cached profiles and
+  /// chains, cache bookkeeping), bounded by the cache capacity.
   size_t resident_bytes() const;
 
  private:
@@ -87,6 +92,13 @@ class ClientDirectory {
     bool on = false;
   };
 
+  // Hash node + list node bookkeeping dominates the payload for the small
+  // cached structs; 48 bytes is a reasonable per-entry overhead estimate.
+  static constexpr size_t kEntryOverhead = 48;
+  static constexpr size_t kProfileEntryBytes =
+      sizeof(ClientProfile) + kEntryOverhead;
+  static constexpr size_t kChainEntryBytes = sizeof(Chain) + kEntryOverhead;
+
   Chain start_chain(int64_t client) const;
   void advance(Chain& chain) const;
   ClientProfile apply_device_class(int64_t client, ClientProfile p) const;
@@ -97,7 +109,6 @@ class ClientDirectory {
   Rng profile_rng_;
   Rng avail_rng_;
   bool always_on_;
-  bool materialize_;
   double p_off_ = 0.0;  // on -> off per-round flip probability
   double p_on_ = 0.0;   // off -> on
 
@@ -107,11 +118,6 @@ class ClientDirectory {
   Rng scenario_rng_{0};
   std::vector<double> class_cum_;
 
-  // Materialized mode.
-  std::vector<ClientProfile> profiles_;
-  std::unique_ptr<AvailabilityTrace> trace_;
-
-  // Lazy mode.
   mutable LruCache<ClientProfile> profile_cache_;
   mutable LruCache<Chain> chain_cache_;
 };

@@ -5,7 +5,8 @@
 // Profiles are derived per entity: client `c`'s profile is a pure function
 // of the profile stream Rng and `c` (via `fork(c)`), so any client's
 // profile can be recomputed on demand without materializing the rest of
-// the population. `make_profiles` is the eager form used by dense mode.
+// the population (ClientDirectory does so). `make_profiles` is the eager
+// form, kept as the tests' reference for the directory.
 #pragma once
 
 #include <cstdint>
@@ -23,8 +24,7 @@ struct ClientProfile {
 };
 
 /// Derives client `client`'s profile from the profile stream `base`
-/// without advancing it. Both the dense and virtual population paths go
-/// through this, which is what makes them bit-identical.
+/// without advancing it.
 ClientProfile derive_profile(int64_t client, const NetworkEnv& env,
                              const Rng& base);
 

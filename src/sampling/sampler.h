@@ -26,9 +26,10 @@ namespace gluefl {
 /// Populations up to this size are sampled with exact dense scans over the
 /// id space (the historical behaviour; covers every dataset preset).
 /// Larger — virtual — populations switch to rejection sampling over the id
-/// space so per-round cost stays independent of the population. The gate
-/// keys on the population alone, never on the mode, so dense and virtual
-/// runs of the same population draw identically.
+/// space so per-round cost stays independent of the population. The client
+/// directory sizes its caches by the same gate
+/// (ClientDirectory::cache_capacity), so a scan hits a resident chain for
+/// every client.
 inline constexpr int64_t kDenseScanThreshold = 65536;
 
 /// Draws up to `want` distinct clients from [0, num_clients) satisfying

@@ -7,9 +7,8 @@
 // from a bundled builtin by name (`--scenario hostile`). The spec is pure
 // data: every layer below (ClientDirectory, SimEngine, AsyncSimEngine, the
 // strategies) derives its per-entity behaviour from the spec plus forked
-// Rng streams, so dense/virtual populations and 1/4/8-thread runs stay
-// bit-identical and resume stays byte-identical (the canonical JSON rides
-// the checkpoint meta).
+// Rng streams, so 1/4/8-thread runs stay bit-identical and resume stays
+// byte-identical (the canonical JSON rides the checkpoint meta).
 //
 // Determinism contract: everything here is a pure function of the spec and
 // the (client, round) or dispatch-seq coordinates — no hidden state.

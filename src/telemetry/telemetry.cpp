@@ -41,7 +41,7 @@ constexpr MetricDef kDefs[] = {
     {"scenario.straggler_ms", MetricKind::kCounter, MetricClass::kSim,
      "cumulative simulated milliseconds stragglers ran past the deadline"},
     {"dir.profile.hits", MetricKind::kCounter, MetricClass::kProcess,
-     "ClientDirectory profile LRU cache hits (virtual mode)"},
+     "ClientDirectory profile LRU cache hits"},
     {"dir.profile.misses", MetricKind::kCounter, MetricClass::kProcess,
      "ClientDirectory profile LRU cache misses (profile re-derived)"},
     {"dir.profile.evictions", MetricKind::kCounter, MetricClass::kProcess,

@@ -829,8 +829,8 @@ TEST(CliCkpt, TamperedMetaIsOneCleanLine) {
     std::string key;                // the key the error line must name
     std::vector<std::string> also;  // further text the line must hold
   };
-  // eval_every=0, population_mode=bogus and wire=analytic have tests of
-  // their own.
+  // eval_every=0, population_mode (a key no longer written) and
+  // wire=analytic have tests of their own.
   const Row rows[] = {
       {false, {{"strategy", "bogus"}}, "strategy", {}},
       {false, {{"strategy", "async-fedbuff"}}, "strategy", {}},
@@ -895,8 +895,9 @@ TEST(CliCkpt, AnyLegalRunConfigurationIsResumable) {
 }
 
 TEST(CliCkpt, TamperedRegistryNameIsACleanError) {
-  // An unknown population mode must reject as CkptError (exit 1), never
-  // fall back to a silent default layout.
+  // A head naming a population mode describes a setting this binary no
+  // longer has: it must reject as CkptError (exit 1), never resume under
+  // a silent default.
   ScratchDir dir("cli_ckpt_registry");
   const CliResult w =
       invoke({"run", "--strategy", "fedavg", "--rounds", "4", "--scale",
@@ -905,13 +906,16 @@ TEST(CliCkpt, TamperedRegistryNameIsACleanError) {
   ASSERT_EQ(w.code, 0) << w.err;
   ckpt::Snapshot snap =
       ckpt::load_checkpoint((dir.path / "ckpt-00000002.gfc").string());
-  snap.meta["population_mode"] = "bogus";
+  ASSERT_EQ(snap.meta.count("population_mode"), 0u);
+  snap.meta["population_mode"] = "virtual";
   const std::string bad = (dir.path / "bad-mode.gfc").string();
   ckpt::save_checkpoint(bad, snap);
   const CliResult r = invoke({"resume", bad.c_str()});
   EXPECT_EQ(r.code, 1);
-  EXPECT_NE(r.err.find("'population_mode'"), std::string::npos) << r.err;
-  EXPECT_NE(r.err.find("bogus"), std::string::npos) << r.err;
+  EXPECT_NE(r.err.find("'population_mode' is not a setting this binary "
+                       "knows"),
+            std::string::npos)
+      << r.err;
   EXPECT_EQ(r.err.find('\n'), r.err.size() - 1) << r.err;
 }
 

@@ -104,50 +104,50 @@ const std::vector<Row>& rows() {
       {.name = "gluefl",
        .flags = {"--strategy", "gluefl"},
        .tiers = true,
-       .pins = {{"summary", 0xa8c64ce10ebeeb73ull},
+       .pins = {{"summary", 0xf442431f92dea546ull},
                 {"events", 0xef60c59547988603ull},
-                {"ckpt-00000001.gfc", 0xd34b9cfb59389c60ull},
-                {"ckpt-00000002.gfc", 0x8b866a2b69145067ull},
+                {"ckpt-00000001.gfc", 0x906644ecdfea6cf5ull},
+                {"ckpt-00000002.gfc", 0x01a885f3b1caa9e5ull},
                 {"residuals.gfj", 0xe197d7ce69e5b080ull}}},
       {.name = "fedavg",
        .flags = {"--strategy", "fedavg"},
        .tiers = true,
-       .pins = {{"summary", 0xcb2b4aa970b7a9d2ull},
+       .pins = {{"summary", 0xd8535c2451cf6d63ull},
                 {"events", 0x7753abcf7a697042ull},
-                {"ckpt-00000001.gfc", 0x9669d5c13a5faf10ull},
-                {"ckpt-00000002.gfc", 0x2090e69538d4afefull}}},
+                {"ckpt-00000001.gfc", 0xaa049a9b3b87a29cull},
+                {"ckpt-00000002.gfc", 0x8da9d62fba8f8fceull}}},
       {.name = "stc",
        .flags = {"--strategy", "stc"},
-       .pins = {{"summary", 0xf382cb886a10eadaull},
+       .pins = {{"summary", 0x4fc068fcdf0810a5ull},
                 {"events", 0x1a23ab084876db65ull},
-                {"ckpt-00000001.gfc", 0x53be90cae0c6cf65ull},
-                {"ckpt-00000002.gfc", 0x487cb7a2462153b0ull},
+                {"ckpt-00000001.gfc", 0x7f392a9462e1ef63ull},
+                {"ckpt-00000002.gfc", 0x4c0cc4bd4cdaab1aull},
                 {"residuals.gfj", 0x693c2530a7052829ull}}},
       {.name = "apf",
        .flags = {"--strategy", "apf"},
-       .pins = {{"summary", 0x802a3a685c09f916ull},
+       .pins = {{"summary", 0xdc109394252921bfull},
                 {"events", 0x64cc7fa67b70ed84ull},
-                {"ckpt-00000001.gfc", 0x1cd1f6a0a5a63224ull},
-                {"ckpt-00000002.gfc", 0x464aaa4f56de639full}}},
+                {"ckpt-00000001.gfc", 0x72a3021c2d80a39aull},
+                {"ckpt-00000002.gfc", 0x95402e39e2deb12full}}},
       {.name = "async",
        .flags = {"--exec", "async"},
-       .pins = {{"summary", 0x20e178eae8bf5163ull},
+       .pins = {{"summary", 0x0fa693550479c394ull},
                 {"events", 0x0585e3e99baf1a7eull},
-                {"ckpt-00000001.gfc", 0x5c963cd8ffc3a6e8ull},
-                {"ckpt-00000002.gfc", 0xa2e941bab8d122ecull}}},
+                {"ckpt-00000001.gfc", 0xa36346e3ec17eee2ull},
+                {"ckpt-00000002.gfc", 0x87eb21cc76c80a80ull}}},
       {.name = "hostile",
        .flags = {"--strategy", "gluefl", "--scenario", "hostile"},
-       .pins = {{"summary", 0xfbb3715c3d28677cull},
+       .pins = {{"summary", 0xbc476d6bd53a2479ull},
                 {"events", 0x5272d349e6f5e52aull},
-                {"ckpt-00000001.gfc", 0x48cc8e90120e59ceull},
-                {"ckpt-00000002.gfc", 0xb8d7f4eaa2e8203dull},
+                {"ckpt-00000001.gfc", 0x81eefb4ef4b39e93ull},
+                {"ckpt-00000002.gfc", 0x050fd6494b1231aaull},
                 {"residuals.gfj", 0x7fb8feec0eda76f5ull}}},
       {.name = "hier",
        .flags = {"--strategy", "gluefl", "--topology", "hier:3"},
-       .pins = {{"summary", 0x7258282904e01431ull},
+       .pins = {{"summary", 0xdd1bc0cdacc50eecull},
                 {"events", 0x8ac0ccb16ab3cddbull},
-                {"ckpt-00000001.gfc", 0x0ec981505a5a690full},
-                {"ckpt-00000002.gfc", 0x39bb1a8558f62f01ull},
+                {"ckpt-00000001.gfc", 0x4902317940705b49ull},
+                {"ckpt-00000002.gfc", 0xee7a32b57eb4b828ull},
                 {"residuals.gfj", 0xe197d7ce69e5b080ull}}},
       // The two virtual rows run a population above kDenseScanThreshold,
       // where the samplers and the async pool draw by rejection over the id
@@ -155,57 +155,56 @@ const std::vector<Row>& rows() {
       {.name = "virtual",
        .flags = {"--strategy", "gluefl", "--population", "100000"},
        .crash = true,
-       .pins = {{"summary", 0x8ebc34209c89cd37ull},
+       .pins = {{"summary", 0xc823c827297ff3fcull},
                 {"events", 0x63c483dda72e7fbfull},
                 {"events-resume", 0x66de4b19ed48b5efull},
-                {"ckpt-00000001.gfc", 0x56a6b70d03505d82ull},
-                {"ckpt-00000002.gfc", 0x2813919b4e0c18b6ull},
-                {"ckpt-00000003.gfc", 0x944775400b0554acull},
+                {"ckpt-00000001.gfc", 0x0f995de3856e3dd0ull},
+                {"ckpt-00000002.gfc", 0x606af96b51664242ull},
+                {"ckpt-00000003.gfc", 0x9ed843f00bf501b1ull},
                 {"residuals.gfj", 0x381bb2cefb541797ull}}},
       {.name = "virtual_async",
        .flags = {"--exec", "async", "--population", "100000",
                  "--async-conc", "24", "--async-buffer", "6"},
        .crash = true,
-       .pins = {{"summary", 0xdd567335e93a9512ull},
+       .pins = {{"summary", 0x2b53bdd23f08bcb3ull},
                 {"events", 0xbd0c5520c820eec3ull},
                 {"events-resume", 0x00bd57204f9195aeull},
-                {"ckpt-00000001.gfc", 0xb50fba6693eb2b57ull},
-                {"ckpt-00000002.gfc", 0xc541712a72866844ull},
-                {"ckpt-00000003.gfc", 0x1b1e0bad27b741f1ull}}},
+                {"ckpt-00000001.gfc", 0xc2bfc6d70218e05aull},
+                {"ckpt-00000002.gfc", 0x4cc8d74650e8980bull},
+                {"ckpt-00000003.gfc", 0x5d4e66049747b388ull}}},
       {.name = "crash_sync",
        .flags = {"--strategy", "gluefl"},
        .crash = true,
-       .pins = {{"summary", 0xf998cbc1b6841f1full},
+       .pins = {{"summary", 0xeaa04624bd223e88ull},
                 {"events", 0x6d57af7ab6035930ull},
                 {"events-resume", 0x27b62533510253e7ull},
-                {"ckpt-00000001.gfc", 0x6dd92e98e7a1afbbull},
-                {"ckpt-00000002.gfc", 0xe4bcb17dc108e8d7ull},
-                {"ckpt-00000003.gfc", 0x15970f47bfa5a15cull},
+                {"ckpt-00000001.gfc", 0xe8de253971c37d62ull},
+                {"ckpt-00000002.gfc", 0x95795ef81982e82dull},
+                {"ckpt-00000003.gfc", 0xc8c87eb26cc7f268ull},
                 {"residuals.gfj", 0xda898f7ea2b00a47ull}}},
       {.name = "crash_async",
        .flags = {"--exec", "async"},
        .crash = true,
-       .pins = {{"summary", 0x46e988eba84d2593ull},
+       .pins = {{"summary", 0xe37c66afae4536b4ull},
                 {"events", 0xdbea0b197e81ea3bull},
                 {"events-resume", 0xadf2f324311a001dull},
-                {"ckpt-00000001.gfc", 0x99ff6da268b20ebaull},
-                {"ckpt-00000002.gfc", 0x8d872d349375cf7cull},
-                {"ckpt-00000003.gfc", 0x907552bd2febd5bfull}}},
+                {"ckpt-00000001.gfc", 0xdd1d21794ac26318ull},
+                {"ckpt-00000002.gfc", 0x2947c5b72ccf80ccull},
+                {"ckpt-00000003.gfc", 0xe8120d35364cccd9ull}}},
       // The two knobs rows move every run setting off its default, so a
       // resume that drops or misreads any one of them moves a pin.
       {.name = "crash_sync_knobs",
        .flags = {"--strategy", "stc", "--model", "mobilenet", "--env",
                  "datacenter", "--overcommit", "1.5", "--topology", "hier:2",
-                 "--population", "700", "--population-mode", "virtual",
-                 "--scenario", "diurnal", "--eval-every", "2", "--seed",
-                 "11"},
+                 "--population", "700", "--scenario", "diurnal",
+                 "--eval-every", "2", "--seed", "11"},
        .crash = true,
-       .pins = {{"summary", 0xf010a3203cafcc6dull},
+       .pins = {{"summary", 0x873904fb0cd5dedfull},
                 {"events", 0x0556c54a5bb35e7bull},
                 {"events-resume", 0xbef2384e5ecb28c5ull},
-                {"ckpt-00000001.gfc", 0xc9c48527c13ba6ebull},
-                {"ckpt-00000002.gfc", 0x60067759f510fe39ull},
-                {"ckpt-00000003.gfc", 0x635f24207adf2d74ull},
+                {"ckpt-00000001.gfc", 0x7d48a1829c8e86fcull},
+                {"ckpt-00000002.gfc", 0x6079d8e299b56623ull},
+                {"ckpt-00000003.gfc", 0x1766990d6815c2d9ull},
                 {"residuals.gfj", 0x04a0e14cbad6f1d4ull}}},
       {.name = "crash_async_knobs",
        .flags = {"--exec", "async", "--model", "resnet34", "--env", "5g",
@@ -214,12 +213,12 @@ const std::vector<Row>& rows() {
                  "--max-staleness", "3", "--population", "600",
                  "--eval-every", "2", "--seed", "7"},
        .crash = true,
-       .pins = {{"summary", 0x2052d2bbc97d0d98ull},
+       .pins = {{"summary", 0x348c3689bac4265aull},
                 {"events", 0x1c59c232620112dcull},
                 {"events-resume", 0xfb674d5b2a77c7d1ull},
-                {"ckpt-00000001.gfc", 0xdd94be74c55d4975ull},
-                {"ckpt-00000002.gfc", 0xc2fd9a01919c6b5cull},
-                {"ckpt-00000003.gfc", 0xe96cee7baaf30d8aull}}},
+                {"ckpt-00000001.gfc", 0x64f294d9d7e3a761ull},
+                {"ckpt-00000002.gfc", 0x647114ac71b719d8ull},
+                {"ckpt-00000003.gfc", 0x20023ae5e74d4481ull}}},
   };
   return table;
 }

@@ -1,7 +1,7 @@
-// Virtual-population layer: ClientDirectory lazy/materialized equivalence,
-// virtual-ID-space sampling, sparse SyncTracker serialization, and
-// dense <-> virtual bit-equivalence of whole runs (every strategy, sync
-// and async, across seeds and thread counts).
+// Large-population layer: the lazy ClientDirectory against the eager
+// reference forms (make_profiles, AvailabilityTrace), its cache sized to
+// the samplers' full scan, virtual-ID-space sampling, sparse SyncTracker
+// serialization, and the CLI's population flag through run and resume.
 #include <algorithm>
 #include <cmath>
 #include <cstring>
@@ -17,8 +17,6 @@
 
 #include "ckpt/io.h"
 #include "cli/cli.h"
-#include "fl/async_engine.h"
-#include "fl/engine.h"
 #include "fl/sync_tracker.h"
 #include "net/availability.h"
 #include "net/client_directory.h"
@@ -27,40 +25,37 @@
 #include "sampling/sampler.h"
 #include "sampling/sticky_sampler.h"
 #include "sampling/uniform_sampler.h"
-#include "strategies/apf.h"
-#include "strategies/async_fedbuff.h"
-#include "strategies/fedavg.h"
-#include "strategies/gluefl.h"
-#include "strategies/stc.h"
-#include "test_util.h"
+#include "telemetry/telemetry.h"
 
 namespace gluefl {
 namespace {
 
-using testing::tiny_proxy;
-using testing::tiny_run_config;
-using testing::tiny_spec;
-using testing::tiny_train_config;
-
 // --------------------------------------------------------- ClientDirectory
 
-ClientDirectory make_directory(int64_t population, int horizon, bool lazy,
+// The directory's streams: profiles fork 0x01, availability 0x02.
+const Rng kMaster(99);
+
+ClientDirectory make_directory(int64_t population, int horizon,
                                size_t cache = 8, bool use_availability = true) {
-  const Rng master(99);
   return ClientDirectory(population, horizon, make_edge_env(),
-                         master.fork(0x01), master.fork(0x02),
-                         use_availability, /*materialize=*/!lazy, cache);
+                         kMaster.fork(0x01), kMaster.fork(0x02),
+                         use_availability, cache);
+}
+
+AvailabilityTrace make_trace(int population, int horizon) {
+  Rng avail = kMaster.fork(0x02);
+  return AvailabilityTrace(population, horizon, make_edge_env(), avail);
 }
 
 TEST(ClientDirectory, LazyProfilesMatchMaterialized) {
-  const auto dense = make_directory(300, 10, /*lazy=*/false);
-  const auto lazy = make_directory(300, 10, /*lazy=*/true, /*cache=*/8);
+  const auto ref = make_profiles(300, make_edge_env(), kMaster.fork(0x01));
+  const auto lazy = make_directory(300, 10, /*cache=*/8);
   // Scrambled order with revisits: every lookup must re-derive the same
   // values even after the tiny cache evicted the entry.
   Rng order(5);
   for (int i = 0; i < 600; ++i) {
     const int c = order.uniform_int(0, 299);
-    const ClientProfile a = dense.profile(c);
+    const ClientProfile& a = ref[static_cast<size_t>(c)];
     const ClientProfile b = lazy.profile(c);
     EXPECT_DOUBLE_EQ(a.down_mbps, b.down_mbps) << "client " << c;
     EXPECT_DOUBLE_EQ(a.up_mbps, b.up_mbps) << "client " << c;
@@ -70,18 +65,18 @@ TEST(ClientDirectory, LazyProfilesMatchMaterialized) {
 
 TEST(ClientDirectory, LazyAvailabilityMatchesTrace) {
   const int pop = 200, horizon = 12;
-  const auto dense = make_directory(pop, horizon, /*lazy=*/false);
-  const auto lazy = make_directory(pop, horizon, /*lazy=*/true, /*cache=*/4);
-  ASSERT_FALSE(dense.always_on());  // edge env churns (80% availability)
+  const AvailabilityTrace trace = make_trace(pop, horizon);
+  const auto lazy = make_directory(pop, horizon, /*cache=*/4);
+  ASSERT_FALSE(lazy.always_on());  // edge env churns (80% availability)
   // Forward, backward and random-order queries: a backward query forces a
   // chain restart, a forward one advances the cached chain.
   for (int c = 0; c < pop; c += 7) {
     for (int r = 0; r < horizon; ++r) {
-      EXPECT_EQ(dense.available(c, r), lazy.available(c, r))
+      EXPECT_EQ(trace.available(c, r), lazy.available(c, r))
           << "fwd c=" << c << " r=" << r;
     }
     for (int r = horizon - 1; r >= 0; --r) {
-      EXPECT_EQ(dense.available(c, r), lazy.available(c, r))
+      EXPECT_EQ(trace.available(c, r), lazy.available(c, r))
           << "bwd c=" << c << " r=" << r;
     }
   }
@@ -89,14 +84,47 @@ TEST(ClientDirectory, LazyAvailabilityMatchesTrace) {
   for (int i = 0; i < 500; ++i) {
     const int c = order.uniform_int(0, pop - 1);
     const int r = order.uniform_int(0, horizon - 1);
-    EXPECT_EQ(dense.available(c, r), lazy.available(c, r))
+    EXPECT_EQ(trace.available(c, r), lazy.available(c, r))
         << "rand c=" << c << " r=" << r;
   }
 }
 
+TEST(ClientDirectory, FullScansKeepEveryChainResident) {
+  // The capacity is the population up to the samplers' scan gate and the
+  // default above it.
+  EXPECT_EQ(ClientDirectory::cache_capacity(kDenseScanThreshold),
+            static_cast<size_t>(kDenseScanThreshold));
+  EXPECT_EQ(ClientDirectory::cache_capacity(kDenseScanThreshold + 1),
+            ClientDirectory::kDefaultCacheCapacity);
+  // What the samplers and the async dispatch pool do up to the gate:
+  // query every client in id order, every round. With the derived
+  // capacity each chain is replayed once and then only advanced; a
+  // 4,096-entry cache would miss all N clients every round.
+  constexpr int pop = 6000, horizon = 50;
+  static_assert(pop > ClientDirectory::kDefaultCacheCapacity &&
+                pop <= kDenseScanThreshold);
+  const AvailabilityTrace trace = make_trace(pop, horizon);
+  telemetry::reset();
+  telemetry::configure({});
+  const auto dir =
+      make_directory(pop, horizon, ClientDirectory::cache_capacity(pop));
+  for (int r = 0; r < horizon; ++r) {
+    for (int c = 0; c < pop; ++c) {
+      ASSERT_EQ(trace.available(c, r), dir.available(c, r))
+          << "c=" << c << " r=" << r;
+    }
+  }
+  const uint64_t misses = telemetry::value(telemetry::kDirChainMisses);
+  const uint64_t evictions = telemetry::value(telemetry::kDirChainEvictions);
+  const uint64_t hits = telemetry::value(telemetry::kDirChainHits);
+  telemetry::reset();
+  EXPECT_EQ(misses, static_cast<uint64_t>(pop));
+  EXPECT_EQ(evictions, 0u);
+  EXPECT_EQ(hits, static_cast<uint64_t>(pop) * (horizon - 1));
+}
+
 TEST(ClientDirectory, AlwaysOnWhenAvailabilityDisabled) {
-  const auto lazy =
-      make_directory(100, 5, /*lazy=*/true, 8, /*use_availability=*/false);
+  const auto lazy = make_directory(100, 5, 8, /*use_availability=*/false);
   EXPECT_TRUE(lazy.always_on());
   for (int c = 0; c < 100; c += 13) {
     EXPECT_TRUE(lazy.available(c, 3));
@@ -104,8 +132,7 @@ TEST(ClientDirectory, AlwaysOnWhenAvailabilityDisabled) {
 }
 
 TEST(ClientDirectory, LazyResidentBytesBoundedAtMillionClients) {
-  const auto lazy =
-      make_directory(1000000, 50, /*lazy=*/true, /*cache=*/1024);
+  const auto lazy = make_directory(1000000, 50, /*cache=*/1024);
   Rng order(3);
   for (int i = 0; i < 5000; ++i) {
     const int c = order.uniform_int(0, 999999);
@@ -233,141 +260,6 @@ TEST(SparseSyncTracker, RestoreRejectsUnsortedIds) {
   EXPECT_THROW(t.restore_state(r), ckpt::CkptError);
 }
 
-// ------------------------------------- dense <-> virtual bit-equivalence
-
-SimEngine make_mode_engine(PopulationMode mode, uint64_t seed, int threads,
-                           int64_t population = 0) {
-  RunConfig rc = tiny_run_config(/*rounds=*/4, /*k=*/6, seed);
-  rc.eval_every = 2;
-  rc.num_threads = threads;
-  rc.use_availability = true;  // exercise the lazy availability chains
-  rc.population = population;
-  rc.population_mode = mode;
-  return SimEngine(make_synthetic_dataset(tiny_spec()), tiny_proxy(),
-                   make_edge_env(), tiny_train_config(), rc);
-}
-
-std::unique_ptr<Strategy> make_named_strategy(const std::string& name) {
-  if (name == "fedavg") return std::make_unique<FedAvgStrategy>();
-  if (name == "stc") {
-    StcConfig c;
-    c.q = 0.25;
-    return std::make_unique<StcStrategy>(c);
-  }
-  if (name == "apf") {
-    ApfConfig c;
-    c.check_every = 2;
-    c.base_freeze = 2;
-    c.max_freeze = 8;
-    return std::make_unique<ApfStrategy>(c);
-  }
-  GlueFlConfig g;
-  g.q = 0.3;
-  g.q_shr = 0.1;
-  g.regen_every = 3;
-  g.sticky_group_size = 20;
-  g.sticky_per_round = 3;
-  return std::make_unique<GlueFlStrategy>(g);
-}
-
-bool same_bits(double a, double b) {
-  uint64_t x, y;
-  std::memcpy(&x, &a, 8);
-  std::memcpy(&y, &b, 8);
-  return x == y;
-}
-
-void expect_identical_runs(const RunResult& ref, const RunResult& res,
-                           const std::string& label) {
-  ASSERT_EQ(ref.rounds.size(), res.rounds.size()) << label;
-  for (size_t i = 0; i < ref.rounds.size(); ++i) {
-    const RoundRecord& a = ref.rounds[i];
-    const RoundRecord& b = res.rounds[i];
-    EXPECT_EQ(a.round, b.round) << label << " @" << i;
-    EXPECT_TRUE(same_bits(a.down_bytes, b.down_bytes)) << label << " @" << i;
-    EXPECT_TRUE(same_bits(a.up_bytes, b.up_bytes)) << label << " @" << i;
-    EXPECT_TRUE(same_bits(a.wall_time_s, b.wall_time_s)) << label << " @" << i;
-    EXPECT_TRUE(same_bits(a.train_loss, b.train_loss)) << label << " @" << i;
-    EXPECT_TRUE(same_bits(a.test_acc, b.test_acc)) << label << " @" << i;
-    EXPECT_EQ(a.num_invited, b.num_invited) << label << " @" << i;
-    EXPECT_EQ(a.num_included, b.num_included) << label << " @" << i;
-    EXPECT_TRUE(same_bits(a.mean_staleness, b.mean_staleness))
-        << label << " @" << i;
-    EXPECT_TRUE(same_bits(a.changed_frac, b.changed_frac)) << label << " @" << i;
-  }
-}
-
-TEST(PopulationModes, SyncStrategiesBitIdenticalAcrossModes) {
-  for (const char* name : {"fedavg", "stc", "apf", "gluefl"}) {
-    for (const uint64_t seed : {uint64_t{7}, uint64_t{21}}) {
-      for (const int threads : {1, 4, 8}) {
-        const std::string label = std::string(name) +
-                                  " seed=" + std::to_string(seed) +
-                                  " threads=" + std::to_string(threads);
-        SimEngine dense = make_mode_engine(PopulationMode::kDense, seed,
-                                           threads);
-        SimEngine lazy = make_mode_engine(PopulationMode::kVirtual, seed,
-                                          threads);
-        auto ds = make_named_strategy(name);
-        auto vs = make_named_strategy(name);
-        const RunResult a = dense.run(*ds);
-        const RunResult b = lazy.run(*vs);
-        expect_identical_runs(a, b, label);
-        EXPECT_EQ(dense.params(), lazy.params()) << label;
-        EXPECT_EQ(dense.stats(), lazy.stats()) << label;
-      }
-    }
-  }
-}
-
-TEST(PopulationModes, AsyncFedBuffBitIdenticalAcrossModes) {
-  for (const uint64_t seed : {uint64_t{7}, uint64_t{21}}) {
-    for (const int threads : {1, 4, 8}) {
-      const std::string label = "async seed=" + std::to_string(seed) +
-                                " threads=" + std::to_string(threads);
-      SimEngine dense = make_mode_engine(PopulationMode::kDense, seed,
-                                         threads);
-      SimEngine lazy = make_mode_engine(PopulationMode::kVirtual, seed,
-                                        threads);
-      AsyncConfig acfg;
-      acfg.buffer_size = 3;
-      acfg.concurrency = 9;
-      AsyncSimEngine da(dense, acfg);
-      AsyncSimEngine va(lazy, acfg);
-      AsyncFedBuffStrategy ds{AsyncFedBuffConfig{}};
-      AsyncFedBuffStrategy vs{AsyncFedBuffConfig{}};
-      const RunResult a = da.run(ds);
-      const RunResult b = va.run(vs);
-      expect_identical_runs(a, b, label);
-      EXPECT_EQ(dense.params(), lazy.params()) << label;
-    }
-  }
-}
-
-TEST(PopulationModes, OversizedPopulationBitIdenticalAcrossModes) {
-  // Population larger than the dataset: virtual ids wrap onto shards and
-  // weights rescale; both modes must still agree bit-for-bit.
-  SimEngine dense =
-      make_mode_engine(PopulationMode::kDense, 7, 1, /*population=*/500);
-  SimEngine lazy =
-      make_mode_engine(PopulationMode::kVirtual, 7, 1, /*population=*/500);
-  EXPECT_EQ(dense.num_clients(), 500);
-  auto ds = make_named_strategy("fedavg");
-  auto vs = make_named_strategy("fedavg");
-  const RunResult a = dense.run(*ds);
-  const RunResult b = lazy.run(*vs);
-  expect_identical_runs(a, b, "population=500");
-  EXPECT_EQ(dense.params(), lazy.params());
-}
-
-TEST(PopulationModes, MemoryEstimateVirtualBelowDenseAtScale) {
-  SimEngine dense =
-      make_mode_engine(PopulationMode::kDense, 7, 1, /*population=*/1000000);
-  SimEngine lazy =
-      make_mode_engine(PopulationMode::kVirtual, 7, 1, /*population=*/1000000);
-  EXPECT_LT(lazy.memory_estimate_bytes(), dense.memory_estimate_bytes());
-}
-
 }  // namespace
 }  // namespace gluefl
 
@@ -415,13 +307,6 @@ TEST(CliPopulation, RejectsNonPositiveAndOversizedPopulations) {
   }
 }
 
-TEST(CliPopulation, RejectsUnknownPopulationMode) {
-  const CliResult r = invoke({"run", "--rounds", "1", "--scale", "0.02",
-                              "--population-mode", "sparse"});
-  EXPECT_EQ(r.code, 2);
-  EXPECT_NE(r.err.find("population mode"), std::string::npos) << r.err;
-}
-
 TEST(CliPopulation, RejectsPopulationSmallerThanCohort) {
   // femnist at scale 0.25 has K=30; a 10-client population cannot seat it.
   const CliResult r = invoke({"run", "--rounds", "1", "--population", "10"});
@@ -431,33 +316,16 @@ TEST(CliPopulation, RejectsPopulationSmallerThanCohort) {
 }
 
 TEST(CliPopulation, VirtualRunEchoesModeAndRssEstimate) {
+  // A population above the dataset's client count: the header and the
+  // summary echo it, and no population mode is echoed.
   const CliResult r =
       invoke({"run", "--strategy", "fedavg", "--rounds", "1", "--scale",
-              "0.02", "--population", "50000", "--population-mode",
-              "virtual"});
+              "0.02", "--population", "50000"});
   ASSERT_EQ(r.code, 0) << r.err;
-  EXPECT_NE(r.out.find("(N=50000 virtual"), std::string::npos);
+  EXPECT_NE(r.out.find("(N=50000, K="), std::string::npos);
   EXPECT_NE(r.out.find("\"population\": 50000"), std::string::npos);
-  EXPECT_NE(r.out.find("\"population_mode\": \"virtual\""), std::string::npos);
+  EXPECT_EQ(r.out.find("population_mode"), std::string::npos);
   EXPECT_NE(r.out.find("\"peak_rss_est_mb\": "), std::string::npos);
-}
-
-TEST(CliPopulation, DenseAndVirtualRunsMatchThroughCli) {
-  const CliResult dense =
-      invoke({"run", "--strategy", "gluefl", "--rounds", "2", "--scale",
-              "0.02", "--eval-every", "1", "--population-mode", "dense"});
-  ASSERT_EQ(dense.code, 0) << dense.err;
-  const CliResult lazy =
-      invoke({"run", "--strategy", "gluefl", "--rounds", "2", "--scale",
-              "0.02", "--eval-every", "1", "--population-mode", "virtual"});
-  ASSERT_EQ(lazy.code, 0) << lazy.err;
-  // The tails (best accuracy, totals, trajectory) must be byte-identical;
-  // only the echoed population_mode may differ.
-  const size_t da = dense.out.find("\"best_accuracy\"");
-  const size_t la = lazy.out.find("\"best_accuracy\"");
-  ASSERT_NE(da, std::string::npos);
-  ASSERT_NE(la, std::string::npos);
-  EXPECT_EQ(dense.out.substr(da), lazy.out.substr(la));
 }
 
 TEST(CliPopulation, VirtualCrashThenResumeIsByteExact) {
@@ -468,15 +336,14 @@ TEST(CliPopulation, VirtualCrashThenResumeIsByteExact) {
   const CliResult full =
       invoke({"run", "--strategy", "gluefl", "--rounds", "4", "--scale",
               "0.02", "--eval-every", "1", "--population", "300",
-              "--population-mode", "virtual", "--json", full_json.c_str()});
+              "--json", full_json.c_str()});
   ASSERT_EQ(full.code, 0) << full.err;
 
   const CliResult crashed =
       invoke({"run", "--strategy", "gluefl", "--rounds", "4", "--scale",
               "0.02", "--eval-every", "1", "--population", "300",
-              "--population-mode", "virtual", "--checkpoint-every", "2",
-              "--checkpoint-dir", dir.str().c_str(), "--crash-at-round",
-              "3"});
+              "--checkpoint-every", "2", "--checkpoint-dir",
+              dir.str().c_str(), "--crash-at-round", "3"});
   EXPECT_EQ(crashed.code, 3);
   const std::string ckpt = (dir.path / "ckpt-00000002.gfc").string();
   ASSERT_TRUE(fs::exists(ckpt));

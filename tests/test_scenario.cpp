@@ -1,6 +1,6 @@
 // Scenario layer (DESIGN.md §11): spec parsing + hardening, the
 // corrupt-frame rejection guarantee, engine-level determinism under a
-// scenario (threads x population modes), Byzantine telemetry, the
+// scenario (across thread counts), Byzantine telemetry, the
 // five-strategy scenario regression, and the CLI surface (--scenario,
 // --dry-run eager validation, list --scenarios, resume byte-identity).
 #include <algorithm>
@@ -223,14 +223,13 @@ scenario::ScenarioSpec harsh_spec() {
       " \"byzantine_rate\": 0.3}");
 }
 
-SimEngine make_scenario_engine(PopulationMode mode, int threads,
+SimEngine make_scenario_engine(int threads,
                                const scenario::ScenarioSpec& spec) {
   RunConfig rc = tiny_run_config(/*rounds=*/6, /*k=*/6, /*seed=*/11);
   rc.eval_every = 3;
   rc.num_threads = threads;
   rc.use_availability = true;
   rc.overcommit = 1.3;
-  rc.population_mode = mode;
   rc.scenario = spec;
   return SimEngine(make_synthetic_dataset(tiny_spec()), tiny_proxy(),
                    make_edge_env(), tiny_train_config(), rc);
@@ -291,31 +290,26 @@ TEST(ScenarioEngine, RunsBitIdenticalAcrossThreadsAndPopulationModes) {
   std::vector<uint64_t> ref_tel;
   bool have_ref = false;
   for (const int threads : {1, 4, 8}) {
-    for (const PopulationMode mode :
-         {PopulationMode::kDense, PopulationMode::kVirtual}) {
-      const std::string label =
-          "threads=" + std::to_string(threads) +
-          (mode == PopulationMode::kVirtual ? " virtual" : " dense");
-      TelemetryGuard tg;
-      SimEngine eng = make_scenario_engine(mode, threads, spec);
-      auto strat = make_named_strategy("gluefl");
-      const RunResult r = eng.run(*strat);
-      const std::vector<uint64_t> tel = telemetry::sim_values();
-      if (!have_ref) {
-        ref = r;
-        ref_params = eng.params();
-        ref_tel = tel;
-        have_ref = true;
-        // The harsh spec must actually exercise every fault path.
-        EXPECT_GT(tel[telemetry::kScenarioDropouts], 0u);
-        EXPECT_GT(tel[telemetry::kScenarioFramesRejected], 0u);
-        EXPECT_GT(tel[telemetry::kScenarioDeadlineDrops], 0u);
-        EXPECT_GT(tel[telemetry::kScenarioStragglerMs], 0u);
-      } else {
-        expect_identical_runs(ref, r, label);
-        EXPECT_EQ(ref_params, eng.params()) << label;
-        EXPECT_EQ(ref_tel, tel) << label;
-      }
+    const std::string label = "threads=" + std::to_string(threads);
+    TelemetryGuard tg;
+    SimEngine eng = make_scenario_engine(threads, spec);
+    auto strat = make_named_strategy("gluefl");
+    const RunResult r = eng.run(*strat);
+    const std::vector<uint64_t> tel = telemetry::sim_values();
+    if (!have_ref) {
+      ref = r;
+      ref_params = eng.params();
+      ref_tel = tel;
+      have_ref = true;
+      // The harsh spec must actually exercise every fault path.
+      EXPECT_GT(tel[telemetry::kScenarioDropouts], 0u);
+      EXPECT_GT(tel[telemetry::kScenarioFramesRejected], 0u);
+      EXPECT_GT(tel[telemetry::kScenarioDeadlineDrops], 0u);
+      EXPECT_GT(tel[telemetry::kScenarioStragglerMs], 0u);
+    } else {
+      expect_identical_runs(ref, r, label);
+      EXPECT_EQ(ref_params, eng.params()) << label;
+      EXPECT_EQ(ref_tel, tel) << label;
     }
   }
 }
@@ -327,32 +321,27 @@ TEST(ScenarioEngine, AsyncRunsBitIdenticalAcrossThreadsAndModes) {
   std::vector<uint64_t> ref_tel;
   bool have_ref = false;
   for (const int threads : {1, 4}) {
-    for (const PopulationMode mode :
-         {PopulationMode::kDense, PopulationMode::kVirtual}) {
-      const std::string label =
-          "async threads=" + std::to_string(threads) +
-          (mode == PopulationMode::kVirtual ? " virtual" : " dense");
-      TelemetryGuard tg;
-      SimEngine eng = make_scenario_engine(mode, threads, spec);
-      AsyncConfig acfg;
-      acfg.buffer_size = 3;
-      acfg.concurrency = 9;
-      AsyncSimEngine async(eng, acfg);
-      AsyncFedBuffStrategy strat{AsyncFedBuffConfig{}};
-      const RunResult r = async.run(strat);
-      const std::vector<uint64_t> tel = telemetry::sim_values();
-      if (!have_ref) {
-        ref = r;
-        ref_params = eng.params();
-        ref_tel = tel;
-        have_ref = true;
-        EXPECT_GT(tel[telemetry::kScenarioDropouts], 0u);
-        EXPECT_GT(tel[telemetry::kScenarioFramesRejected], 0u);
-      } else {
-        expect_identical_runs(ref, r, label);
-        EXPECT_EQ(ref_params, eng.params()) << label;
-        EXPECT_EQ(ref_tel, tel) << label;
-      }
+    const std::string label = "async threads=" + std::to_string(threads);
+    TelemetryGuard tg;
+    SimEngine eng = make_scenario_engine(threads, spec);
+    AsyncConfig acfg;
+    acfg.buffer_size = 3;
+    acfg.concurrency = 9;
+    AsyncSimEngine async(eng, acfg);
+    AsyncFedBuffStrategy strat{AsyncFedBuffConfig{}};
+    const RunResult r = async.run(strat);
+    const std::vector<uint64_t> tel = telemetry::sim_values();
+    if (!have_ref) {
+      ref = r;
+      ref_params = eng.params();
+      ref_tel = tel;
+      have_ref = true;
+      EXPECT_GT(tel[telemetry::kScenarioDropouts], 0u);
+      EXPECT_GT(tel[telemetry::kScenarioFramesRejected], 0u);
+    } else {
+      expect_identical_runs(ref, r, label);
+      EXPECT_EQ(ref_params, eng.params()) << label;
+      EXPECT_EQ(ref_tel, tel) << label;
     }
   }
 }
@@ -361,9 +350,8 @@ TEST(ScenarioEngine, DeviceClassesReshapeProfilesDeterministically) {
   scenario::ScenarioSpec spec;
   spec.name = "classes-only";
   spec.device_classes = {{"throttled", 1.0, 0.25, 0.25, 0.25}};
-  SimEngine base = make_scenario_engine(PopulationMode::kDense, 1,
-                                        scenario::ScenarioSpec{});
-  SimEngine shaped = make_scenario_engine(PopulationMode::kDense, 1, spec);
+  SimEngine base = make_scenario_engine(1, scenario::ScenarioSpec{});
+  SimEngine shaped = make_scenario_engine(1, spec);
   // A single all-fleet class with 0.25x multipliers scales every profile.
   for (int c = 0; c < 20; ++c) {
     const ClientProfile a = base.directory().profile(c);
@@ -383,7 +371,7 @@ TEST(ScenarioRegression, ByzantineFramesRejectedAcrossAllStrategies) {
   const scenario::ScenarioSpec spec = harsh_spec();
   for (const char* name : {"fedavg", "stc", "apf", "gluefl"}) {
     TelemetryGuard tg;
-    SimEngine eng = make_scenario_engine(PopulationMode::kDense, 1, spec);
+    SimEngine eng = make_scenario_engine(1, spec);
     auto strat = make_named_strategy(name);
     const RunResult r = eng.run(*strat);
     ASSERT_EQ(r.rounds.size(), 6u) << name;
@@ -395,7 +383,7 @@ TEST(ScenarioRegression, ByzantineFramesRejectedAcrossAllStrategies) {
   }
   // Async leg.
   TelemetryGuard tg;
-  SimEngine eng = make_scenario_engine(PopulationMode::kDense, 1, spec);
+  SimEngine eng = make_scenario_engine(1, spec);
   AsyncConfig acfg;
   acfg.buffer_size = 3;
   acfg.concurrency = 9;
@@ -416,7 +404,7 @@ TEST(ScenarioRegression, ByzantineUpdatesDoNotMoveTheAggregate) {
   spec.name = "all-byzantine";
   spec.byzantine_rate = 0.999999;
   TelemetryGuard tg;
-  SimEngine eng = make_scenario_engine(PopulationMode::kDense, 1, spec);
+  SimEngine eng = make_scenario_engine(1, spec);
   const std::vector<float> before = eng.params();
   auto strat = make_named_strategy("fedavg");
   eng.run(*strat);

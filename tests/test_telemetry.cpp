@@ -149,8 +149,7 @@ TEST(TelemetryDirectory, ProfileEvictionIsRederivationOnly) {
   // Capacity 4 over 64 clients: sequential sweeps thrash the LRU, so
   // every entry is evicted and re-derived many times over.
   ClientDirectory dir(64, 8, env, profile_rng, avail_rng,
-                      /*use_availability=*/false, /*materialize=*/false,
-                      /*cache_capacity=*/4);
+                      /*use_availability=*/false, /*capacity=*/4);
   std::vector<ClientProfile> first;
   for (int64_t c = 0; c < 64; ++c) first.push_back(dir.profile(c));
   const uint64_t evictions_after_first =
@@ -177,11 +176,9 @@ TEST(TelemetryDirectory, ChainCountersSplitHitsMissesEvictions) {
   ASSERT_LT(env.availability, 1.0);
   const Rng profile_rng(1), avail_rng(2);
   ClientDirectory dir(64, 8, env, profile_rng, avail_rng,
-                      /*use_availability=*/true, /*materialize=*/false,
-                      /*cache_capacity=*/4);
+                      /*use_availability=*/true, /*capacity=*/4);
   ClientDirectory fresh(64, 8, env, profile_rng, avail_rng,
-                        /*use_availability=*/true, /*materialize=*/false,
-                        /*cache_capacity=*/1024);
+                        /*use_availability=*/true, /*capacity=*/1024);
   std::vector<bool> first;
   for (int64_t c = 0; c < 64; ++c) first.push_back(dir.available(c, 3));
   EXPECT_GT(telemetry::value(telemetry::kDirChainMisses), 0u);
