@@ -13,8 +13,8 @@
 # defaults (the wire bench's default dimension and the checkpoint bench's
 # default population are already OpenImage scale; the population bench
 # runs one arm per population, 10k, 100k and 1M clients; the telemetry
-# bench gates the <1% disabled-path
-# AND flight-recorder-off overhead budgets from DESIGN.md §10/§12).
+# bench gates the <1% disabled-path AND flight-recorder-off overhead
+# budgets from DESIGN.md §10/§12).
 set -eu
 
 out=${1:-BENCH_10.json}

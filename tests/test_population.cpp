@@ -3,11 +3,8 @@
 // the samplers' full scan, virtual-ID-space sampling, sparse SyncTracker
 // serialization, and the CLI's population flag through run and resume.
 #include <algorithm>
-#include <cmath>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
@@ -108,16 +105,17 @@ TEST(ClientDirectory, FullScansKeepEveryChainResident) {
   telemetry::configure({});
   const auto dir =
       make_directory(pop, horizon, ClientDirectory::cache_capacity(pop));
+  int wrong = 0;
   for (int r = 0; r < horizon; ++r) {
     for (int c = 0; c < pop; ++c) {
-      ASSERT_EQ(trace.available(c, r), dir.available(c, r))
-          << "c=" << c << " r=" << r;
+      wrong += trace.available(c, r) != dir.available(c, r);
     }
   }
   const uint64_t misses = telemetry::value(telemetry::kDirChainMisses);
   const uint64_t evictions = telemetry::value(telemetry::kDirChainEvictions);
   const uint64_t hits = telemetry::value(telemetry::kDirChainHits);
   telemetry::reset();
+  EXPECT_EQ(wrong, 0);
   EXPECT_EQ(misses, static_cast<uint64_t>(pop));
   EXPECT_EQ(evictions, 0u);
   EXPECT_EQ(hits, static_cast<uint64_t>(pop) * (horizon - 1));
