@@ -305,6 +305,22 @@ TEST(CliPopulation, RejectsNonPositiveAndOversizedPopulations) {
   }
 }
 
+TEST(CliPopulation, RejectsUnknownPopulationMode) {
+  // There is one client directory: the retired --population-mode flag is
+  // an unknown flag in run and sweep (one line, exit 2), never silently
+  // accepted.
+  for (const char* cmd : {"run", "sweep"}) {
+    for (const char* mode : {"dense", "virtual"}) {
+      const CliResult r = invoke({cmd, "--rounds", "1", "--scale", "0.02",
+                                  "--population-mode", mode});
+      EXPECT_EQ(r.code, 2) << cmd << " " << mode;
+      EXPECT_EQ(r.err, "error: unknown flag --population-mode\n")
+          << cmd << " " << mode;
+      EXPECT_TRUE(r.out.empty()) << cmd << " " << mode;
+    }
+  }
+}
+
 TEST(CliPopulation, RejectsPopulationSmallerThanCohort) {
   // femnist at scale 0.25 has K=30; a 10-client population cannot seat it.
   const CliResult r = invoke({"run", "--rounds", "1", "--population", "10"});
