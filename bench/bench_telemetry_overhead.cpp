@@ -148,13 +148,9 @@ double time_once(Arm arm, const Payload& p, size_t iters, uint64_t* frames) {
   // records (abandon() drops them unwritten).
   const bool recorder = arm == kRecorderOff || arm == kRecorderOn;
   const auto t0 = std::chrono::steady_clock::now();
-  if (recorder) {
-    for (size_t i = 0; i < iters; ++i) {
-      encode_decode_once(p);
-      recorder_round_once(static_cast<int>(i));
-    }
-  } else {
-    for (size_t i = 0; i < iters; ++i) encode_decode_once(p);
+  for (size_t i = 0; i < iters; ++i) {
+    encode_decode_once(p);
+    if (recorder) recorder_round_once(static_cast<int>(i));
   }
   const double ms = ms_since(t0);
   if (arm == kCounters) {
