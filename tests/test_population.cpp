@@ -138,7 +138,7 @@ TEST(ClientDirectory, LazyResidentBytesBoundedAtMillionClients) {
     (void)lazy.available(c, i % 50);
   }
   // Bounded by the cache capacity, not the population: two 1024-entry
-  // caches stay well under 1 MB where dense state would be ~30 MB.
+  // caches stay well under 1 MB where per-client arrays would be ~30 MB.
   EXPECT_LT(lazy.resident_bytes(), static_cast<size_t>(1) << 20);
 }
 
