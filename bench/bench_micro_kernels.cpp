@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the hot kernels of the
 // simulator: top-k selection, bitmask algebra, sparse scatter, the
-// training GEMMs per tier, and the SyncTracker union that dominates
-// staleness accounting.
+// training GEMMs and client-shard derivation per tier, and the SyncTracker
+// union that dominates staleness accounting.
 #include <benchmark/benchmark.h>
 
 #include <string>
@@ -10,6 +10,8 @@
 #include "common/rng.h"
 #include "compress/bitmask.h"
 #include "compress/topk.h"
+#include "data/federated_dataset.h"
+#include "data/presets.h"
 #include "fl/sync_tracker.h"
 #include "tensor/ops.h"
 
@@ -116,6 +118,38 @@ void BM_TrainingGemm(benchmark::State& state) {
   detail::set_gemm_tier(picked);
 }
 BENCHMARK(BM_TrainingGemm)->ArgsProduct({{0, 1, 2, 3, 4}, {0, 1, 2}});
+
+// Derives the first 256 shards of the OpenImage preset at scale 1 under
+// each GEMM tier, which picks the Box-Muller tier (DESIGN.md §2 "Client
+// shards"). The "pair" counter is the time per Box-Muller pair, uniform
+// draws, label draws and prototype adds included.
+void BM_DeriveShard(benchmark::State& state) {
+  const auto tier = static_cast<detail::GemmTier>(state.range(0));
+  if (!detail::gemm_tier_supported(tier)) {
+    state.SkipWithError("GEMM tier not supported by this build/CPU");
+    return;
+  }
+  static const FederatedDataset ds =
+      make_synthetic_dataset(openimage_spec(1.0, 42));
+  constexpr int kShards = 256;
+  double pairs = 0.0;
+  for (int i = 0; i < kShards; ++i) {
+    pairs += ds.sizes[static_cast<size_t>(i)] * (ds.spec.feature_dim / 2);
+  }
+  const detail::GemmTier picked = detail::gemm_tier();
+  detail::set_gemm_tier(tier);
+  state.SetLabel(detail::gemm_tier_name(tier));
+  for (auto _ : state) {
+    for (int i = 0; i < kShards; ++i) {
+      benchmark::DoNotOptimize(ds.derive_shard(i).x.data());
+    }
+  }
+  state.counters["pair"] = benchmark::Counter(
+      pairs, benchmark::Counter::kIsIterationInvariantRate |
+                 benchmark::Counter::kInvert);
+  detail::set_gemm_tier(picked);
+}
+BENCHMARK(BM_DeriveShard)->DenseRange(0, 2)->Unit(benchmark::kMillisecond);
 
 void BM_SyncTrackerUnion(benchmark::State& state) {
   // A client stale by `range` rounds under q = 20% masking of a 33k-dim

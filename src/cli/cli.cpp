@@ -561,6 +561,21 @@ SimEngine make_cli_engine(const RunOptions& opt, const SyntheticSpec& spec,
                    make_env(opt.env), train, run);
 }
 
+/// The invited cohort of a sync round: its one training batch.
+int invited_cohort(const RunOptions& opt, int k) {
+  return static_cast<int>(std::ceil(opt.overcommit * k));
+}
+
+/// The summaries' peak_rss_est_mb: the engine's estimate for training
+/// batches of `batch_clients` and, when `residual_rows`, a strategy that
+/// keeps error-feedback residuals.
+double peak_rss_est_mb(const SimEngine& engine, int batch_clients,
+                       bool residual_rows) {
+  return static_cast<double>(
+             engine.memory_estimate_bytes(batch_clients, residual_rows)) /
+         (1024.0 * 1024.0);
+}
+
 // ---- checkpoint / provenance plumbing ----
 
 /// Resolves and validates the run/resume checkpoint flags. All failure
@@ -911,10 +926,10 @@ int execute_run(const ResolvedRun& r, const std::string& header,
                 ckpt::Snapshot* snap, const std::string& snap_path,
                 std::ostream& out) {
   SimEngine engine = make_cli_engine(r.opt, r.spec, r.k, r.topk);
-  const double rss_mb =
-      static_cast<double>(engine.memory_estimate_bytes()) / (1024.0 * 1024.0);
   out << header;
   RunResult res;
+  // A strategy creates its residuals in init, so this is read after the run.
+  bool residual_rows = false;
   try {
     if (r.async) {
       AsyncSimEngine async_engine(engine, r.aopt.engine);
@@ -928,6 +943,7 @@ int execute_run(const ResolvedRun& r, const std::string& header,
         res = async_engine.resume(*strategy, std::move(state),
                                   ckpt::history_result(*snap), hook.get());
       }
+      residual_rows = strategy->residuals() != nullptr;
     } else {
       auto strategy = make_strategy_for(r.strategy, r.k, r.opt.model,
                                         static_cast<int>(r.pop));
@@ -940,6 +956,7 @@ int execute_run(const ResolvedRun& r, const std::string& header,
         res = engine.run_from(*strategy, snap->next_round,
                               ckpt::history_result(*snap), hook.get());
       }
+      residual_rows = strategy->residuals() != nullptr;
     }
   } catch (const ckpt::SimulatedCrash& crash) {
     // Drop the recorder's uncommitted rounds: the log must end at the
@@ -958,7 +975,10 @@ int execute_run(const ResolvedRun& r, const std::string& header,
 
   events::finalize();
   telemetry::finalize();
-  emit_run_report(r, rss_mb, res, out);
+  // The async engine's first fill trains every slot in one batch.
+  const int batch =
+      r.async ? r.aopt.engine.concurrency : invited_cohort(r.opt, r.k);
+  emit_run_report(r, peak_rss_est_mb(engine, batch, residual_rows), res, out);
   return 0;
 }
 
@@ -1360,8 +1380,8 @@ int cmd_sweep_async(Flags& flags, const RunOptions& opt, bool dry_run,
       << ", " << opt.rounds << " aggregations, " << arms << " arms)\n\n";
 
   SimEngine engine = make_cli_engine(opt, spec, k, topk);
-  const double rss_mb =
-      static_cast<double>(engine.memory_estimate_bytes()) / (1024.0 * 1024.0);
+  // Every arm is FedBuff, which keeps no residuals.
+  const double rss_mb = peak_rss_est_mb(engine, conc, /*residual_rows=*/false);
   std::vector<SweepArm> grid;
   for (const double b : buffers) {
     for (const double a : alphas) {
@@ -1452,8 +1472,9 @@ int cmd_sweep(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
       << opt.rounds << " rounds, " << arms << " arms)\n\n";
 
   SimEngine engine = make_cli_engine(opt, spec, k, topk);
-  const double rss_mb =
-      static_cast<double>(engine.memory_estimate_bytes()) / (1024.0 * 1024.0);
+  // Every arm is GlueFL, which keeps residuals.
+  const double rss_mb = peak_rss_est_mb(engine, invited_cohort(opt, k),
+                                        /*residual_rows=*/true);
   std::vector<SweepArm> grid;
   for (const double q : qs) {
     for (const double q_shr : q_shrs) {

@@ -1,8 +1,9 @@
 // Minimal LRU map keyed by a 64-bit id: capacity-bounded, O(1) find and
 // insert. It backs the client directory's profile and availability-chain
-// caches (net/client_directory.h) and the shard cache (data/shard_cache.h);
-// every cached value there is a pure function of its key, so an eviction
-// only costs a re-derivation.
+// caches (net/client_directory.h), the simulator's only caches: client
+// shards are derived per training batch and never cached (DESIGN.md §2).
+// Every cached value is a pure function of its key, so an eviction only
+// costs a re-derivation.
 #pragma once
 
 #include <cstddef>

@@ -17,30 +17,11 @@ uint64_t splitmix64(uint64_t& x) {
   return z ^ (z >> 31);
 }
 
-uint64_t rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
 }  // namespace
 
 Rng::Rng(uint64_t seed) {
   uint64_t sm = seed;
   for (auto& s : s_) s = splitmix64(sm);
-}
-
-uint64_t Rng::next_u64() {
-  const uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
-double Rng::uniform() {
-  // 53 high bits -> double in [0, 1).
-  return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
 }
 
 double Rng::uniform(double lo, double hi) { return lo + (hi - lo) * uniform(); }
@@ -65,10 +46,14 @@ double Rng::normal() {
   double u1 = uniform();
   while (u1 <= 0.0) u1 = uniform();
   const double u2 = uniform();
+  has_cached_normal_ = true;
+  return box_muller(u1, u2, &cached_normal_);
+}
+
+double Rng::box_muller(double u1, double u2, double* sin_half) {
   const double r = std::sqrt(-2.0 * std::log(u1));
   const double theta = 2.0 * M_PI * u2;
-  cached_normal_ = r * std::sin(theta);
-  has_cached_normal_ = true;
+  *sin_half = r * std::sin(theta);
   return r * std::cos(theta);
 }
 

@@ -23,10 +23,23 @@ class Rng {
   explicit Rng(uint64_t seed);
 
   /// Raw 64 random bits.
-  uint64_t next_u64();
+  uint64_t next_u64() {
+    const uint64_t result = rotl(s_[1] * 5, 7) * 9;
+    const uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = rotl(s_[3], 45);
+    return result;
+  }
 
-  /// Uniform double in [0, 1).
-  double uniform();
+  /// Uniform double in [0, 1): the 53 high bits. Inline with next_u64:
+  /// shard derivation draws two per Box-Muller pair.
+  double uniform() {
+    return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform double in [lo, hi).
   double uniform(double lo, double hi);
@@ -36,6 +49,16 @@ class Rng {
 
   /// Standard normal via Box-Muller (pairs are cached).
   double normal();
+
+  /// True when the next normal() returns the cached half of its last pair
+  /// and draws nothing.
+  bool has_cached_normal() const { return has_cached_normal_; }
+
+  /// The Box-Muller transform behind normal(): r cos θ, with r sin θ in
+  /// *sin_half, for r = sqrt(-2 log u1) and θ = 2π u2. Every caller shares
+  /// these libm calls, so a batched derivation that recomputes a value
+  /// here gets normal()'s bits.
+  static double box_muller(double u1, double u2, double* sin_half);
 
   /// Normal with the given mean / standard deviation.
   double normal(double mean, double sd);
@@ -84,6 +107,10 @@ class Rng {
   void set_state(const State& st);
 
  private:
+  static uint64_t rotl(uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   uint64_t s_[4];
   bool has_cached_normal_ = false;
   double cached_normal_ = 0.0;

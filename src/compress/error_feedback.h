@@ -71,6 +71,10 @@ class ErrorFeedback {
  public:
   enum class Mode { kNone, kRaw, kRescaled };
 
+  /// Resident bytes of a stored row beside its dim floats: the map node,
+  /// the shared h's control block and its allocator headers.
+  static constexpr size_t kRowOverheadBytes = 128;
+
   ErrorFeedback(Mode mode, size_t dim);
 
   Mode mode() const { return mode_; }

@@ -1,10 +1,14 @@
 #include "data/federated_dataset.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "common/check.h"
 #include "common/rng.h"
+#include "data/box_muller.h"
+#include "telemetry/telemetry.h"
+#include "tensor/ops.h"
 
 namespace gluefl {
 
@@ -19,16 +23,105 @@ int draw_size(const SyntheticSpec& spec, Rng& cr) {
                     spec.max_samples);
 }
 
-// One sample of class `label`: its prototype plus scaled Gaussian noise.
-void draw_sample(const FederatedDataset& ds, Rng& r, int label, float* out) {
-  const int dim = ds.spec.feature_dim;
-  const float* pc = ds.protos.data() + static_cast<size_t>(label) * dim;
-  for (int j = 0; j < dim; ++j) {
-    out[j] = pc[j] + static_cast<float>(r.normal(0.0, ds.spec.noise_sd)) *
-                         ds.fscale[static_cast<size_t>(j)];
-  }
+// A sample's feature_dim / 2 pairs, padded to the widest tier's 8 lanes.
+size_t padded_pairs(int feature_dim) {
+  return (static_cast<size_t>(feature_dim / 2) + 7) / 8 * 8;
 }
+
+// Draws the samples of one stream: each is its class prototype plus
+// scaled Gaussian noise, float(0.0 + noise_sd * z) for the stream's next
+// feature_dim normals. The tier computes a sample's normals in one batch
+// from the same uniforms, drawn in stream order, that Rng::normal would
+// draw; the floats match Rng::normal's (box_muller.h). An odd
+// feature_dim, or a CPU without AVX2, takes Rng::normal one at a time.
+class SampleDrawer {
+ public:
+  explicit SampleDrawer(const FederatedDataset& ds)
+      : ds_(ds),
+        fn_(ds.spec.feature_dim % 2 == 0 ? detail::box_muller_tier()
+                                         : nullptr),
+        padded_(padded_pairs(ds.spec.feature_dim)),
+        u1_(padded_, 0.5),
+        u2_(padded_, 0.5),
+        z_(2 * padded_),
+        noise_(2 * padded_ + 1) {}
+
+  // One sample of class `label` into out[0, feature_dim); returns how
+  // many of its normals the rounding test sent to the scalar path.
+  size_t draw(Rng& r, int label, float* out) {
+    const int dim = ds_.spec.feature_dim;
+    const double sd = ds_.spec.noise_sd;
+    float* noise = noise_.data();
+    size_t fallbacks = 0;
+    if (fn_ == nullptr) {
+      for (int j = 0; j < dim; ++j) {
+        noise[j] = static_cast<float>(r.normal(0.0, sd));
+      }
+    } else {
+      // A pending cached half is the sample's first normal. The sample then
+      // ends with the first half of a pair, so Rng::normal draws that pair
+      // and caches its second half for the next sample, exactly.
+      const int carried = r.has_cached_normal() ? 1 : 0;
+      if (carried != 0) noise[0] = static_cast<float>(r.normal(0.0, sd));
+      const size_t pairs = static_cast<size_t>(dim / 2 - carried);
+      for (size_t k = 0; k < pairs; ++k) {
+        double u1 = r.uniform();
+        while (u1 <= 0.0) u1 = r.uniform();
+        u1_[k] = u1;
+        u2_[k] = r.uniform();
+      }
+      // Lanes past `pairs` hold 0.5 or uniforms of an earlier sample:
+      // valid inputs whose outputs nothing reads.
+      float* batch = noise + carried;
+      if (fn_(u1_.data(), u2_.data(), padded_, sd, z_.data(), batch)) {
+        for (size_t j = 0; j < 2 * pairs; ++j) {
+          if (float_cast_safe(std::bit_cast<int64_t>(0.0 + sd * z_[j]))) {
+            continue;
+          }
+          double sin_half;
+          const double cos_half =
+              Rng::box_muller(u1_[j / 2], u2_[j / 2], &sin_half);
+          batch[j] =
+              static_cast<float>(0.0 + sd * (j % 2 == 0 ? cos_half : sin_half));
+          ++fallbacks;
+        }
+      }
+      if (carried != 0) {
+        noise[dim - 1] = static_cast<float>(r.normal(0.0, sd));
+      }
+    }
+    const float* pc = ds_.protos.data() + static_cast<size_t>(label) * dim;
+    const float* fscale = ds_.fscale.data();
+    for (int j = 0; j < dim; ++j) out[j] = pc[j] + noise[j] * fscale[j];
+    return fallbacks;
+  }
+
+ private:
+  const FederatedDataset& ds_;
+  const detail::BoxMullerFn fn_;
+  const size_t padded_;
+  std::vector<double> u1_, u2_, z_;
+  std::vector<float> noise_;
+};
 }  // namespace
+
+namespace detail {
+
+BoxMullerFn box_muller_tier() {
+#if defined(GLUEFL_DATA_SIMD)
+  switch (gemm_tier()) {
+    case GemmTier::kAvx2:
+      return &box_muller_avx2;
+    case GemmTier::kAvx512:
+      return &box_muller_avx512;
+    case GemmTier::kLanes4:
+      break;
+  }
+#endif
+  return nullptr;
+}
+
+}  // namespace detail
 
 ClientShard FederatedDataset::derive_shard(int i) const {
   GLUEFL_CHECK(i >= 0 && i < num_clients());
@@ -46,18 +139,22 @@ ClientShard FederatedDataset::derive_shard(int i) const {
   }
   shard.x.resize(static_cast<size_t>(shard.n) * spec.feature_dim);
   shard.y.resize(static_cast<size_t>(shard.n));
+  SampleDrawer drawer(*this);
+  size_t fallbacks = 0;
   for (int s = 0; s < shard.n; ++s) {
     const double u = cr.uniform() * acc;
     int label = static_cast<int>(
         std::lower_bound(cum.begin(), cum.end(), u) - cum.begin());
     label = std::min(label, spec.num_classes - 1);
-    draw_sample(*this, cr, label,
-                shard.x.data() + static_cast<size_t>(s) * spec.feature_dim);
+    fallbacks += drawer.draw(
+        cr, label, shard.x.data() + static_cast<size_t>(s) * spec.feature_dim);
     if (spec.label_noise > 0.0 && cr.bernoulli(spec.label_noise)) {
       label = cr.uniform_int(0, spec.num_classes - 1);
     }
     shard.y[static_cast<size_t>(s)] = label;
   }
+  telemetry::count(telemetry::kDataShardDerived);
+  telemetry::count(telemetry::kDataShardFallbacks, fallbacks);
   return shard;
 }
 
@@ -147,9 +244,10 @@ FederatedDataset make_synthetic_dataset(const SyntheticSpec& spec) {
     Rng tr = ds.rng.fork(0x7E57);
     ds.test_x.resize(static_cast<size_t>(spec.test_samples) * spec.feature_dim);
     ds.test_y.resize(static_cast<size_t>(spec.test_samples));
+    SampleDrawer drawer(ds);
     for (int s = 0; s < spec.test_samples; ++s) {
       const int label = s % spec.num_classes;
-      draw_sample(ds, tr, label,
+      drawer.draw(tr, label,
                   ds.test_x.data() + static_cast<size_t>(s) * spec.feature_dim);
       ds.test_y[static_cast<size_t>(s)] = label;
     }

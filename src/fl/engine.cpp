@@ -8,6 +8,7 @@
 
 #include "common/check.h"
 #include "compress/encoding.h"
+#include "compress/error_feedback.h"
 #include "net/bandwidth.h"
 #include "nn/optimizer.h"
 #include "telemetry/events.h"
@@ -140,7 +141,8 @@ double SimEngine::client_weight(int client) const {
   return dataset_.p[shard] * ratio;
 }
 
-size_t SimEngine::memory_estimate_bytes() const {
+size_t SimEngine::memory_estimate_bytes(int batch_clients,
+                                        bool residual_rows) const {
   const size_t f = sizeof(float);
   // Global model + one worker replica (each Worker clones params/stats/
   // grads). Counted thread-invariantly: the estimate rides the JSON
@@ -154,17 +156,19 @@ size_t SimEngine::memory_estimate_bytes() const {
       population_, static_cast<int64_t>(invited_per_round) *
                        static_cast<int64_t>(run_cfg_.rounds));
   bytes += static_cast<size_t>(participants) * 48;
-  // The test split, plus the shards resident at once at the mean shard
-  // size: no more than the cache holds, the dataset has, or the clients
-  // ever invited touch.
+  // The test split, plus one training batch of shards at the mean shard
+  // size: a batch derives its shards and frees them after training.
   bytes += (dataset_.test_x.size() + dataset_.test_y.size()) * f;
-  const size_t num_shards = static_cast<size_t>(dataset_.num_clients());
-  const size_t resident =
-      std::min({ShardCache::kDefaultCapacity, num_shards,
-                static_cast<size_t>(participants)});
   const size_t sample_bytes =
       static_cast<size_t>(dataset_.spec.feature_dim) * f + sizeof(int);
-  bytes += dataset_.total_samples * sample_bytes * resident / num_shards;
+  bytes += dataset_.total_samples * sample_bytes *
+           static_cast<size_t>(batch_clients) /
+           static_cast<size_t>(dataset_.num_clients());
+  // Error-feedback residuals: a row for every client that may train.
+  if (residual_rows) {
+    bytes += static_cast<size_t>(participants) *
+             (dim_ * f + ErrorFeedback::kRowOverheadBytes);
+  }
   // Per-client directory state: the full profile and chain caches.
   bytes += ClientDirectory::max_resident_bytes(population_);
   return bytes;
@@ -559,17 +563,16 @@ void SimEngine::train_one(Worker& w, const ClientShard& shard, double lr,
 std::vector<LocalResult> SimEngine::train_batch(
     const std::vector<int>& clients, double lr,
     const std::function<Rng(size_t)>& rng_at) {
-  // Resolve every shard on the coordinator before any worker starts, so
-  // the cache never sees a thread and the batch's shared_ptrs keep each
-  // shard alive even if a later lookup in this batch evicts it. Virtual
-  // ids beyond the dataset's client count reuse shards modulo the shard
-  // count; at the default population this is the identity map.
-  std::vector<std::shared_ptr<const ClientShard>> shards;
+  // Derive every shard on the coordinator before any worker starts; the
+  // batch frees them when training ends. Virtual ids beyond the dataset's
+  // client count reuse shards modulo the shard count; at the default
+  // population this is the identity map.
+  std::vector<ClientShard> shards;
   {
     telemetry::Span span("data.derive");
     shards.reserve(clients.size());
     for (const int c : clients) {
-      shards.push_back(shards_.get(dataset_, c % dataset_.num_clients()));
+      shards.push_back(dataset_.derive_shard(c % dataset_.num_clients()));
     }
   }
   telemetry::Span span("local_train");  // whole cohort, worker pool inside
@@ -578,7 +581,7 @@ std::vector<LocalResult> SimEngine::train_batch(
       std::min<int>(num_threads_, static_cast<int>(clients.size()));
   if (nthreads <= 1) {
     for (size_t i = 0; i < clients.size(); ++i) {
-      train_one(*workers_[0], *shards[i], lr, rng_at(i), results[i]);
+      train_one(*workers_[0], shards[i], lr, rng_at(i), results[i]);
     }
     return results;
   }
@@ -589,7 +592,7 @@ std::vector<LocalResult> SimEngine::train_batch(
                           &results]() {
       for (size_t i = static_cast<size_t>(t); i < shards.size();
            i += static_cast<size_t>(nthreads)) {
-        train_one(*workers_[static_cast<size_t>(t)], *shards[i], lr,
+        train_one(*workers_[static_cast<size_t>(t)], shards[i], lr,
                   rng_at(i), results[i]);
       }
     });

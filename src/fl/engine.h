@@ -24,7 +24,6 @@
 #include "agg/topology.h"
 #include "common/rng.h"
 #include "data/federated_dataset.h"
-#include "data/shard_cache.h"
 #include "fl/metrics.h"
 #include "fl/run_hook.h"
 #include "fl/sim_config.h"
@@ -114,11 +113,13 @@ class SimEngine {
   double client_weight(int client) const;
 
   /// Deterministic, config-derived estimate of the engine's peak resident
-  /// bytes (model replicas, test set, cached shards, per-client directory
-  /// state, sync tracker). Identical for a run and its resume by
-  /// construction, so it can ride the JSON report without breaking
-  /// byte-identity.
-  size_t memory_estimate_bytes() const;
+  /// bytes: model replicas, the test set, one training batch of
+  /// `batch_clients` shards at the mean shard size, the per-client
+  /// directory state, the sync tracker and, when `residual_rows` (the
+  /// strategy keeps error-feedback residuals), one row per client it can
+  /// train. Identical for a run and its resume by construction, so it can
+  /// ride the JSON report without breaking byte-identity.
+  size_t memory_estimate_bytes(int batch_clients, bool residual_rows) const;
 
   SyncTracker& sync() { return *sync_; }
   const SyncTracker& sync() const { return *sync_; }
@@ -226,7 +227,6 @@ class SimEngine {
       const std::function<Rng(size_t)>& rng_at);
 
   FederatedDataset dataset_;
-  ShardCache shards_;  // coordinator-only, like the directory
   ModelProxy proxy_;
   NetworkEnv env_;
   TrainConfig train_cfg_;

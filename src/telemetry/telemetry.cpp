@@ -52,12 +52,11 @@ constexpr MetricDef kDefs[] = {
      "ClientDirectory availability-chain LRU cache misses"},
     {"dir.chain.evictions", MetricKind::kCounter, MetricClass::kProcess,
      "ClientDirectory availability-chain LRU evictions"},
-    {"data.shard.hits", MetricKind::kCounter, MetricClass::kProcess,
-     "ShardCache hits (client shard already derived)"},
-    {"data.shard.misses", MetricKind::kCounter, MetricClass::kProcess,
-     "ShardCache misses (client shard derived from its stream)"},
-    {"data.shard.evictions", MetricKind::kCounter, MetricClass::kProcess,
-     "ShardCache LRU evictions (re-derivation only)"},
+    {"data.shard.derived", MetricKind::kCounter, MetricClass::kProcess,
+     "client shards derived from their streams (one per trained update)"},
+    {"data.shard.fallbacks", MetricKind::kCounter, MetricClass::kProcess,
+     "derived normals the float rounding test sent to the scalar "
+     "Box-Muller"},
     {"ckpt.saves", MetricKind::kCounter, MetricClass::kProcess,
      "checkpoints written this process"},
     {"ckpt.loads", MetricKind::kCounter, MetricClass::kProcess,

@@ -65,9 +65,8 @@ enum MetricId : int {
   kDirChainHits,
   kDirChainMisses,
   kDirChainEvictions,
-  kDataShardHits,
-  kDataShardMisses,
-  kDataShardEvictions,
+  kDataShardDerived,
+  kDataShardFallbacks,
   kCkptSaves,
   kCkptLoads,
   kCkptWrittenBytes,

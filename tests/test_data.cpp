@@ -1,8 +1,11 @@
 #include "data/federated_dataset.h"
 
 #include <algorithm>
+#include <bit>
+#include <cfloat>
 #include <cmath>
 #include <cstdint>
+#include <iostream>
 #include <memory>
 #include <set>
 #include <vector>
@@ -10,8 +13,10 @@
 #include <gtest/gtest.h>
 
 #include "common/lru_cache.h"
+#include "data/box_muller.h"
 #include "data/presets.h"
-#include "data/shard_cache.h"
+#include "derive_checks.h"
+#include "gemm_tier_test.h"
 #include "test_util.h"
 
 namespace gluefl {
@@ -171,7 +176,7 @@ TEST(Data, LabelNoiseFlipsSomeLabels) {
 // before round 0, so on-demand derivation must replay each client's stream
 // exactly. The bits rest on libm log/sincos (Box-Muller) and on float
 // multiply-adds that -ffp-contract=off keeps unfused.
-TEST(Data, ShardBytesMatchPinnedHashes) {
+void check_pinned_shard_hashes() {
   struct Pin {
     SyntheticSpec spec;
     size_t total_samples;
@@ -204,6 +209,124 @@ TEST(Data, ShardBytesMatchPinnedHashes) {
   }
 }
 
+TEST(Data, ShardBytesMatchPinnedHashes) { check_pinned_shard_hashes(); }
+
+// ------------------------------------------- batched Box-Muller (DESIGN §2)
+
+int64_t bits_of(double v) { return std::bit_cast<int64_t>(v); }
+double from_bits(int64_t b) { return std::bit_cast<double>(b); }
+
+// float_cast_safe at the baseline ISA, as a scalar and as a two-lane
+// vector, which must agree lane for lane.
+bool cast_safe(double v) {
+  typedef int64_t I2 __attribute__((vector_size(16)));
+  const bool scalar = float_cast_safe(bits_of(v)) != 0;
+  const I2 lanes = float_cast_safe(I2{bits_of(v), bits_of(-v)});
+  EXPECT_EQ(lanes[0] != 0, scalar) << v;
+  EXPECT_EQ(lanes[1] != 0, scalar) << -v;
+  return scalar;
+}
+
+// What the rounding test promises for a safe v: every double within the
+// margin, on either side, casts to float(v).
+void expect_neighbours_cast_alike(double v) {
+  const int64_t m = detail::kCastMarginUlps;
+  for (int64_t d = -m; d <= m; ++d) {
+    const double w = from_bits(bits_of(v) + d);
+    EXPECT_EQ(std::bit_cast<uint32_t>(static_cast<float>(w)),
+              std::bit_cast<uint32_t>(static_cast<float>(v)))
+        << v << " moved by " << d << " ULPs";
+  }
+}
+
+TEST(DeriveRoundingTest, HardCases) {
+  const int64_t m = detail::kCastMarginUlps;
+  for (const double sign : {1.0, -1.0}) {
+    // A float rounding midpoint: 1 + 2^-24, halfway between 1 and the
+    // next float. Within the margin the cast may go either way.
+    const double mid = sign * (1.0 + 0x1.0p-24);
+    EXPECT_EQ(bits_of(mid) & 0x1fffffff, 0x10000000);
+    for (const int64_t d : {int64_t{0}, int64_t{1}, int64_t{-1}, m, -m}) {
+      EXPECT_FALSE(cast_safe(from_bits(bits_of(mid) + d))) << d;
+    }
+    // One ULP further, the float is that of every neighbour in reach.
+    for (const int64_t d : {m + 1, -(m + 1)}) {
+      const double v = from_bits(bits_of(mid) + d);
+      EXPECT_TRUE(cast_safe(v)) << d;
+      expect_neighbours_cast_alike(v);
+    }
+    // Both sides of a power of two, where the double ULP halves.
+    for (const double v : {sign * 2.0, std::nextafter(sign * 2.0, 0.0),
+                           std::nextafter(sign * 2.0, sign * 4.0)}) {
+      EXPECT_TRUE(cast_safe(v)) << v;
+      expect_neighbours_cast_alike(v);
+    }
+    // The bottom of the float normal range: FLT_MIN is safe, the double
+    // just below it is a float subnormal's and goes to the scalar path.
+    EXPECT_TRUE(cast_safe(sign * FLT_MIN));
+    expect_neighbours_cast_alike(sign * FLT_MIN);
+    EXPECT_FALSE(cast_safe(std::nextafter(sign * double{FLT_MIN}, 0.0)));
+    // The top: FLT_MAX is safe, the midpoint above it is not, values past
+    // it overflow alike, and 2^128 is out of range.
+    EXPECT_TRUE(cast_safe(sign * double{FLT_MAX}));
+    expect_neighbours_cast_alike(sign * double{FLT_MAX});
+    const double top_mid = sign * (0x1.0p128 - 0x1.0p103);
+    EXPECT_FALSE(cast_safe(top_mid));
+    const double past = from_bits(bits_of(top_mid) + m + 1);
+    EXPECT_TRUE(cast_safe(past));
+    EXPECT_TRUE(std::isinf(static_cast<float>(past)));
+    expect_neighbours_cast_alike(past);
+    EXPECT_FALSE(cast_safe(sign * 0x1.0p128));
+    EXPECT_FALSE(cast_safe(sign * INFINITY));
+  }
+  // Both zeros fail, and Rng::normal's 0.0 + sd * z turns -0.0 into +0.0.
+  EXPECT_FALSE(cast_safe(0.0));
+  EXPECT_FALSE(cast_safe(-0.0));
+  const double v = 0.0 + 1.0 * -0.0;
+  EXPECT_EQ(bits_of(v), 0);
+  EXPECT_FALSE(cast_safe(std::nan("")));
+}
+
+// Runs each test under every GEMM tier; the derivation follows the tier.
+class DeriveTiers : public testing::GemmTierTest {};
+
+// Every shard and the test set of the three presets, at a scale that still
+// holds shards carrying a cached half, memcmp-equal to the scalar path's.
+// derive_full_check runs the same check at scale 1.
+TEST_P(DeriveTiers, ShardsAndTestSetMatchTheScalarPath) {
+  for (const testing::PresetCheck& c :
+       testing::check_presets_match_scalar(GetParam(), 0.05)) {
+    std::cout << "[ derive   ] " << detail::gemm_tier_name(GetParam()) << " "
+              << c.name << ": " << c.shards << " shards, " << c.carried
+              << " carry a cached half, " << c.fallbacks << " fallbacks\n";
+    EXPECT_EQ(c.mismatched, 0) << c.name;
+    EXPECT_TRUE(c.test_set_equal) << c.name;
+    EXPECT_GT(c.carried, 0) << c.name;
+    EXPECT_LT(c.carried, c.shards) << c.name;
+  }
+}
+
+TEST_P(DeriveTiers, ShardBytesMatchPinnedHashes) {
+  check_pinned_shard_hashes();
+}
+
+// The tier's z against glibc's scalar z, at the hard inputs and 2^21
+// random pairs (derive_full_check runs 10^8). The floats stay exact while
+// the error stays below the rounding test's margin; half of it is asserted.
+TEST_P(DeriveTiers, BoxMullerStaysWithinTheMargin) {
+  if (detail::box_muller_tier() == nullptr) {
+    GTEST_SKIP() << "the scalar path is the reference";
+  }
+  const testing::BoundCheck b = testing::measure_error_bound(size_t{1} << 21);
+  std::cout << "[ bound    ] " << detail::gemm_tier_name(GetParam()) << ": "
+            << b.pairs << " pairs, max " << b.max_ulps
+            << " ULPs against a margin of " << detail::kCastMarginUlps << "\n";
+  EXPECT_LT(b.max_ulps, detail::kCastMarginUlps / 2);
+}
+
+INSTANTIATE_TEST_SUITE_P(Tiers, DeriveTiers, testing::all_gemm_tiers(),
+                         testing::gemm_tier_param_name);
+
 TEST(DataPresets, MatchPaperPopulations) {
   EXPECT_EQ(femnist_spec().num_clients, 2800);
   EXPECT_EQ(femnist_spec().num_classes, 62);
@@ -235,29 +358,6 @@ TEST(DataPresets, MinSamplesRespectsFedScaleCutoff) {
   for (int i = 0; i < ds.num_clients(); ++i) {
     EXPECT_GE(ds.derive_shard(i).n, 22);
   }
-}
-
-TEST(ShardCache, EvictionRederivesTheSameBytesAndHeldShardsOutliveIt) {
-  const auto ds = make_synthetic_dataset(small_spec());
-  ShardCache cache(/*capacity=*/2);
-  const std::shared_ptr<const ClientShard> held = cache.get(ds, 0);
-  ASSERT_NE(held, nullptr);
-  const ClientShard want = ds.derive_shard(0);
-  EXPECT_EQ(cache.get(ds, 0), held);  // a hit returns the cached shard
-  (void)cache.get(ds, 1);
-  (void)cache.get(ds, 2);  // evicts shard 0
-  EXPECT_EQ(cache.size(), 2u);
-  // The caller's pointer outlives the eviction with its bytes intact...
-  EXPECT_EQ(held->n, want.n);
-  EXPECT_EQ(held->x, want.x);
-  EXPECT_EQ(held->y, want.y);
-  // ...and shard 0 comes back, re-derived, with the same bytes.
-  const std::shared_ptr<const ClientShard> again = cache.get(ds, 0);
-  EXPECT_NE(again, held);
-  EXPECT_EQ(again->n, want.n);
-  EXPECT_EQ(again->x, want.x);
-  EXPECT_EQ(again->y, want.y);
-  EXPECT_EQ(cache.size(), 2u);
 }
 
 TEST(LruCache, EvictsTheLeastRecentlyUsedEntry) {

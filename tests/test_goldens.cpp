@@ -104,7 +104,7 @@ const std::vector<Row>& rows() {
       {.name = "gluefl",
        .flags = {"--strategy", "gluefl"},
        .tiers = true,
-       .pins = {{"summary", 0xf442431f92dea546ull},
+       .pins = {{"summary", 0xa018e7b24fcabd7full},
                 {"events", 0xef60c59547988603ull},
                 {"ckpt-00000001.gfc", 0x906644ecdfea6cf5ull},
                 {"ckpt-00000002.gfc", 0x01a885f3b1caa9e5ull},
@@ -112,39 +112,39 @@ const std::vector<Row>& rows() {
       {.name = "fedavg",
        .flags = {"--strategy", "fedavg"},
        .tiers = true,
-       .pins = {{"summary", 0xd8535c2451cf6d63ull},
+       .pins = {{"summary", 0x43df042b871d87bfull},
                 {"events", 0x7753abcf7a697042ull},
                 {"ckpt-00000001.gfc", 0xaa049a9b3b87a29cull},
                 {"ckpt-00000002.gfc", 0x8da9d62fba8f8fceull}}},
       {.name = "stc",
        .flags = {"--strategy", "stc"},
-       .pins = {{"summary", 0x4fc068fcdf0810a5ull},
+       .pins = {{"summary", 0x80cd3c9335adf1deull},
                 {"events", 0x1a23ab084876db65ull},
                 {"ckpt-00000001.gfc", 0x7f392a9462e1ef63ull},
                 {"ckpt-00000002.gfc", 0x4c0cc4bd4cdaab1aull},
                 {"residuals.gfj", 0x693c2530a7052829ull}}},
       {.name = "apf",
        .flags = {"--strategy", "apf"},
-       .pins = {{"summary", 0xdc109394252921bfull},
+       .pins = {{"summary", 0x5cb9025f34fa654full},
                 {"events", 0x64cc7fa67b70ed84ull},
                 {"ckpt-00000001.gfc", 0x72a3021c2d80a39aull},
                 {"ckpt-00000002.gfc", 0x95402e39e2deb12full}}},
       {.name = "async",
        .flags = {"--exec", "async"},
-       .pins = {{"summary", 0x0fa693550479c394ull},
+       .pins = {{"summary", 0xb9f96628e326af7bull},
                 {"events", 0x0585e3e99baf1a7eull},
                 {"ckpt-00000001.gfc", 0xa36346e3ec17eee2ull},
                 {"ckpt-00000002.gfc", 0x87eb21cc76c80a80ull}}},
       {.name = "hostile",
        .flags = {"--strategy", "gluefl", "--scenario", "hostile"},
-       .pins = {{"summary", 0xbc476d6bd53a2479ull},
+       .pins = {{"summary", 0xe3cf37479bf2a5b8ull},
                 {"events", 0x5272d349e6f5e52aull},
                 {"ckpt-00000001.gfc", 0x81eefb4ef4b39e93ull},
                 {"ckpt-00000002.gfc", 0x050fd6494b1231aaull},
                 {"residuals.gfj", 0x7fb8feec0eda76f5ull}}},
       {.name = "hier",
        .flags = {"--strategy", "gluefl", "--topology", "hier:3"},
-       .pins = {{"summary", 0xdd1bc0cdacc50eecull},
+       .pins = {{"summary", 0x88d8b7da2e3b6dedull},
                 {"events", 0x8ac0ccb16ab3cddbull},
                 {"ckpt-00000001.gfc", 0x4902317940705b49ull},
                 {"ckpt-00000002.gfc", 0xee7a32b57eb4b828ull},
@@ -155,7 +155,7 @@ const std::vector<Row>& rows() {
       {.name = "virtual",
        .flags = {"--strategy", "gluefl", "--population", "100000"},
        .crash = true,
-       .pins = {{"summary", 0xc823c827297ff3fcull},
+       .pins = {{"summary", 0x4af6895e97a0b2fbull},
                 {"events", 0x63c483dda72e7fbfull},
                 {"events-resume", 0x66de4b19ed48b5efull},
                 {"ckpt-00000001.gfc", 0x0f995de3856e3dd0ull},
@@ -166,7 +166,7 @@ const std::vector<Row>& rows() {
        .flags = {"--exec", "async", "--population", "100000",
                  "--async-conc", "24", "--async-buffer", "6"},
        .crash = true,
-       .pins = {{"summary", 0x2b53bdd23f08bcb3ull},
+       .pins = {{"summary", 0x1fc285ba7750288dull},
                 {"events", 0xbd0c5520c820eec3ull},
                 {"events-resume", 0x00bd57204f9195aeull},
                 {"ckpt-00000001.gfc", 0xc2bfc6d70218e05aull},
@@ -175,7 +175,7 @@ const std::vector<Row>& rows() {
       {.name = "crash_sync",
        .flags = {"--strategy", "gluefl"},
        .crash = true,
-       .pins = {{"summary", 0xeaa04624bd223e88ull},
+       .pins = {{"summary", 0x429b60d7149e1034ull},
                 {"events", 0x6d57af7ab6035930ull},
                 {"events-resume", 0x27b62533510253e7ull},
                 {"ckpt-00000001.gfc", 0xe8de253971c37d62ull},
@@ -185,7 +185,7 @@ const std::vector<Row>& rows() {
       {.name = "crash_async",
        .flags = {"--exec", "async"},
        .crash = true,
-       .pins = {{"summary", 0xe37c66afae4536b4ull},
+       .pins = {{"summary", 0x47e38c8ee4514f98ull},
                 {"events", 0xdbea0b197e81ea3bull},
                 {"events-resume", 0xadf2f324311a001dull},
                 {"ckpt-00000001.gfc", 0xdd1d21794ac26318ull},
@@ -199,7 +199,7 @@ const std::vector<Row>& rows() {
                  "--population", "700", "--scenario", "diurnal",
                  "--eval-every", "2", "--seed", "11"},
        .crash = true,
-       .pins = {{"summary", 0x873904fb0cd5dedfull},
+       .pins = {{"summary", 0xb2341d14dd4fe474ull},
                 {"events", 0x0556c54a5bb35e7bull},
                 {"events-resume", 0xbef2384e5ecb28c5ull},
                 {"ckpt-00000001.gfc", 0x7d48a1829c8e86fcull},
@@ -213,7 +213,7 @@ const std::vector<Row>& rows() {
                  "--max-staleness", "3", "--population", "600",
                  "--eval-every", "2", "--seed", "7"},
        .crash = true,
-       .pins = {{"summary", 0x348c3689bac4265aull},
+       .pins = {{"summary", 0x0d7ed79bdfd10a8dull},
                 {"events", 0x1c59c232620112dcull},
                 {"events-resume", 0xfb674d5b2a77c7d1ull},
                 {"ckpt-00000001.gfc", 0x64f294d9d7e3a761ull},

@@ -194,8 +194,10 @@ TEST(TelemetryDirectory, ChainCountersSplitHitsMissesEvictions) {
   EXPECT_GT(telemetry::value(telemetry::kDirChainHits), 0u);
 }
 
-// ------------------------------------------------------ ShardCache counters
+// ------------------------------------------------------ shard counters
 
+// Every trained update derives its client's shard: nothing is cached, so
+// re-invited clients derive again.
 TEST(TelemetryShards, MissesCountDistinctShardsAndLookupsCountUpdates) {
   ScratchDir dir("telemetry_shards");
   const std::string jsonl = (dir.path / "metrics.jsonl").string();
@@ -213,16 +215,15 @@ TEST(TelemetryShards, MissesCountDistinctShardsAndLookupsCountUpdates) {
     distinct.insert(e.client);
     ++updates;
   }
+  EXPECT_LT(distinct.size(), updates);  // some clients were re-invited
   std::ifstream f(jsonl);
   std::string line, last;
   while (std::getline(f, line)) last = line;
   const json::Value counters = json::parse(last).at("counters");
-  const double hits = counters.at("data.shard.hits").number;
-  const double misses = counters.at("data.shard.misses").number;
-  EXPECT_EQ(misses, static_cast<double>(distinct.size()));
-  EXPECT_EQ(hits + misses, static_cast<double>(updates));
-  EXPECT_GT(hits, 0.0);  // re-invited clients find their shard cached
-  EXPECT_EQ(counters.at("data.shard.evictions").number, 0.0);
+  EXPECT_EQ(counters.at("data.shard.derived").number,
+            static_cast<double>(updates));
+  EXPECT_TRUE(counters.at("data.shard.fallbacks").is_number());
+  EXPECT_EQ(counters.find("data.shard.hits"), nullptr);
 }
 
 // ------------------------------------------------------ checkpoint format v3
