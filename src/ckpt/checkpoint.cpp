@@ -531,7 +531,8 @@ AsyncRunState restore_async_run(const Snapshot& snap, SimEngine& engine,
   restore_strategy_and_engine(snap, engine, strategy);
   AsyncRunState state;
   Reader ar(snap.async_state.data(), snap.async_state.size());
-  state.restore_state(ar, engine.num_clients());
+  state.restore_state(ar, engine.num_clients(), engine.dim(),
+                      engine.stat_dim());
   ar.expect_end("async-state");
   if (state.version != snap.next_round) {
     fail("checkpoint async version does not match its round boundary");

@@ -10,9 +10,10 @@
 //     freeze schedule, ...) and its error-feedback residual rows,
 //   * the metrics history (every RoundRecord produced so far, so the
 //     resumed run's report/JSON equals the uninterrupted run's),
-//   * on the async path, the full event-loop state (in-flight updates
-//     with their trained deltas / wire frames, the dispatch RNG, the
-//     simulated clock),
+//   * on the async path, the full event-loop state (the in-flight
+//     dispatches, the table of model versions they train from, the
+//     dispatch RNG, the simulated clock); nothing is trained before its
+//     aggregation, so no delta or frame is in flight,
 //   * free-form meta key/value pairs — the CLI stores its resolved
 //     options plus build provenance here so `gluefl resume <ckpt>` can
 //     reconstruct the exact engine and warn on binary mismatch.
@@ -21,7 +22,7 @@
 // journal. The head `ckpt-<B>.gfc` holds everything but the residual rows
 // (little-endian; Writer/Reader conventions from ckpt/io.h):
 //
-//   File    := magic u32 ("GFCK") | format u8 (=7) | reserved u8 (=0)
+//   File    := magic u32 ("GFCK") | format u8 (=9) | reserved u8 (=0)
 //              | crc32 u32 (of payload) | payload_len u64 | payload
 //   payload := meta | core | sync blob | history | strategy | async
 //              | telemetry | journal
@@ -97,7 +98,10 @@ inline constexpr uint32_t kMagic = 0x4B434647;  // "GFCK"
 /// Format 7: the telemetry section lost the six per-kernel wire value
 /// counters, and the meta no longer carries "agg"/"agg_shards".
 /// Format 8: the meta no longer carries "population_mode".
-inline constexpr uint8_t kFormatVersion = 8;
+/// Format 9: the async section lost the in-flight payloads, their wire
+/// frames and the buffer (empty at every boundary), and gained the table
+/// of model versions the in-flight updates train from.
+inline constexpr uint8_t kFormatVersion = 9;
 inline constexpr size_t kHeaderBytes = 18;
 
 inline constexpr uint32_t kJournalMagic = 0x524A4647;  // "GFJR"

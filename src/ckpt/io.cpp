@@ -273,8 +273,7 @@ std::vector<float> Reader::f32s() {
       static_cast<size_t>(varint_max(left_ / 4, "float-array length"));
   std::vector<float> out(n);
   if constexpr (std::endian::native == std::endian::little) {
-    // An empty array (every async in-flight record: the payload rides the
-    // wire frame) has no buffer; memcpy must not see its null data().
+    // An empty array has no buffer; memcpy must not see its null data().
     const uint8_t* src = bytes(n * 4);
     if (n != 0) std::memcpy(out.data(), src, n * 4);
   } else {

@@ -566,14 +566,9 @@ int invited_cohort(const RunOptions& opt, int k) {
   return static_cast<int>(std::ceil(opt.overcommit * k));
 }
 
-/// The summaries' peak_rss_est_mb: the engine's estimate for training
-/// batches of `batch_clients` and, when `residual_rows`, a strategy that
-/// keeps error-feedback residuals.
-double peak_rss_est_mb(const SimEngine& engine, int batch_clients,
-                       bool residual_rows) {
-  return static_cast<double>(
-             engine.memory_estimate_bytes(batch_clients, residual_rows)) /
-         (1024.0 * 1024.0);
+/// The summaries' peak_rss_est_mb, from an engine's estimate in bytes.
+double peak_rss_est_mb(size_t estimate_bytes) {
+  return static_cast<double>(estimate_bytes) / (1024.0 * 1024.0);
 }
 
 // ---- checkpoint / provenance plumbing ----
@@ -928,8 +923,9 @@ int execute_run(const ResolvedRun& r, const std::string& header,
   SimEngine engine = make_cli_engine(r.opt, r.spec, r.k, r.topk);
   out << header;
   RunResult res;
-  // A strategy creates its residuals in init, so this is read after the run.
-  bool residual_rows = false;
+  // A strategy creates its residuals in init, so the estimate is read after
+  // the run.
+  size_t estimate_bytes = 0;
   try {
     if (r.async) {
       AsyncSimEngine async_engine(engine, r.aopt.engine);
@@ -943,7 +939,8 @@ int execute_run(const ResolvedRun& r, const std::string& header,
         res = async_engine.resume(*strategy, std::move(state),
                                   ckpt::history_result(*snap), hook.get());
       }
-      residual_rows = strategy->residuals() != nullptr;
+      estimate_bytes =
+          async_engine.memory_estimate_bytes(strategy->residuals() != nullptr);
     } else {
       auto strategy = make_strategy_for(r.strategy, r.k, r.opt.model,
                                         static_cast<int>(r.pop));
@@ -956,7 +953,8 @@ int execute_run(const ResolvedRun& r, const std::string& header,
         res = engine.run_from(*strategy, snap->next_round,
                               ckpt::history_result(*snap), hook.get());
       }
-      residual_rows = strategy->residuals() != nullptr;
+      estimate_bytes = engine.memory_estimate_bytes(
+          invited_cohort(r.opt, r.k), strategy->residuals() != nullptr);
     }
   } catch (const ckpt::SimulatedCrash& crash) {
     // Drop the recorder's uncommitted rounds: the log must end at the
@@ -975,10 +973,7 @@ int execute_run(const ResolvedRun& r, const std::string& header,
 
   events::finalize();
   telemetry::finalize();
-  // The async engine's first fill trains every slot in one batch.
-  const int batch =
-      r.async ? r.aopt.engine.concurrency : invited_cohort(r.opt, r.k);
-  emit_run_report(r, peak_rss_est_mb(engine, batch, residual_rows), res, out);
+  emit_run_report(r, peak_rss_est_mb(estimate_bytes), res, out);
   return 0;
 }
 
@@ -1380,8 +1375,14 @@ int cmd_sweep_async(Flags& flags, const RunOptions& opt, bool dry_run,
       << ", " << opt.rounds << " aggregations, " << arms << " arms)\n\n";
 
   SimEngine engine = make_cli_engine(opt, spec, k, topk);
-  // Every arm is FedBuff, which keeps no residuals.
-  const double rss_mb = peak_rss_est_mb(engine, conc, /*residual_rows=*/false);
+  // Every arm is FedBuff, which keeps no residuals; the largest buffer's
+  // batch bounds every arm.
+  AsyncConfig widest = base.engine;
+  widest.buffer_size =
+      static_cast<int>(*std::max_element(buffers.begin(), buffers.end()));
+  const double rss_mb = peak_rss_est_mb(
+      AsyncSimEngine(engine, widest).memory_estimate_bytes(
+          /*residual_rows=*/false));
   std::vector<SweepArm> grid;
   for (const double b : buffers) {
     for (const double a : alphas) {
@@ -1473,8 +1474,8 @@ int cmd_sweep(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
 
   SimEngine engine = make_cli_engine(opt, spec, k, topk);
   // Every arm is GlueFL, which keeps residuals.
-  const double rss_mb = peak_rss_est_mb(engine, invited_cohort(opt, k),
-                                        /*residual_rows=*/true);
+  const double rss_mb = peak_rss_est_mb(engine.memory_estimate_bytes(
+      invited_cohort(opt, k), /*residual_rows=*/true));
   std::vector<SweepArm> grid;
   for (const double q : qs) {
     for (const double q_shr : q_shrs) {

@@ -1,6 +1,7 @@
 #include "fl/async_engine.h"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -30,30 +31,21 @@ bool later(const AsyncInFlight& a, const AsyncInFlight& b) {
   return a.seq > b.seq;  // deterministic tie-break
 }
 
-void save_local(ckpt::Writer& w, const LocalResult& lr) {
-  w.f32s(lr.delta.data(), lr.delta.size());
-  w.f32s(lr.stat_delta.data(), lr.stat_delta.size());
-  w.f32(lr.loss);
-  w.varint(static_cast<uint64_t>(lr.n_samples));
-}
-
-LocalResult load_local(ckpt::Reader& r) {
-  LocalResult lr;
-  lr.delta = r.f32s();
-  lr.stat_delta = r.f32s();
-  lr.loss = r.f32();
-  lr.n_samples = static_cast<int>(r.varint_max(ckpt::kIntCap, "sample count"));
-  // Dispatch moves the payload into the wire frame and leaves the vectors
-  // empty; a payload outside the frame was never written by this engine.
-  if (!lr.delta.empty() || !lr.stat_delta.empty()) {
-    throw ckpt::CkptError("checkpoint in-flight update carries a payload "
-                          "outside its wire frame");
-  }
-  return lr;
+/// The entry of `version` in an ascending version table, or end().
+std::vector<AsyncModelVersion>::const_iterator find_version(
+    const std::vector<AsyncModelVersion>& versions, int version) {
+  const auto it = std::lower_bound(
+      versions.begin(), versions.end(), version,
+      [](const AsyncModelVersion& m, int v) { return m.version < v; });
+  return it != versions.end() && it->version == version ? it : versions.end();
 }
 }  // namespace
 
 void AsyncRunState::save_state(ckpt::Writer& w) const {
+  // Boundaries fall right after an aggregation, which trains and clears
+  // the buffer, so only dispatches and their versions are in flight.
+  GLUEFL_CHECK_MSG(buffer.empty(),
+                   "async state is saved only at an aggregation boundary");
   w.varint(static_cast<uint64_t>(version));
   w.f64(now);
   w.f64(last_agg);
@@ -72,16 +64,12 @@ void AsyncRunState::save_state(ckpt::Writer& w) const {
     w.f64(f.ut);
     w.varint(f.up_b);
     w.varint(f.down_b);
-    save_local(w, f.local);
-    w.blob(f.wire);
   }
-  w.varint(buffer.size());
-  for (const AsyncUpdate& u : buffer) {
-    w.varint(static_cast<uint64_t>(u.client));
-    w.varint(static_cast<uint64_t>(u.version));
-    w.varint(static_cast<uint64_t>(u.staleness));
-    save_local(w, u.result);
-    w.blob(u.wire);
+  w.varint(versions.size());
+  for (const AsyncModelVersion& m : versions) {
+    w.varint(static_cast<uint64_t>(m.version));
+    w.f32s(m.params.data(), m.params.size());
+    w.f32s(m.stats.data(), m.stats.size());
   }
   ckpt::write_record(w, rec);
   const Rng::State rs = pick_rng.state();
@@ -90,15 +78,16 @@ void AsyncRunState::save_state(ckpt::Writer& w) const {
   w.u8(rs.has_cached_normal ? 1 : 0);
 }
 
-void AsyncRunState::restore_state(ckpt::Reader& r, int num_clients) {
+void AsyncRunState::restore_state(ckpt::Reader& r, int num_clients,
+                                  size_t dim, size_t stat_dim) {
   const uint64_t round_cap = ckpt::kIntCap;
+  const auto clients = static_cast<uint64_t>(num_clients);
   version = static_cast<int>(r.varint_max(round_cap, "version"));
   now = r.f64();
   last_agg = r.f64();
   seq = r.u64();
   free_slots = static_cast<int>(r.varint_max(round_cap, "slot count"));
-  const uint64_t nevents =
-      r.varint_max(static_cast<uint64_t>(num_clients), "event count");
+  const uint64_t nevents = r.varint_max(clients, "event count");
   events.clear();
   events.reserve(nevents);
   in_flight.clear();
@@ -106,35 +95,62 @@ void AsyncRunState::restore_state(ckpt::Reader& r, int num_clients) {
     AsyncInFlight f;
     f.finish = r.f64();
     f.seq = r.u64();
-    f.client = static_cast<int>(r.varint_max(
-        static_cast<uint64_t>(num_clients) - 1, "client id"));
+    f.client = static_cast<int>(r.varint_max(clients - 1, "client id"));
     f.version = static_cast<int>(r.varint_max(round_cap, "version"));
     f.dt = r.f64();
     f.ct = r.f64();
     f.ut = r.f64();
     f.up_b = static_cast<size_t>(r.varint());
     f.down_b = static_cast<size_t>(r.varint());
-    f.local = load_local(r);
-    f.wire = r.blob();
     if (!in_flight.insert(f.client).second) {
       throw ckpt::CkptError("checkpoint async events repeat a client");
     }
-    events.push_back(std::move(f));
+    events.push_back(f);
   }
-  const uint64_t nbuf =
-      r.varint_max(static_cast<uint64_t>(num_clients), "buffer size");
+  // The version table: ascending, each below the boundary, each with the
+  // model's shapes, and exactly the versions the events train from.
+  const uint64_t nversions = r.varint_max(nevents, "version count");
+  versions.clear();
+  versions.reserve(nversions);
+  for (uint64_t i = 0; i < nversions; ++i) {
+    AsyncModelVersion m;
+    m.version = static_cast<int>(r.varint_max(round_cap, "version"));
+    if (!versions.empty() && m.version <= versions.back().version) {
+      throw ckpt::CkptError(
+          "checkpoint async version table is not strictly ascending");
+    }
+    if (m.version >= version) {
+      throw ckpt::CkptError("checkpoint async version table holds version " +
+                            std::to_string(m.version) +
+                            " at or past its boundary");
+    }
+    m.params = r.f32s();
+    m.stats = r.f32s();
+    if (m.params.size() != dim || m.stats.size() != stat_dim) {
+      throw ckpt::CkptError("checkpoint async version " +
+                            std::to_string(m.version) +
+                            " does not match the model's shapes");
+    }
+    versions.push_back(std::move(m));
+  }
+  std::vector<char> referenced(versions.size(), 0);
+  for (const AsyncInFlight& f : events) {
+    const auto it = find_version(versions, f.version);
+    if (it == versions.end()) {
+      throw ckpt::CkptError("checkpoint async version table lacks version " +
+                            std::to_string(f.version) +
+                            " of an in-flight update");
+    }
+    referenced[static_cast<size_t>(it - versions.begin())] = 1;
+  }
+  for (size_t i = 0; i < versions.size(); ++i) {
+    if (referenced[i] == 0) {
+      throw ckpt::CkptError("checkpoint async version table holds version " +
+                            std::to_string(versions[i].version) +
+                            ", which no in-flight update references");
+    }
+  }
   buffer.clear();
-  buffer.reserve(nbuf);
-  for (uint64_t i = 0; i < nbuf; ++i) {
-    AsyncUpdate u;
-    u.client = static_cast<int>(r.varint_max(
-        static_cast<uint64_t>(num_clients) - 1, "client id"));
-    u.version = static_cast<int>(r.varint_max(round_cap, "version"));
-    u.staleness = static_cast<int>(r.varint_max(round_cap, "staleness"));
-    u.result = load_local(r);
-    u.wire = r.blob();
-    buffer.push_back(std::move(u));
-  }
   rec = ckpt::read_record(r);
   Rng::State rs;
   for (auto& s : rs.s) s = r.u64();
@@ -200,6 +216,20 @@ RunResult AsyncSimEngine::resume(AsyncStrategy& strategy, AsyncRunState state,
   return run_loop(strategy, std::move(state), std::move(prefix), hook);
 }
 
+size_t AsyncSimEngine::memory_estimate_bytes(bool residual_rows) const {
+  const SimEngine& eng = engine_;
+  const auto batch = static_cast<size_t>(cfg_.buffer_size);
+  const size_t model = (eng.dim() + eng.stat_dim()) * sizeof(float);
+  const size_t copies = static_cast<size_t>(
+      std::min(cfg_.concurrency, eng.run_config().rounds));
+  // One aggregation's batch: its shards (in the engine's term), then per
+  // update a trained delta, a sealed frame and a decoded delta.
+  return eng.memory_estimate_bytes(cfg_.buffer_size, residual_rows) +
+         batch * (2 * model + wire::dense_frame_bytes(eng.dim(),
+                                                      eng.stat_dim())) +
+         copies * model;
+}
+
 RunResult AsyncSimEngine::run_loop(AsyncStrategy& strategy, AsyncRunState st,
                                    RunResult result, RoundHook* hook) {
   SimEngine& eng = engine_;
@@ -209,6 +239,8 @@ RunResult AsyncSimEngine::run_loop(AsyncStrategy& strategy, AsyncRunState st,
   const int n = eng.num_clients();
   const double flops = eng.flops_per_client_round();
   const size_t down_extra = wire::encoded_stats_bytes(eng.stat_dim());
+  // Every upload is one dense frame, priced at dispatch before it exists.
+  const size_t up_frame = wire::dense_frame_bytes(eng.dim(), eng.stat_dim());
   // Hierarchical topology: every dispatch traverses cloud -> edge ->
   // client and back. Dispatches are unsynchronized (each ships a diff for
   // a different model version), so unlike the synchronous path there is no
@@ -259,7 +291,10 @@ RunResult AsyncSimEngine::run_loop(AsyncStrategy& strategy, AsyncRunState st,
     }
     const int take = static_cast<int>(picked.size());
     if (take <= 0) return;
-    auto locals = eng.local_train_seq(picked, st.version, st.seq);
+    // The first dispatch of a version copies the model it trains from.
+    if (st.versions.empty() || st.versions.back().version != st.version) {
+      st.versions.push_back({st.version, eng.params(), eng.stats()});
+    }
     // The sizing function (and its encoded-mode staleness cache) lives for
     // a whole model version: fill_slots usually dispatches one client per
     // event, so a per-call cache would never hit.
@@ -276,33 +311,16 @@ RunResult AsyncSimEngine::run_loop(AsyncStrategy& strategy, AsyncRunState st,
       f.client = c;
       f.version = st.version;
       f.down_b = down_b;
-      f.local = std::move(locals[i]);
-      // Training runs eagerly at dispatch, so unlike the synchronous path
-      // the async engine can serialize the real payload up front and use
-      // measured bytes for BOTH pricing and event timing. The frame owns
-      // the payload now; the strategy opens it at aggregation.
-      //
       // Scenario faults (DESIGN.md §11), pure functions of the dispatch
       // seq so a resumed run recomputes identical fates. A dropout crashes
       // between download and upload: the payload never exists, the upload
       // leg costs nothing, and the slot frees at the end of compute. A
-      // Byzantine client ships a corrupted frame that the server-side
-      // decode rejects at aggregation; its upload is priced like any other.
+      // Byzantine client ships a corrupted frame, sealed when its update
+      // trains, that the server-side decode rejects at aggregation; its
+      // upload is priced like any other.
       const bool crashed = eng.scenario_dropout_seq(f.seq);
-      wire::WireEncoder we(eng.dim());
-      we.add_dense(f.local.delta.data(), f.local.delta.size());
-      we.add_stats(f.local.stat_delta.data(), f.local.stat_delta.size());
-      f.wire = uplink::seal(std::move(we),
-                            !crashed && eng.scenario_byzantine_seq(f.seq));
-      f.up_b = f.wire.size();
-      f.local.delta = std::vector<float>();
-      f.local.stat_delta = std::vector<float>();
-      if (crashed) {
-        telemetry::count(telemetry::kScenarioDropouts);
-        f.local = LocalResult{};
-        f.wire.clear();
-        f.up_b = 0;
-      }
+      if (crashed) telemetry::count(telemetry::kScenarioDropouts);
+      f.up_b = crashed ? 0 : up_frame;
       f.dt = transfer_seconds(static_cast<double>(down_b) * eng.wire_scale(),
                               p.down_mbps);
       f.ct = flops / (p.gflops * 1e9);
@@ -321,11 +339,46 @@ RunResult AsyncSimEngine::run_loop(AsyncStrategy& strategy, AsyncRunState st,
       st.rec.num_invited += 1;
       eng.sync().mark_synced(c, st.version);
       st.in_flight.insert(c);
-      st.events.push_back(std::move(f));
+      st.events.push_back(f);
       std::push_heap(st.events.begin(), st.events.end(), later);
     }
     st.seq += static_cast<uint64_t>(take);
     st.free_slots -= take;
+  };
+
+  // Trains the buffered updates as one batch, each from its version's
+  // copy at that version's learning rate, and seals their frames. Then
+  // drops the copies that only the buffer referenced.
+  auto train_buffer = [&]() {
+    std::vector<TrainJob> jobs;
+    jobs.reserve(st.buffer.size());
+    for (const AsyncUpdate& u : st.buffer) {
+      const auto m = find_version(st.versions, u.version);
+      GLUEFL_CHECK(m != st.versions.end());
+      jobs.push_back({u.client, m->params.data(), m->stats.data(),
+                      eng.lr_at(u.version), eng.async_train_rng(u.seq)});
+    }
+    std::vector<LocalResult> locals = eng.train(jobs);
+    for (size_t i = 0; i < st.buffer.size(); ++i) {
+      AsyncUpdate& u = st.buffer[i];
+      LocalResult& lr = locals[i];
+      wire::WireEncoder we(eng.dim());
+      we.reserve(up_frame);
+      we.add_dense(lr.delta.data(), lr.delta.size());
+      we.add_stats(lr.stat_delta.data(), lr.stat_delta.size());
+      // The frame owns the payload now: one dense copy per update.
+      lr.delta = std::vector<float>();
+      lr.stat_delta = std::vector<float>();
+      u.wire = uplink::seal(std::move(we), eng.scenario_byzantine_seq(u.seq));
+      GLUEFL_CHECK_MSG(u.wire.size() == up_frame,
+                       "async frame size differs from its priced upload");
+      u.result = std::move(lr);
+    }
+    std::erase_if(st.versions, [&](const AsyncModelVersion& m) {
+      return std::none_of(
+          st.events.begin(), st.events.end(),
+          [&](const AsyncInFlight& f) { return f.version == m.version; });
+    });
   };
 
   auto aggregate = [&]() {
@@ -337,6 +390,7 @@ RunResult AsyncSimEngine::run_loop(AsyncStrategy& strategy, AsyncRunState st,
       telemetry::digest_add(telemetry::kDigestStaleness,
                             static_cast<uint64_t>(u.staleness));
     }
+    train_buffer();
     st.rec.round = st.version;
     st.rec.num_included = static_cast<int>(st.buffer.size());
     st.rec.mean_staleness =
@@ -377,10 +431,8 @@ RunResult AsyncSimEngine::run_loop(AsyncStrategy& strategy, AsyncRunState st,
 
   fill_slots();
   while (st.version < rc.rounds && !st.events.empty()) {
-    // Move, don't copy: AsyncInFlight carries the model-dim delta vectors,
-    // and the element is dropped immediately after.
     std::pop_heap(st.events.begin(), st.events.end(), later);
-    AsyncInFlight f = std::move(st.events.back());
+    const AsyncInFlight f = st.events.back();
     st.events.pop_back();
     st.now = f.finish;
     st.in_flight.erase(f.client);
@@ -455,8 +507,7 @@ RunResult AsyncSimEngine::run_loop(AsyncStrategy& strategy, AsyncRunState st,
       AsyncUpdate u;
       u.client = f.client;
       u.version = f.version;
-      u.result = std::move(f.local);
-      u.wire = std::move(f.wire);
+      u.seq = f.seq;
       st.buffer.push_back(std::move(u));
     }
 

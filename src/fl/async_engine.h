@@ -20,12 +20,23 @@
 // keyed by the dispatch sequence number, so results are exactly
 // reproducible and independent of the training thread count.
 //
+// Training happens at aggregation, not at dispatch. A delta is a pure
+// function of its dispatch version's params and stats, its shard, its
+// seq-keyed stream and that version's learning rate, so a dispatch
+// records only who, when and at which version, and prices its upload at
+// wire::dense_frame_bytes. The engine keeps a table of model versions: a
+// copy of the global params and stats taken at a version's first dispatch.
+// When the buffer fills, the buffered updates train as one batch, each
+// from its version's copy, their frames are sealed, every copy that no
+// in-flight update references is dropped, and the strategy opens the
+// frames. Dropouts, deadline misses and the updates still in flight when
+// the run ends are never trained.
+//
 // The whole loop state lives in AsyncRunState rather than locals so the
 // checkpoint subsystem can snapshot it at an aggregation boundary and
 // resume() can continue bit-identically: the binary-heap vector, the
-// in-flight updates (training runs eagerly at dispatch, so pending events
-// carry real wire frames), the sampling RNG and the simulated clock are
-// all part of the snapshot.
+// version table, the sampling RNG and the simulated clock are all part of
+// the snapshot. The buffer is empty at every boundary.
 #pragma once
 
 #include <cstdint>
@@ -50,28 +61,35 @@ struct AsyncUpdate {
   int client = 0;
   int version = 0;    // aggregation version the client trained against
   int staleness = 0;  // aggregation version at fold time - version
+  uint64_t seq = 0;   // dispatch sequence number: training stream and fates
   /// Loss and sample count only: `delta`/`stat_delta` are empty, because
   /// the payload travels in `wire`.
   LocalResult result;
-  /// The serialized payload (delta + stats), sealed at dispatch through
-  /// the uplink intake; the strategy opens it at aggregation.
+  /// The serialized payload (delta + stats), trained and sealed through
+  /// the uplink intake when the buffer fills; the strategy opens it at
+  /// aggregation. Empty until then.
   std::vector<uint8_t> wire;
 };
 
-/// A dispatched client training (or in transfer) right now. Training runs
-/// eagerly at dispatch — the delta depends only on the model at dispatch
-/// time — while the finish event is scheduled for download + compute +
-/// upload later in simulated time.
+/// A dispatched client downloading, training or uploading right now, in
+/// simulated time. Nothing is trained yet: the update trains from its
+/// version's copy if and when it reaches an aggregation.
 struct AsyncInFlight {
   double finish = 0.0;
   uint64_t seq = 0;
   int client = 0;
   int version = 0;
   double dt = 0.0, ct = 0.0, ut = 0.0;
-  size_t up_b = 0;
+  size_t up_b = 0;    // priced upload frame bytes; 0 for a crashed client
   size_t down_b = 0;  // dispatch-time download frame bytes (unscaled)
-  LocalResult local;          // loss and sample count; payload in `wire`
-  std::vector<uint8_t> wire;  // sealed frame; empty for a crashed client
+};
+
+/// The model a version's dispatches train from: the global params and
+/// stats as they stood when the version was first dispatched.
+struct AsyncModelVersion {
+  int version = 0;
+  std::vector<float> params;
+  std::vector<float> stats;
 };
 
 /// Complete event-loop state at any instant; snapshot-able at aggregation
@@ -90,14 +108,22 @@ struct AsyncRunState {
   /// `concurrency`) and fully derivable from `events`, so it is NOT
   /// serialized — restore_state reconstructs it from the event list.
   std::unordered_set<int> in_flight;
-  std::vector<AsyncUpdate> buffer;
+  /// Copies of the model versions that in-flight or buffered updates
+  /// train from, ascending. A copy that no update references any more is
+  /// dropped at the next aggregation, so at a boundary the table holds
+  /// exactly the versions of `events`.
+  std::vector<AsyncModelVersion> versions;
+  std::vector<AsyncUpdate> buffer;  // empty at every boundary
   RoundRecord rec;  // the partially-accumulated next record
   Rng pick_rng{0};  // dispatch sampling stream (advances per draw)
 
-  /// Checkpoint section (ckpt subsystem). restore_state validates client
-  /// ids against `num_clients` and throws CkptError on mismatch.
+  /// Checkpoint section (ckpt subsystem). save_state requires an empty
+  /// buffer. restore_state validates client ids against `num_clients` and
+  /// the version table against the events and the model's shapes, and
+  /// throws CkptError on a mismatch.
   void save_state(ckpt::Writer& w) const;
-  void restore_state(ckpt::Reader& r, int num_clients);
+  void restore_state(ckpt::Reader& r, int num_clients, size_t dim,
+                     size_t stat_dim);
 };
 
 class AsyncSimEngine {
@@ -123,6 +149,13 @@ class AsyncSimEngine {
   /// nor strategy.init() is called here.
   RunResult resume(AsyncStrategy& strategy, AsyncRunState state,
                    RunResult prefix, RoundHook* hook = nullptr);
+
+  /// Deterministic estimate of a run's peak resident bytes: the engine's
+  /// estimate for one batch of buffer_size shards, plus that batch's
+  /// deltas, sealed frames and decoded deltas, plus the version table at
+  /// min(concurrency, rounds) copies. `residual_rows` as for
+  /// SimEngine::memory_estimate_bytes.
+  size_t memory_estimate_bytes(bool residual_rows) const;
 
  private:
   RunResult run_loop(AsyncStrategy& strategy, AsyncRunState st,

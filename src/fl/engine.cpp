@@ -185,6 +185,10 @@ Rng SimEngine::async_rng(uint64_t purpose) const {
   return master_rng_.fork(kStreamAsyncBase + purpose);
 }
 
+Rng SimEngine::async_train_rng(uint64_t seq) const {
+  return master_rng_.fork(kStreamAsyncTrainBase + seq);
+}
+
 bool SimEngine::client_available(int client, int round) const {
   return directory_->available(client, round);
 }
@@ -515,14 +519,15 @@ std::function<size_t(int)> SimEngine::down_bytes_fn(int round,
   };
 }
 
-void SimEngine::train_one(Worker& w, const ClientShard& shard, double lr,
-                          Rng rng, LocalResult& out) {
+void SimEngine::train_one(Worker& w, const ClientShard& shard,
+                          const TrainJob& job, LocalResult& out) {
   GLUEFL_CHECK(shard.n > 0);
   const int feat = dataset_.spec.feature_dim;
   const int bs = std::min(train_cfg_.batch_size, shard.n);
+  Rng rng = job.rng;
 
-  w.params = params_;
-  w.stats = stats_;
+  w.params.assign(job.params, job.params + dim_);
+  w.stats.assign(job.stats, job.stats + stat_dim_);
   w.grads.resize(dim_);
   w.xbuf.resize(static_cast<size_t>(bs) * feat);
   w.ybuf.resize(static_cast<size_t>(bs));
@@ -548,21 +553,19 @@ void SimEngine::train_one(Worker& w, const ClientShard& shard, double lr,
     const float loss = w.model.forward_backward(
         w.params.data(), w.stats.data(), w.xbuf.data(), w.ybuf.data(), bs,
         w.grads.data());
-    w.opt.step(w.params.data(), w.grads.data(), lr);
+    w.opt.step(w.params.data(), w.grads.data(), job.lr);
     loss_sum += loss;
   }
 
   out.delta.resize(dim_);
-  sub(w.params.data(), params_.data(), out.delta.data(), dim_);
+  sub(w.params.data(), job.params, out.delta.data(), dim_);
   out.stat_delta.resize(stat_dim_);
-  sub(w.stats.data(), stats_.data(), out.stat_delta.data(), stat_dim_);
+  sub(w.stats.data(), job.stats, out.stat_delta.data(), stat_dim_);
   out.loss = static_cast<float>(loss_sum / train_cfg_.local_steps);
   out.n_samples = shard.n;
 }
 
-std::vector<LocalResult> SimEngine::train_batch(
-    const std::vector<int>& clients, double lr,
-    const std::function<Rng(size_t)>& rng_at) {
+std::vector<LocalResult> SimEngine::train(const std::vector<TrainJob>& jobs) {
   // Derive every shard on the coordinator before any worker starts; the
   // batch frees them when training ends. Virtual ids beyond the dataset's
   // client count reuse shards modulo the shard count; at the default
@@ -570,30 +573,30 @@ std::vector<LocalResult> SimEngine::train_batch(
   std::vector<ClientShard> shards;
   {
     telemetry::Span span("data.derive");
-    shards.reserve(clients.size());
-    for (const int c : clients) {
-      shards.push_back(dataset_.derive_shard(c % dataset_.num_clients()));
+    shards.reserve(jobs.size());
+    for (const TrainJob& job : jobs) {
+      shards.push_back(
+          dataset_.derive_shard(job.client % dataset_.num_clients()));
     }
   }
-  telemetry::Span span("local_train");  // whole cohort, worker pool inside
-  std::vector<LocalResult> results(clients.size());
+  telemetry::Span span("local_train");  // whole batch, worker pool inside
+  std::vector<LocalResult> results(jobs.size());
   const int nthreads =
-      std::min<int>(num_threads_, static_cast<int>(clients.size()));
+      std::min<int>(num_threads_, static_cast<int>(jobs.size()));
   if (nthreads <= 1) {
-    for (size_t i = 0; i < clients.size(); ++i) {
-      train_one(*workers_[0], shards[i], lr, rng_at(i), results[i]);
+    for (size_t i = 0; i < jobs.size(); ++i) {
+      train_one(*workers_[0], shards[i], jobs[i], results[i]);
     }
     return results;
   }
   std::vector<std::thread> threads;
   threads.reserve(static_cast<size_t>(nthreads));
   for (int t = 0; t < nthreads; ++t) {
-    threads.emplace_back([this, t, nthreads, lr, &rng_at, &shards,
-                          &results]() {
+    threads.emplace_back([this, t, nthreads, &jobs, &shards, &results]() {
       for (size_t i = static_cast<size_t>(t); i < shards.size();
            i += static_cast<size_t>(nthreads)) {
-        train_one(*workers_[static_cast<size_t>(t)], shards[i], lr,
-                  rng_at(i), results[i]);
+        train_one(*workers_[static_cast<size_t>(t)], shards[i], jobs[i],
+                  results[i]);
       }
     });
   }
@@ -605,16 +608,14 @@ std::vector<LocalResult> SimEngine::local_train(const std::vector<int>& clients,
                                                 int round) {
   const Rng base = master_rng_.fork(kStreamRoundBase +
                                     static_cast<uint64_t>(round) * 64 + 63);
-  return train_batch(clients, lr_at(round), [&base, &clients](size_t i) {
-    return base.fork(static_cast<uint64_t>(clients[i]));
-  });
-}
-
-std::vector<LocalResult> SimEngine::local_train_seq(
-    const std::vector<int>& clients, int lr_round, uint64_t seq_base) {
-  return train_batch(clients, lr_at(lr_round), [this, seq_base](size_t i) {
-    return master_rng_.fork(kStreamAsyncTrainBase + seq_base + i);
-  });
+  const double lr = lr_at(round);
+  std::vector<TrainJob> jobs;
+  jobs.reserve(clients.size());
+  for (const int c : clients) {
+    jobs.push_back({c, params_.data(), stats_.data(), lr,
+                    base.fork(static_cast<uint64_t>(c))});
+  }
+  return train(jobs);
 }
 
 EvalResult SimEngine::evaluate() {

@@ -45,6 +45,18 @@ struct LocalResult {
   int n_samples = 0;
 };
 
+/// One client's local training: the client (its shard), the model it
+/// starts from, its learning rate and its RNG stream. The base model is
+/// borrowed: `params` (dim floats) and `stats` (stat_dim floats) must stay
+/// valid and unchanged until SimEngine::train returns.
+struct TrainJob {
+  int client = 0;
+  const float* params = nullptr;
+  const float* stats = nullptr;
+  double lr = 0.0;
+  Rng rng{0};
+};
+
 /// Who actually participated after the straggler cutoff.
 struct Participation {
   std::vector<int> sticky;     // included, from the sticky invitation list
@@ -137,6 +149,11 @@ class SimEngine {
   /// per-round stream used by the synchronous path.
   Rng async_rng(uint64_t purpose) const;
 
+  /// Training stream of async dispatch `seq`: unique per dispatch, so a
+  /// client re-dispatched at the same model version still sees fresh
+  /// batch noise.
+  Rng async_train_rng(uint64_t seq) const;
+
   bool client_available(int client, int round) const;
   AvailabilityFn availability_fn(int round);
 
@@ -197,20 +214,15 @@ class SimEngine {
   /// strategy mask frames).
   std::function<size_t(int)> down_bytes_fn(int round, size_t extra_bytes);
 
-  /// Trains `clients` locally (in parallel) from the current global model.
-  /// Results are indexed like `clients`. Deterministic regardless of the
-  /// thread count.
+  /// Trains every job locally (in parallel), each from its own base
+  /// model. Results are indexed like `jobs`. Deterministic regardless of
+  /// the thread count.
+  std::vector<LocalResult> train(const std::vector<TrainJob>& jobs);
+
+  /// The synchronous round's batch: trains `clients` from the current
+  /// global model at round `round`'s learning rate and streams.
   std::vector<LocalResult> local_train(const std::vector<int>& clients,
                                        int round);
-
-  /// Async-mode variant: trains `clients` from the current global model
-  /// with per-client RNG streams keyed by the dispatch sequence numbers
-  /// `seq_base + index` (unique per dispatch, so a client re-dispatched at
-  /// the same model version still sees fresh batch noise). `lr_round`
-  /// positions the learning-rate schedule (the aggregation version at
-  /// dispatch). Deterministic regardless of the thread count.
-  std::vector<LocalResult> local_train_seq(const std::vector<int>& clients,
-                                           int lr_round, uint64_t seq_base);
 
   /// Test-set evaluation of the current global model.
   EvalResult evaluate();
@@ -220,11 +232,8 @@ class SimEngine {
 
   RunResult run_rounds(Strategy& strategy, int first_round, RunResult result,
                        RoundHook* hook);
-  void train_one(Worker& w, const ClientShard& shard, double lr, Rng rng,
+  void train_one(Worker& w, const ClientShard& shard, const TrainJob& job,
                  LocalResult& out);
-  std::vector<LocalResult> train_batch(
-      const std::vector<int>& clients, double lr,
-      const std::function<Rng(size_t)>& rng_at);
 
   FederatedDataset dataset_;
   ModelProxy proxy_;

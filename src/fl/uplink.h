@@ -10,8 +10,11 @@
 // is still priced, because the bytes crossed the wire.
 //
 // The synchronous strategies use one Intake per round. The async engine
-// splits the same path in two: seal() at dispatch, where the frame enters
-// the in-flight state, and open() at the aggregation that folds it.
+// splits the same path in two, both at aggregation: seal() once a
+// buffered update has trained, and open() when the strategy folds it. A
+// dispatch prices its upload with wire::dense_frame_bytes before the
+// frame exists, and the engine checks each sealed frame against that
+// size.
 #pragma once
 
 #include <cstddef>

@@ -46,12 +46,14 @@ void AsyncFedBuffStrategy::aggregate(SimEngine& engine, int version,
   batch.reserve(buffer.size());
   double wsum = 0.0;
   double loss_sum = 0.0;
-  for (const AsyncUpdate& u : buffer) {
+  for (AsyncUpdate& u : buffer) {
     const bool ok =
         uplink::open(u.wire, engine.dim(), [&](wire::WireDecoder& wd) {
           batch.push_back(wd.take_dense(0.0f));
           stats.push_back(wd.take_stats());
         });
+    // The decoded sections own the payload now: one dense copy per update.
+    u.wire = std::vector<uint8_t>();
     if (!ok) continue;
     discount.push_back(staleness_weight(u.staleness));
     wsum += discount.back();

@@ -48,7 +48,7 @@ class AsyncFedBuffStrategy final : public AsyncStrategy {
                  RoundRecord& rec) override;
 
   /// Checkpointable: the discount family is pure configuration, so there
-  /// is no cross-aggregation state — the buffer/in-flight updates live in
+  /// is no cross-aggregation state — the in-flight updates live in
   /// AsyncRunState and ride the snapshot's async section instead.
   void save_state(ckpt::Writer& w) const override { (void)w; }
   void restore_state(ckpt::Reader& r) override { (void)r; }

@@ -45,10 +45,12 @@ void FedAvgStrategy::run_round(SimEngine& engine, int round,
     uplink::Intake intake(engine, round);
     for (size_t i = 0; i < included.size(); ++i) {
       const double nu = n / khat * engine.client_weight(included[i]);
-      // FedAvg ships the whole dense delta. The frame owns the payload once
-      // encoded, so the client's copy is released before the decode: one
-      // dense copy per client, as in the aggregation batch itself.
+      // FedAvg ships the whole dense delta, in a frame buffer sized once.
+      // The frame owns the payload once encoded, so the client's copy is
+      // released before the decode: one dense copy per client, as in the
+      // aggregation batch itself.
       wire::WireEncoder we(engine.dim());
+      we.reserve(wire::dense_frame_bytes(engine.dim(), engine.stat_dim()));
       we.add_dense(results[i].delta.data(), results[i].delta.size());
       we.add_stats(results[i].stat_delta.data(), engine.stat_dim());
       results[i].delta = std::vector<float>();

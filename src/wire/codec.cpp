@@ -466,6 +466,13 @@ size_t encoded_stats_bytes(size_t stat_dim) {
   return 1 + varint_bytes(stat_dim) + stat_dim * 4;
 }
 
+size_t dense_frame_bytes(size_t dim, size_t stat_dim) {
+  // magic, version, section count, dim; then the dense section's tag and
+  // its fp32 ValueBlock; then the stats section.
+  return 4 + varint_bytes(dim) + 1 + value_block_bytes(dim, 32) +
+         encoded_stats_bytes(stat_dim);
+}
+
 // ---- WireEncoder ----
 
 WireEncoder::WireEncoder(size_t dim, int value_bits, Rng* rng)

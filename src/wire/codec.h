@@ -107,6 +107,12 @@ size_t encoded_sync_bytes(const BitMask& stale);
 /// Measured size of a dense fp32 stats frame (tag + count + raw values).
 size_t encoded_stats_bytes(size_t stat_dim);
 
+/// Exact size of a dense update frame: the header, an fp32 dense section
+/// of `dim` values and a stats section of `stat_dim` values. FedAvg and
+/// the async engine size their encoders with it, and the async engine
+/// prices each dispatch's upload with it before the update is trained.
+size_t dense_frame_bytes(size_t dim, size_t stat_dim);
+
 // ---- update frames ----
 
 class WireEncoder {
@@ -115,6 +121,10 @@ class WireEncoder {
   /// identity); 1..16 = per-chunk quantization, which needs `rng` for the
   /// stochastic rounding draws.
   explicit WireEncoder(size_t dim, int value_bits = 32, Rng* rng = nullptr);
+
+  /// Sizes the frame buffer for `frame_bytes` in total, so a writer that
+  /// knows its frame's size allocates it once.
+  void reserve(size_t frame_bytes) { buf_.reserve(frame_bytes); }
 
   /// Sections encode eagerly in call order; each may be added once.
   void add_dense(const float* v, size_t n);  // n must equal dim

@@ -14,6 +14,11 @@
 //      must either load+restore or throw CkptError/CheckError. Anything
 //      else — crash, sanitizer report, bad_alloc from a silently-trusted
 //      huge length — fails the smoke.
+//   3. Async version tables: a REAL async head (tiny engine +
+//      async-fedbuff) gets its table of model versions edited — entries
+//      dropped, repeated, swapped, renumbered or resized, events pointed
+//      at other versions — and is re-sealed. It must load, restore and
+//      resume, or fail as one CkptError.
 //
 // GLUEFL_FUZZ_ITERS / GLUEFL_FUZZ_SEED tune the budget.
 #include <cstdio>
@@ -29,8 +34,10 @@
 #include "ckpt/io.h"
 #include "common/check.h"
 #include "common/rng.h"
+#include "fl/async_engine.h"
 #include "fl/engine.h"
 #include "net/environment.h"
+#include "strategies/async_fedbuff.h"
 #include "strategies/gluefl.h"
 #include "test_util.h"
 
@@ -134,6 +141,76 @@ void mutate(std::vector<uint8_t>& bytes, size_t lo, size_t hi, Rng& rng) {
   const int flips = rng.uniform_int(1, 4);
   for (int f = 0; f < flips; ++f) {
     bytes[pick()] = static_cast<uint8_t>(rng.uniform_int(0, 255));
+  }
+}
+
+/// Captures the async state at kBoundary.
+struct CaptureAsync final : RoundHook {
+  const ckpt::Checkpointable* strategy = nullptr;
+  ckpt::Snapshot snap;
+  bool captured = false;
+  void on_round_end(SimEngine& engine, int round, const RunResult& partial,
+                    const AsyncRunState* async_state) override {
+    if (round + 1 != kBoundary) return;
+    snap = ckpt::snapshot_of(engine, kBoundary, partial, "async-fedbuff",
+                             *strategy, async_state, {{"origin", "fuzz"}});
+    captured = true;
+  }
+};
+
+AsyncConfig fuzz_async_config() {
+  AsyncConfig cfg;
+  cfg.buffer_size = 3;
+  cfg.concurrency = 12;
+  return cfg;
+}
+
+/// One to three random edits of the version table (or of the versions the
+/// events name).
+void mutate_versions(AsyncRunState& st, Rng& rng) {
+  const auto pick = [&rng](size_t n) {
+    return static_cast<size_t>(rng.uniform_int(0, static_cast<int>(n) - 1));
+  };
+  const int edits = rng.uniform_int(1, 3);
+  for (int e = 0; e < edits; ++e) {
+    std::vector<AsyncModelVersion>& v = st.versions;
+    const int op = rng.uniform_int(0, 6);
+    if (v.empty() && op != 6) continue;
+    switch (op) {
+      case 0:
+        v.erase(v.begin() + static_cast<std::ptrdiff_t>(pick(v.size())));
+        break;
+      case 1: {
+        const AsyncModelVersion copy = v[pick(v.size())];
+        v.insert(v.begin() + static_cast<std::ptrdiff_t>(pick(v.size() + 1)),
+                 copy);
+        break;
+      }
+      case 2:
+        std::swap(v[pick(v.size())], v[pick(v.size())]);
+        break;
+      case 3:
+        v[pick(v.size())].version = rng.uniform_int(0, st.version + 2);
+        break;
+      case 4: {
+        std::vector<float>& p = v[pick(v.size())].params;
+        p.resize(static_cast<size_t>(
+            rng.uniform_int(0, static_cast<int>(p.size()) + 1)));
+        break;
+      }
+      case 5: {
+        std::vector<float>& s = v[pick(v.size())].stats;
+        s.resize(static_cast<size_t>(
+            rng.uniform_int(0, static_cast<int>(s.size()) + 1)));
+        break;
+      }
+      default:
+        if (!st.events.empty()) {
+          st.events[pick(st.events.size())].version =
+              rng.uniform_int(0, st.version + 1);
+        }
+        break;
+    }
   }
 }
 
@@ -249,7 +326,62 @@ int main() {
       return 1;
     }
   }
+
+  // Property 3: a real async head, its version table mutated.
+  SimEngine async_engine = make_engine();
+  AsyncFedBuffStrategy async_source{AsyncFedBuffConfig{}};
+  CaptureAsync async_capture;
+  async_capture.strategy = &async_source;
+  AsyncSimEngine(async_engine, fuzz_async_config())
+      .run(async_source, &async_capture);
+  if (!async_capture.captured) {
+    std::fprintf(stderr, "failed to capture the async snapshot\n");
+    return 1;
+  }
+  const ckpt::Snapshot& async_snap = async_capture.snap;
+  AsyncRunState live;
+  {
+    ckpt::Reader r(async_snap.async_state.data(),
+                   async_snap.async_state.size());
+    live.restore_state(r, async_snap.num_clients, async_snap.dim,
+                       async_snap.stat_dim);
+  }
+  if (live.versions.size() < 2) {
+    std::fprintf(stderr, "the async head holds fewer than two versions\n");
+    return 1;
+  }
+  const std::string async_head = (dir / "mutant" / "async.gfc").string();
+  size_t resumed = 0;
+  for (size_t i = 0; i < iters; ++i) {
+    Rng rng(seed0 + iters + i);
+    AsyncRunState st = live;
+    mutate_versions(st, rng);
+    ckpt::Snapshot bad = async_snap;
+    ckpt::Writer w;
+    st.save_state(w);
+    bad.async_state = w.take();
+    ckpt::save_checkpoint(async_head, bad);
+    try {
+      const ckpt::Snapshot snap = ckpt::load_checkpoint(async_head);
+      AsyncFedBuffStrategy target{AsyncFedBuffConfig{}};
+      AsyncRunState restored =
+          ckpt::restore_async_run(snap, async_engine, target);
+      AsyncSimEngine(async_engine, fuzz_async_config())
+          .resume(target, std::move(restored), ckpt::history_result(snap));
+      ++resumed;
+    } catch (const ckpt::CkptError&) {
+      // Expected failure mode for an inconsistent table.
+    } catch (const std::exception& e) {
+      std::fprintf(stderr,
+                   "async iteration %zu (seed %llu) escaped as: %s\n", i,
+                   static_cast<unsigned long long>(seed0 + iters + i),
+                   e.what());
+      return 1;
+    }
+  }
   fs::remove_all(dir);
-  std::printf("ckpt fuzz smoke: %zu iterations ok\n", iters);
+  std::printf("ckpt fuzz smoke: %zu + %zu iterations ok (%zu async mutants "
+              "resumed, %zu rejected)\n",
+              iters, iters, resumed, iters - resumed);
   return 0;
 }

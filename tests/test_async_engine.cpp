@@ -1,6 +1,7 @@
 // AsyncSimEngine behaviour: K-of-N buffer trigger, staleness discounting,
-// byte/time accounting, determinism across thread counts, and the dispatch
-// order of a churning population whose pool runs short.
+// byte/time accounting, determinism across thread counts, training only
+// the updates that are aggregated, and the dispatch order of a churning
+// population whose pool runs short.
 #include <cmath>
 #include <set>
 #include <string>
@@ -9,9 +10,13 @@
 
 #include "ckpt/checkpoint.h"
 #include "common/check.h"
+#include "data/presets.h"
 #include "fl/async_engine.h"
 #include "net/environment.h"
+#include "nn/proxies.h"
+#include "scenario/scenario.h"
 #include "strategies/async_fedbuff.h"
+#include "telemetry/telemetry.h"
 #include "test_util.h"
 
 namespace gluefl {
@@ -242,6 +247,82 @@ TEST(AsyncEngine, DifferentDiscountsDiverge) {
   // Heavy polynomial discounting reweights stale updates, so the final
   // models must differ (the dispatch/timing schedule is identical).
   EXPECT_NE(eng.params(), params_const);
+}
+
+// ------------------------------------------- training only what aggregates
+
+/// Telemetry on (counters only) for one scope.
+struct TelemetryOn {
+  TelemetryOn() {
+    telemetry::reset();
+    telemetry::configure(telemetry::Options{});
+  }
+  ~TelemetryOn() { telemetry::reset(); }
+};
+
+struct Totals {
+  uint64_t invited = 0;
+  uint64_t included = 0;
+};
+
+Totals totals(const RunResult& res) {
+  Totals t;
+  for (const RoundRecord& r : res.rounds) {
+    t.invited += static_cast<uint64_t>(r.num_invited);
+    t.included += static_cast<uint64_t>(r.num_included);
+  }
+  return t;
+}
+
+TEST(AsyncEngine, TrainsOnlyTheUpdatesItAggregates) {
+  // Every aggregated update derives one shard and encodes and decodes one
+  // frame; the updates still in flight when the run ends derive and
+  // encode nothing.
+  for (const int threads : {1, 4, 8}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    TelemetryOn on;
+    auto eng = make_engine(/*rounds=*/6, 6, 42, threads);
+    AsyncSimEngine async_eng(eng, async_cfg(/*buffer=*/4, /*concurrency=*/12));
+    AsyncFedBuffStrategy strategy(fedbuff_cfg());
+    const Totals t = totals(async_eng.run(strategy));
+    EXPECT_EQ(t.included, 6u * 4u);
+    EXPECT_GT(t.invited, t.included);
+    EXPECT_EQ(telemetry::value(telemetry::kWireEncodeFrames), t.included);
+    EXPECT_EQ(telemetry::value(telemetry::kWireDecodeFrames), t.included);
+    EXPECT_EQ(telemetry::value(telemetry::kDataShardDerived), t.included);
+  }
+}
+
+TEST(AsyncEngine, DropoutsAndDeadlineMissesAreNeverTrained) {
+  // The benchmark's async shape at OpenImage scale 0.05 under the hostile
+  // scenario: a dropout or a deadline miss never reaches the buffer, so it
+  // derives no shard and encodes no frame. A Byzantine update trains and
+  // encodes, and its decode is rejected.
+  TelemetryOn on;
+  const SyntheticSpec spec = openimage_spec(0.05);
+  const int k = preset_clients_per_round(spec);
+  RunConfig rc = tiny_run_config(/*rounds=*/3, k, 42);
+  rc.overcommit = 1.3;
+  rc.use_availability = true;
+  rc.scenario = scenario::load_scenario("hostile");
+  TrainConfig train;
+  train.lr0 = 0.05;
+  SimEngine eng(make_synthetic_dataset(spec),
+                make_proxy("shufflenet", spec.feature_dim, spec.num_classes),
+                make_env("edge"), train, rc);
+  AsyncSimEngine async_eng(eng, async_cfg(/*buffer=*/k, /*concurrency=*/3 * k));
+  AsyncFedBuffStrategy strategy(fedbuff_cfg());
+  const Totals t = totals(async_eng.run(strategy));
+  const uint64_t dropped =
+      telemetry::value(telemetry::kScenarioDropouts) +
+      telemetry::value(telemetry::kScenarioDeadlineDrops);
+  EXPECT_GT(telemetry::value(telemetry::kScenarioDropouts), 0u);
+  EXPECT_GT(telemetry::value(telemetry::kScenarioDeadlineDrops), 0u);
+  EXPECT_GT(telemetry::value(telemetry::kScenarioFramesRejected), 0u);
+  EXPECT_GT(t.invited, t.included + dropped);
+  EXPECT_EQ(telemetry::value(telemetry::kWireEncodeFrames), t.included);
+  EXPECT_EQ(telemetry::value(telemetry::kWireDecodeFrames), t.included);
+  EXPECT_EQ(telemetry::value(telemetry::kDataShardDerived), t.included);
 }
 
 // ------------------------------------------------------ short dispatch pool

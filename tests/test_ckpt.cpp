@@ -12,13 +12,16 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <functional>
 #include <map>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "ckpt/checkpoint.h"
 #include "ckpt/io.h"
+#include "cli/cli.h"
 #include "compress/error_feedback.h"
 #include "fl/async_engine.h"
 #include "fl/engine.h"
@@ -167,8 +170,10 @@ TEST(CkptIo, Crc32KnownVector) {
   EXPECT_EQ(ckpt::crc32(big.data(), big.size()), want);
   EXPECT_EQ(ckpt::detail::crc32_portable(big.data(), big.size()), want);
 
-  // A whole encoded snapshot, pinned to the bytes format 8 has always
-  // written: its size, the payload CRC in the header and the file's CRC.
+  // A whole encoded snapshot, pinned to the bytes format 9 writes: its
+  // size, the payload CRC in the header and the file's CRC (the one value
+  // that moved with the format byte, which the payload CRC does not
+  // cover).
   const std::vector<uint8_t> bytes = ckpt::encode_snapshot(tiny_snapshot());
   ASSERT_EQ(bytes.size(), 1016u);
   uint32_t header_crc = 0;
@@ -177,7 +182,7 @@ TEST(CkptIo, Crc32KnownVector) {
                   << (8 * i);
   }
   EXPECT_EQ(header_crc, 0xFF6F1E88u);
-  EXPECT_EQ(ckpt::crc32(bytes.data(), bytes.size()), 0xE2EC91EEu);
+  EXPECT_EQ(ckpt::crc32(bytes.data(), bytes.size()), 0xD8171075u);
 }
 
 TEST(CkptIo, Crc32ContinuesAcrossSplits) {
@@ -801,6 +806,125 @@ TEST(CkptRestore, RejectsDuplicateInFlightClients) {
   EXPECT_THROW(res_async.resume(res_strategy, std::move(state),
                                 ckpt::history_result(hook.snap)),
                ckpt::CkptError);
+}
+
+// ------------------------------------------------- hostile async heads
+//
+// A real async head from `gluefl run`, its version table edited and the
+// head re-sealed: every inconsistency must fail as one CkptError line,
+// both when the async section is decoded and through `gluefl resume`
+// (exit 1).
+
+/// Writes an async head at boundary 3 into `dir` and returns it with its
+/// async section decoded against the head's own shapes.
+std::pair<ckpt::Snapshot, AsyncRunState> async_head(const ScratchDir& dir) {
+  std::ostringstream out, err;
+  const int code = cli::run_cli(
+      {"run", "--exec", "async", "--rounds", "5", "--scale", "0.02",
+       "--checkpoint-every", "3", "--checkpoint-dir", dir.str()},
+      out, err);
+  EXPECT_EQ(code, 0) << err.str();
+  ckpt::Snapshot snap =
+      ckpt::load_checkpoint(ckpt::checkpoint_path(dir.str(), 3));
+  AsyncRunState st;
+  ckpt::Reader r(snap.async_state.data(), snap.async_state.size());
+  st.restore_state(r, snap.num_clients, snap.dim, snap.stat_dim);
+  return {std::move(snap), std::move(st)};
+}
+
+/// Applies `edit` to a real head's decoded async state, re-encodes it, and
+/// expects one CkptError line containing `what` from the decode and from
+/// `gluefl resume`.
+void expect_hostile_table(const std::string& name,
+                          const std::function<void(AsyncRunState&)>& edit,
+                          const std::string& what) {
+  ScratchDir dir("ckpt_hostile_" + name);
+  auto [snap, st] = async_head(dir);
+  ASSERT_GE(st.versions.size(), 2u) << "the head needs two live versions";
+  edit(st);
+  ckpt::Writer w;
+  st.save_state(w);
+  snap.async_state = w.take();
+
+  AsyncRunState back;
+  ckpt::Reader r(snap.async_state.data(), snap.async_state.size());
+  try {
+    back.restore_state(r, snap.num_clients, snap.dim, snap.stat_dim);
+    ADD_FAILURE() << name << ": the edited table decoded";
+  } catch (const ckpt::CkptError& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find(what), std::string::npos) << name << ": " << msg;
+    EXPECT_EQ(msg.find('\n'), std::string::npos) << name << ": " << msg;
+  }
+
+  const std::string path = (dir.path / "hostile.gfc").string();
+  ckpt::save_checkpoint(path, snap);
+  std::ostringstream out, err;
+  EXPECT_EQ(cli::run_cli({"resume", path}, out, err), 1) << name;
+  const std::string line = err.str();
+  EXPECT_NE(line.find(what), std::string::npos) << name << ": " << line;
+  EXPECT_EQ(line.find('\n'), line.size() - 1) << name << ": " << line;
+  EXPECT_EQ(line.find("GLUEFL_CHECK"), std::string::npos) << name;
+}
+
+/// Points every event of version `from` at version `to`.
+void retarget(AsyncRunState& st, int from, int to) {
+  for (AsyncInFlight& f : st.events) {
+    if (f.version == from) f.version = to;
+  }
+}
+
+TEST(CkptAsyncHead, RejectsATableLackingAnInFlightVersion) {
+  expect_hostile_table(
+      "lacks",
+      [](AsyncRunState& st) { st.versions.erase(st.versions.begin()); },
+      "lacks version");
+}
+
+TEST(CkptAsyncHead, RejectsAVersionNoEventReferences) {
+  expect_hostile_table(
+      "unreferenced",
+      [](AsyncRunState& st) {
+        retarget(st, st.versions[0].version, st.versions[1].version);
+      },
+      "which no in-flight update references");
+}
+
+TEST(CkptAsyncHead, RejectsRepeatedOrDescendingVersions) {
+  expect_hostile_table(
+      "repeated",
+      [](AsyncRunState& st) {
+        st.versions.insert(st.versions.begin() + 1, st.versions[0]);
+      },
+      "not strictly ascending");
+  expect_hostile_table(
+      "descending",
+      [](AsyncRunState& st) { std::swap(st.versions[0], st.versions[1]); },
+      "not strictly ascending");
+}
+
+TEST(CkptAsyncHead, RejectsAVersionAtOrPastTheBoundary) {
+  for (const int past : {0, 1}) {
+    expect_hostile_table(
+        "boundary" + std::to_string(past),
+        [past](AsyncRunState& st) {
+          AsyncModelVersion& last = st.versions.back();
+          retarget(st, last.version, st.version + past);
+          last.version = st.version + past;
+        },
+        "at or past its boundary");
+  }
+}
+
+TEST(CkptAsyncHead, RejectsParamsOrStatsOfTheWrongLength) {
+  expect_hostile_table(
+      "params",
+      [](AsyncRunState& st) { st.versions[0].params.pop_back(); },
+      "does not match the model's shapes");
+  expect_hostile_table(
+      "stats",
+      [](AsyncRunState& st) { st.versions[1].stats.push_back(0.0f); },
+      "does not match the model's shapes");
 }
 
 TEST(CkptRestore, RejectsStrategyMismatch) {

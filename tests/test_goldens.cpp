@@ -106,48 +106,48 @@ const std::vector<Row>& rows() {
        .tiers = true,
        .pins = {{"summary", 0xa018e7b24fcabd7full},
                 {"events", 0xef60c59547988603ull},
-                {"ckpt-00000001.gfc", 0x906644ecdfea6cf5ull},
-                {"ckpt-00000002.gfc", 0x01a885f3b1caa9e5ull},
+                {"ckpt-00000001.gfc", 0x4d1b58f2726990eaull},
+                {"ckpt-00000002.gfc", 0xd35ec6a0ef9debf4ull},
                 {"residuals.gfj", 0xe197d7ce69e5b080ull}}},
       {.name = "fedavg",
        .flags = {"--strategy", "fedavg"},
        .tiers = true,
        .pins = {{"summary", 0x43df042b871d87bfull},
                 {"events", 0x7753abcf7a697042ull},
-                {"ckpt-00000001.gfc", 0xaa049a9b3b87a29cull},
-                {"ckpt-00000002.gfc", 0x8da9d62fba8f8fceull}}},
+                {"ckpt-00000001.gfc", 0x8397b0bd8dc62649ull},
+                {"ckpt-00000002.gfc", 0x82c7f2310fcf89dbull}}},
       {.name = "stc",
        .flags = {"--strategy", "stc"},
        .pins = {{"summary", 0x80cd3c9335adf1deull},
                 {"events", 0x1a23ab084876db65ull},
-                {"ckpt-00000001.gfc", 0x7f392a9462e1ef63ull},
-                {"ckpt-00000002.gfc", 0x4c0cc4bd4cdaab1aull},
+                {"ckpt-00000001.gfc", 0x04f2534c99b407c4ull},
+                {"ckpt-00000002.gfc", 0xc47e7f8bec36111full},
                 {"residuals.gfj", 0x693c2530a7052829ull}}},
       {.name = "apf",
        .flags = {"--strategy", "apf"},
        .pins = {{"summary", 0x5cb9025f34fa654full},
                 {"events", 0x64cc7fa67b70ed84ull},
-                {"ckpt-00000001.gfc", 0x72a3021c2d80a39aull},
-                {"ckpt-00000002.gfc", 0x95402e39e2deb12full}}},
+                {"ckpt-00000001.gfc", 0x7e644ea488a1b335ull},
+                {"ckpt-00000002.gfc", 0x86fcae1d45811278ull}}},
       {.name = "async",
        .flags = {"--exec", "async"},
-       .pins = {{"summary", 0xb9f96628e326af7bull},
+       .pins = {{"summary", 0xf2f7cc00323c7722ull},
                 {"events", 0x0585e3e99baf1a7eull},
-                {"ckpt-00000001.gfc", 0xa36346e3ec17eee2ull},
-                {"ckpt-00000002.gfc", 0x87eb21cc76c80a80ull}}},
+                {"ckpt-00000001.gfc", 0xc20c98995ed1505full},
+                {"ckpt-00000002.gfc", 0xd29f251e5bcf41e6ull}}},
       {.name = "hostile",
        .flags = {"--strategy", "gluefl", "--scenario", "hostile"},
        .pins = {{"summary", 0xe3cf37479bf2a5b8ull},
                 {"events", 0x5272d349e6f5e52aull},
-                {"ckpt-00000001.gfc", 0x81eefb4ef4b39e93ull},
-                {"ckpt-00000002.gfc", 0x050fd6494b1231aaull},
+                {"ckpt-00000001.gfc", 0xf16c3771564e204aull},
+                {"ckpt-00000002.gfc", 0xe440eaf9cb910c3full},
                 {"residuals.gfj", 0x7fb8feec0eda76f5ull}}},
       {.name = "hier",
        .flags = {"--strategy", "gluefl", "--topology", "hier:3"},
        .pins = {{"summary", 0x88d8b7da2e3b6dedull},
                 {"events", 0x8ac0ccb16ab3cddbull},
-                {"ckpt-00000001.gfc", 0x4902317940705b49ull},
-                {"ckpt-00000002.gfc", 0xee7a32b57eb4b828ull},
+                {"ckpt-00000001.gfc", 0xf1a220f6c87ccceeull},
+                {"ckpt-00000002.gfc", 0xbc8cac9c54afb2e9ull},
                 {"residuals.gfj", 0xe197d7ce69e5b080ull}}},
       // The two virtual rows run a population above kDenseScanThreshold,
       // where the samplers and the async pool draw by rejection over the id
@@ -158,39 +158,39 @@ const std::vector<Row>& rows() {
        .pins = {{"summary", 0x4af6895e97a0b2fbull},
                 {"events", 0x63c483dda72e7fbfull},
                 {"events-resume", 0x66de4b19ed48b5efull},
-                {"ckpt-00000001.gfc", 0x0f995de3856e3dd0ull},
-                {"ckpt-00000002.gfc", 0x606af96b51664242ull},
-                {"ckpt-00000003.gfc", 0x9ed843f00bf501b1ull},
+                {"ckpt-00000001.gfc", 0x05589f68336336e7ull},
+                {"ckpt-00000002.gfc", 0x3194cff578dbb1f7ull},
+                {"ckpt-00000003.gfc", 0x24a2e16d948e2586ull},
                 {"residuals.gfj", 0x381bb2cefb541797ull}}},
       {.name = "virtual_async",
        .flags = {"--exec", "async", "--population", "100000",
                  "--async-conc", "24", "--async-buffer", "6"},
        .crash = true,
-       .pins = {{"summary", 0x1fc285ba7750288dull},
+       .pins = {{"summary", 0xc177c773e4afb715ull},
                 {"events", 0xbd0c5520c820eec3ull},
                 {"events-resume", 0x00bd57204f9195aeull},
-                {"ckpt-00000001.gfc", 0xc2bfc6d70218e05aull},
-                {"ckpt-00000002.gfc", 0x4cc8d74650e8980bull},
-                {"ckpt-00000003.gfc", 0x5d4e66049747b388ull}}},
+                {"ckpt-00000001.gfc", 0x31bb1bcb60681db1ull},
+                {"ckpt-00000002.gfc", 0xff7734a05196111bull},
+                {"ckpt-00000003.gfc", 0xfa6ce5d05b926554ull}}},
       {.name = "crash_sync",
        .flags = {"--strategy", "gluefl"},
        .crash = true,
        .pins = {{"summary", 0x429b60d7149e1034ull},
                 {"events", 0x6d57af7ab6035930ull},
                 {"events-resume", 0x27b62533510253e7ull},
-                {"ckpt-00000001.gfc", 0xe8de253971c37d62ull},
-                {"ckpt-00000002.gfc", 0x95795ef81982e82dull},
-                {"ckpt-00000003.gfc", 0xc8c87eb26cc7f268ull},
+                {"ckpt-00000001.gfc", 0xa617d2dbe5fac869ull},
+                {"ckpt-00000002.gfc", 0x0bd2fd2501572644ull},
+                {"ckpt-00000003.gfc", 0x7c889a78a199af17ull},
                 {"residuals.gfj", 0xda898f7ea2b00a47ull}}},
       {.name = "crash_async",
        .flags = {"--exec", "async"},
        .crash = true,
-       .pins = {{"summary", 0x47e38c8ee4514f98ull},
+       .pins = {{"summary", 0x885a3fae2045d7bcull},
                 {"events", 0xdbea0b197e81ea3bull},
                 {"events-resume", 0xadf2f324311a001dull},
-                {"ckpt-00000001.gfc", 0xdd1d21794ac26318ull},
-                {"ckpt-00000002.gfc", 0x2947c5b72ccf80ccull},
-                {"ckpt-00000003.gfc", 0xe8120d35364cccd9ull}}},
+                {"ckpt-00000001.gfc", 0x9be45f89c5a3ee7full},
+                {"ckpt-00000002.gfc", 0xcb9d84bc45ed189bull},
+                {"ckpt-00000003.gfc", 0x42f4cab708282e35ull}}},
       // The two knobs rows move every run setting off its default, so a
       // resume that drops or misreads any one of them moves a pin.
       {.name = "crash_sync_knobs",
@@ -202,9 +202,9 @@ const std::vector<Row>& rows() {
        .pins = {{"summary", 0xb2341d14dd4fe474ull},
                 {"events", 0x0556c54a5bb35e7bull},
                 {"events-resume", 0xbef2384e5ecb28c5ull},
-                {"ckpt-00000001.gfc", 0x7d48a1829c8e86fcull},
-                {"ckpt-00000002.gfc", 0x6079d8e299b56623ull},
-                {"ckpt-00000003.gfc", 0x1766990d6815c2d9ull},
+                {"ckpt-00000001.gfc", 0xe30bbff84cc417e5ull},
+                {"ckpt-00000002.gfc", 0x260f6eb7e2b3b3a6ull},
+                {"ckpt-00000003.gfc", 0x2a9cc1ffaa78a906ull},
                 {"residuals.gfj", 0x04a0e14cbad6f1d4ull}}},
       {.name = "crash_async_knobs",
        .flags = {"--exec", "async", "--model", "resnet34", "--env", "5g",
@@ -213,12 +213,12 @@ const std::vector<Row>& rows() {
                  "--max-staleness", "3", "--population", "600",
                  "--eval-every", "2", "--seed", "7"},
        .crash = true,
-       .pins = {{"summary", 0x0d7ed79bdfd10a8dull},
+       .pins = {{"summary", 0xedfd3af713d4f876ull},
                 {"events", 0x1c59c232620112dcull},
                 {"events-resume", 0xfb674d5b2a77c7d1ull},
-                {"ckpt-00000001.gfc", 0x64f294d9d7e3a761ull},
-                {"ckpt-00000002.gfc", 0x647114ac71b719d8ull},
-                {"ckpt-00000003.gfc", 0x20023ae5e74d4481ull}}},
+                {"ckpt-00000001.gfc", 0x330838af30cde29bull},
+                {"ckpt-00000002.gfc", 0x601854ea8a07abaaull},
+                {"ckpt-00000003.gfc", 0x9231e89287ef8cc8ull}}},
   };
   return table;
 }

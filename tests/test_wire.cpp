@@ -18,6 +18,7 @@
 #include "compress/topk.h"
 #include "fl/async_engine.h"
 #include "fl/engine.h"
+#include "fl/uplink.h"
 #include "strategies/apf.h"
 #include "strategies/async_fedbuff.h"
 #include "strategies/fedavg.h"
@@ -332,6 +333,33 @@ TEST(WireSizes, EncodedWithinDocumentedEnvelopeOfAnalytic) {
           << "dim=" << dim << " k=" << k;
       EXPECT_GE(encoded + position_bytes(uni.idx.size(), dim), analytic)
           << "dim=" << dim << " k=" << k;
+    }
+  }
+}
+
+TEST(WireSizes, DenseFrameBytesIsTheSealedFrameSize) {
+  // dense_frame_bytes prices an async upload before it exists, and FedAvg
+  // and the async engine size their frame buffers with it: it must be the
+  // sealed frame's size at every dim-varint width, with and without
+  // stats, Byzantine or not, and the buffer must come out sized once.
+  Rng rng(31);
+  for (const size_t dim : {size_t{1}, size_t{127}, size_t{128},
+                           size_t{16384}, size_t{33600}}) {
+    for (const size_t stat_dim : {size_t{0}, size_t{2}, size_t{514}}) {
+      const std::vector<float> delta = random_vals(dim, rng);
+      const std::vector<float> stats = random_vals(stat_dim, rng);
+      for (const bool byzantine : {false, true}) {
+        wire::WireEncoder we(dim);
+        we.reserve(wire::dense_frame_bytes(dim, stat_dim));
+        we.add_dense(delta.data(), dim);
+        we.add_stats(stats.data(), stat_dim);
+        const std::vector<uint8_t> frame =
+            uplink::seal(std::move(we), byzantine);
+        EXPECT_EQ(frame.size(), wire::dense_frame_bytes(dim, stat_dim))
+            << "dim " << dim << " stat_dim " << stat_dim;
+        EXPECT_EQ(frame.capacity(), frame.size())
+            << "dim " << dim << " stat_dim " << stat_dim;
+      }
     }
   }
 }
